@@ -38,12 +38,10 @@ from .regression import (
     RidgeSolution,
     eigen_extremes,
     estimate_variance,
-    jacobi_eigenvalues,
     mle_fit,
     ridge_fit,
     ridge_solve,
     select_rho,
-    solve_spd,
 )
 from .scheduler import (
     PosteriorResult,

@@ -38,6 +38,7 @@ from .evaluation import (
     write_report_csv,
     write_summary_csv,
 )
+from .regression import MAX_C_LIM
 from .scheduler import (
     Prior,
     schedule_estimate,
@@ -316,8 +317,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.order < 0:
         raise ConfigError(f"order must be non-negative, got {cfg.order}")
-    if cfg.c_lim <= 1.0:
-        raise ConfigError(f"c_lim must exceed 1, got {cfg.c_lim}")
+    if not 1.0 < cfg.c_lim <= MAX_C_LIM:
+        raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {cfg.c_lim}")
     if cfg.sample_time <= 0:
         raise ConfigError(f"sample_time must be positive, got {cfg.sample_time}")
     roles = set(cfg.channels.values())

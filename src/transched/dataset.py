@@ -50,6 +50,11 @@ class TimeSeriesSet:
             raise DataError("names, roles, and data rows must align")
         if data.shape[1] < 1:
             raise DataError("record must contain at least one sample")
+        if not np.isfinite(data).all():
+            k, t = np.argwhere(~np.isfinite(data))[0]
+            raise DataError(
+                f"non-finite value {float(data[k, t])!r} at sample {t} in channel {self.names[k]!r}"
+            )
         if len(set(self.names)) != len(self.names):
             raise DataError("channel names must be unique")
         for role in self.roles:
@@ -213,13 +218,29 @@ def load_csv(
             n_rows += 1
     if n_rows == 0:
         raise DataError(f"{path}: no samples")
+    data = np.array(values, dtype=float)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        t, k = np.argwhere(bad.T)[0]  # first offending row, then channel
+        name = list(schema)[k]
+        raise DataError(
+            f"{path}: line {_data_line(path, t)}: non-finite value "
+            f"{float(data[k, t])!r} in channel {name!r}"
+        )
     return TimeSeriesSet(
         sample_rate=sample_rate,
         names=tuple(schema),
         roles=tuple(schema.values()),
-        data=np.array(values, dtype=float),
+        data=data,
         condition_label=condition_label,
     )
+
+
+def _data_line(path: str | os.PathLike, index: int) -> int:
+    """1-based file line of the index-th (0-based) non-empty data row."""
+    with open(path, newline="") as f:
+        lines = [lineno for lineno, row in enumerate(csv.reader(f), start=1) if row]
+    return lines[index + 1]  # lines[0] is the header
 
 
 def write_csv(

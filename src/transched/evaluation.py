@@ -4,7 +4,8 @@ FIT is the usual normalized measure: 100% for a perfect reconstruction,
 0% for the constant mean predictor, negative when the estimate is worse
 than that.  The comparison report scores, per online condition, each
 per-condition primary model, the single pooled-data model, and the
-scheduled estimator, next to the best achievable single-model FIT.
+scheduled estimator, next to the best achievable single-model FIT, all
+on the samples the scheduled estimator covers.
 """
 
 from __future__ import annotations
@@ -96,15 +97,6 @@ class ComparisonReport:
         return out
 
 
-def _scheduled_fit(ts: TimeSeriesSet, trace: ScheduleTrace) -> float:
-    """FIT of the scheduled estimator over the samples it actually covers."""
-    measured = ts.target()
-    mask = np.isfinite(trace.estimates)
-    if not np.any(mask):
-        raise DataError(f"trace for {ts.condition_label!r} contains no estimates")
-    return fit_metric(measured[mask], trace.estimates[mask])
-
-
 def compare_report(
     g: TransmissibilityFamily,
     average: FirModel,
@@ -119,6 +111,9 @@ def compare_report(
     (e.g. "full", "pooled") to per-condition schedule traces; every
     variant yields an accuracy, and ``scheduled_variant`` selects the one
     reported in the scheduled-FIT column and the chosen/indicator fields.
+    Every estimator of a record is scored on the samples that variant's
+    trace covers, so a trailing window too short to classify drops out of
+    all FITs alike and the ideal FIT bounds the scheduled one.
     """
     if scheduled_variant not in variant_traces:
         raise DataError(f"no traces for scheduled variant {scheduled_variant!r}")
@@ -131,24 +126,28 @@ def compare_report(
             raise DataError("every online record needs a condition_label")
         if ts.target_name is None:
             raise DataError(f"record {label!r} is missing ground truth for the target")
-        measured = ts.target()
-        member_fits = tuple(
-            fit_metric(measured[order:], predict_record(m, ts)) for m in g.models
-        )
-        fit_avg = fit_metric(measured[order:], predict_record(average, ts))
         for variant, traces in variant_traces.items():
             if label not in traces:
                 raise DataError(f"no {variant!r} trace for condition {label!r}")
+        trace = variant_traces[scheduled_variant][label]
+        covered = np.isfinite(trace.estimates)
+        if not np.any(covered):
+            raise DataError(f"trace for {label!r} contains no estimates")
+        measured = ts.target()[covered]
+        member_fits = tuple(
+            fit_metric(measured, predict_record(m, ts)[covered[order:]]) for m in g.models
+        )
+        fit_avg = fit_metric(measured, predict_record(average, ts)[covered[order:]])
+        for variant, traces in variant_traces.items():
             idx = g.labels.index(traces[label].majority_label())
             indicators[variant].append(indicator(idx, member_fits))
-        trace = variant_traces[scheduled_variant][label]
         chosen_label = trace.majority_label()
         rows.append(
             ReportRow(
                 condition=label,
                 member_fits=member_fits,
                 fit_average=fit_avg,
-                fit_scheduled=_scheduled_fit(ts, trace),
+                fit_scheduled=fit_metric(measured, trace.estimates[covered]),
                 fit_ideal=ideal_fit(member_fits),
                 chosen=chosen_label,
                 indicator=indicators[scheduled_variant][-1],

@@ -55,8 +55,14 @@ class FirModel:
                 f"theta length {theta.shape[0]} does not match "
                 f"input_dim*(order+1) = {self.input_dim * (self.order + 1)}"
             )
-        if self.sigma2 < 0:
-            raise DataError(f"sigma2 must be non-negative, got {self.sigma2}")
+        if not np.isfinite(theta).all():
+            raise DataError("theta must be finite")
+        if not 0 <= self.sigma2 < math.inf:
+            raise DataError(f"sigma2 must be finite and non-negative, got {self.sigma2}")
+        if not 0 <= self.rho < math.inf:
+            raise DataError(f"rho must be finite and non-negative, got {self.rho}")
+        if self.dof < 0:
+            raise DataError(f"dof must be non-negative, got {self.dof}")
         theta.flags.writeable = False
 
 
@@ -332,11 +338,23 @@ def load_store(
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: not a valid model store: {e}") from None
+    try:
+        return _families_from_doc(doc)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+    except KeyError as e:
+        raise DataError(f"{path}: malformed model store: missing key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed model store: {e}") from None
+
+
+def _families_from_doc(
+    doc: dict,
+) -> tuple[TransmissibilityFamily, TransmissibilityFamily, FirModel | None]:
     version = doc.get("version")
     if version != STORE_VERSION:
         raise DataError(
-            f"{path}: unsupported store version {version!r}; this build reads "
-            f"version {STORE_VERSION}"
+            f"unsupported store version {version!r}; this build reads version {STORE_VERSION}"
         )
     order = int(doc["order"])
     pseudo = tuple(doc["channel_names"]["pseudo_inputs"])

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -312,6 +313,68 @@ def test_exit_code_bad_store_version(tmp_path):
     (out / "store.json").write_text('{"version": 7}')
     (out / "validation.csv").write_text("y_I1_a,y_I2,y_O\n0,0,0\n")
     assert _run(["estimate", "--out", str(out)]) == 3
+
+
+def _copy_outputs(src, dst, names):
+    dst.mkdir()
+    for name in names:
+        shutil.copy(src / name, dst / name)
+    return dst
+
+
+def _corrupt_cell(path, line, column, value):
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    path.write_text("".join(lines))
+
+
+def _assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_exit_code_non_finite_training_csv(pipeline_dir, tmp_path, capsys):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", ("train_C1.csv", "train_C2.csv"))
+    _corrupt_cell(out / "train_C1.csv", 5, 0, "nan")
+    capsys.readouterr()
+    assert _run(["train", "--out", str(out)]) == 3
+    _assert_one_line_error(capsys, "train_C1.csv: line 5", "non-finite", "'y_I1_a'")
+    assert not (out / "store.json").exists()
+
+
+def test_exit_code_non_finite_validation_csv(pipeline_dir, tmp_path, capsys):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", ("store.json", "validation.csv"))
+    _corrupt_cell(out / "validation.csv", 40, 1, "inf")
+    capsys.readouterr()
+    assert _run(["estimate", "--out", str(out)]) == 3
+    _assert_one_line_error(capsys, "validation.csv: line 40", "non-finite value inf", "'y_I2'")
+
+
+@pytest.mark.parametrize(
+    "corrupt, fragment",
+    [
+        (lambda doc: doc.pop("order"), "missing key 'order'"),
+        (lambda doc: doc["conditions"][0]["G"].pop("theta"), "missing key 'theta'"),
+    ],
+)
+def test_exit_code_malformed_store(pipeline_dir, tmp_path, capsys, corrupt, fragment):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", ("store.json", "validation.csv"))
+    doc = json.loads((out / "store.json").read_text())
+    corrupt(doc)
+    (out / "store.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run(["estimate", "--out", str(out)]) == 3
+    _assert_one_line_error(capsys, "store.json", fragment)
+
+
+def test_exit_code_clim_above_ceiling(tmp_path, capsys):
+    capsys.readouterr()
+    assert _run(["train", "--out", str(tmp_path / "o"), "--clim", "1e13"]) == 2
+    _assert_one_line_error(capsys, "c_lim")
 
 
 def test_no_partial_outputs_on_validation_failure(tmp_path):

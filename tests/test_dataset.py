@@ -72,6 +72,19 @@ def test_load_csv_non_numeric_cell(tmp_path):
         load_csv(p, SCHEMA3)
 
 
+def test_load_csv_non_finite_names_line_and_channel(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b,f\n1,2,3\n\n4,inf,nan\n")  # blank line 3 is skipped
+    with pytest.raises(DataError, match=r"d\.csv: line 4: non-finite value inf in channel 'b'"):
+        load_csv(p, SCHEMA3)
+
+
+def test_load_csv_non_finite_in_ignored_column_is_fine(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("time,a,b,f\nnan,1,2,3\n")
+    assert load_csv(p, SCHEMA3).n_samples == 1
+
+
 def test_load_csv_unknown_channel(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n1,2\n")
@@ -249,6 +262,14 @@ def test_timeseries_invariants():
     with pytest.raises(DataError, match="target_output"):
         TimeSeriesSet(sample_rate=1.0, names=("a", "b"),
                       roles=(TARGET_OUTPUT, TARGET_OUTPUT), data=np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_timeseries_rejects_non_finite(bad):
+    data = np.ones((2, 4))
+    data[1, 2] = bad
+    with pytest.raises(DataError, match="non-finite value .* at sample 2 in channel 'ch1'"):
+        _ts(data)
 
 
 def test_timeseries_data_read_only():

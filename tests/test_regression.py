@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,12 +10,10 @@ from transched.regression import (
     EigenExtremes,
     eigen_extremes,
     estimate_variance,
-    jacobi_eigenvalues,
     mle_fit,
     ridge_fit,
     ridge_solve,
     select_rho,
-    solve_spd,
 )
 
 
@@ -56,40 +55,52 @@ def _fir_response(theta_blocks, u):
     return y
 
 
-# ----------------------------------------------------------------- solve_spd
+# ------------------------------------------------ SPD solves (ridge, MLE)
 
 
 def test_solve_spd_identity():
-    np.testing.assert_array_equal(solve_spd(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
+    m = _matrices(np.eye(3), [1.0, 2.0, 3.0], order=0, input_dim=3)
+    np.testing.assert_array_equal(ridge_solve(m, 0.0), [1, 2, 3])
+    np.testing.assert_array_equal(mle_fit(m), [1, 2, 3])
 
 
 def test_solve_spd_diagonal():
-    np.testing.assert_allclose(solve_spd(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0])
+    # Gram diag(4, 16), Phi'y = [4, 32]
+    m = _matrices(np.diag([2.0, 4.0]), [2.0, 8.0], order=0, input_dim=2)
+    np.testing.assert_allclose(mle_fit(m), [1.0, 2.0])
 
 
 def test_solve_spd_matches_elimination_oracle():
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(5, 5))
-    spd = a @ a.T + 5 * np.eye(5)
-    b = rng.normal(size=5)
-    np.testing.assert_allclose(solve_spd(spd, b), _gaussian_elimination(spd, b),
-                               rtol=1e-9, atol=1e-12)
+    phi = rng.normal(size=(12, 5))
+    y = rng.normal(size=12)
+    m = _matrices(phi, y, order=0, input_dim=5)
+    for rho in (0.0, 5.0):
+        gram = phi.T @ phi + rho * np.eye(5)
+        np.testing.assert_allclose(ridge_solve(m, rho), _gaussian_elimination(gram, phi.T @ y),
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_solve_spd_residual_bound_at_high_conditioning():
     # conditioning at the ridge cap must still give 1e-8 relative residuals
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-    a = q @ np.diag(np.logspace(0, -6, 8)) @ q.T
-    a = 0.5 * (a + a.T)
-    b = rng.normal(size=8)
-    x = solve_spd(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
+    phi = q @ np.diag(np.logspace(0, -3, 8)) @ q.T  # Gram kappa = 1e6
+    m = _matrices(phi, rng.normal(size=8), order=0, input_dim=8)
+    gram, rhs = phi.T @ phi, phi.T @ m.y
+    assert np.linalg.cond(gram) == pytest.approx(1e6, rel=1e-3)
+    x = mle_fit(m)
+    assert np.linalg.norm(gram @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_solve_spd_rejects_indefinite():
-    with pytest.raises(NumericalError, match="pivot"):
-        solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), [1.0, 1.0])
+    m = _matrices(np.diag([1.0, 2.0]), [1.0, 1.0], order=0, input_dim=2)
+    with pytest.raises(NumericalError, match="positive definite"):
+        ridge_solve(m, -2.0)  # Gram + rho I = diag(-1, 2)
+    singular = _matrices(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), [1.0, 1.0, 1.0],
+                         order=0, input_dim=2)
+    with pytest.raises(NumericalError, match="positive definite"):
+        ridge_solve(singular, 0.0)
 
 
 # ------------------------------------------------------------ eigen extremes
@@ -121,17 +132,27 @@ def test_eigen_extremes_against_characteristic_polynomial():
     assert ext.lambda_max == pytest.approx(lam[-1], rel=1e-10)
 
 
-def test_jacobi_full_spectrum_matches_lapack():
+def test_eigen_extremes_match_scipy_eigvalsh():
     rng = np.random.default_rng(22)
-    a = rng.normal(size=(12, 12))
-    sym = a + a.T
-    np.testing.assert_allclose(jacobi_eigenvalues(sym), np.linalg.eigvalsh(sym),
-                               rtol=0, atol=1e-11 * np.linalg.norm(sym))
+    for n_rows, n_cols in ((30, 12), (12, 12), (6, 12)):  # full rank, square, rank deficient
+        x = rng.normal(size=(n_rows, n_cols))
+        gram = x.T @ x
+        ext = eigen_extremes(gram)
+        lam = scipy.linalg.eigvalsh(gram)
+        atol = 1e-11 * np.linalg.norm(gram)
+        assert ext.lambda_max == pytest.approx(lam[-1], rel=0, abs=atol)
+        assert ext.lambda_min == pytest.approx(max(lam[0], 0.0), rel=0, abs=atol)
+        assert ext.lambda_min >= 0.0
 
 
-def test_jacobi_rejects_asymmetric():
+def test_eigen_extremes_rejects_asymmetric():
     with pytest.raises(DataError, match="symmetric"):
-        jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        eigen_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_eigen_extremes_rejects_indefinite():
+    with pytest.raises(NumericalError, match="positive semidefinite"):
+        eigen_extremes(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 # ------------------------------------------------------------------ select_rho
@@ -156,6 +177,16 @@ def test_select_rho_singular_gram():
 def test_select_rho_invalid_cap():
     with pytest.raises(ConfigError, match="c_lim"):
         select_rho(EigenExtremes(lambda_max=1.0, lambda_min=1.0), 1.0)
+
+
+def test_select_rho_rejects_cap_above_ceiling():
+    # eigenvalue error ~ eps * lambda_max makes rho inaccurate above 1e12
+    ext = EigenExtremes(lambda_max=1.0, lambda_min=0.0)
+    assert select_rho(ext, 1e12) == 1.0 / (1e12 - 1.0)
+    with pytest.raises(ConfigError, match="c_lim"):
+        select_rho(ext, 1e13)
+    with pytest.raises(ConfigError, match="c_lim"):
+        ridge_fit(_matrices(np.eye(2), [1.0, 1.0], order=0, input_dim=2), 1e13)
 
 
 # --------------------------------------------------------------------- fits
@@ -242,6 +273,17 @@ def test_ridge_solve_zero_rho_equals_mle():
     y = rng.normal(size=40)
     m = _matrices(phi, y, order=0, input_dim=3)
     np.testing.assert_allclose(ridge_solve(m, 0.0), mle_fit(m), rtol=0, atol=1e-12)
+
+
+def test_non_finite_input_is_numerical_error():
+    # library callers can bypass the CSV and record checks; a LAPACK failure
+    # or a nan spectrum must still surface as NumericalError (exit 4)
+    phi = np.random.default_rng(39).normal(size=(20, 3))
+    phi[4, 1] = np.nan
+    with pytest.raises(NumericalError):
+        ridge_fit(_matrices(phi, np.ones(20), order=0, input_dim=3))
+    with pytest.raises(NumericalError):
+        eigen_extremes(np.full((2, 2), np.nan))
 
 
 # ------------------------------------------------------------------ variance

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,30 @@ def test_store_rejects_unknown_version(tmp_path):
     path.write_text('{"version": 99}')
     with pytest.raises(DataError, match="version"):
         load_store(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # a missing key is covered through cli.main in test_cli
+        (lambda doc: doc["conditions"][0]["H"]["theta"].pop(), "theta length"),
+        (lambda doc: doc["conditions"][0]["H"].update(sigma2="wide"), "could not convert"),
+        (lambda doc: doc["conditions"][0]["G"]["theta"].__setitem__(0, float("nan")), "finite"),
+        (lambda doc: doc["conditions"][0]["G"].update(rho=float("nan")), "rho must be finite"),
+        (lambda doc: doc["conditions"][1]["H"].update(dof=-5), "dof must be non-negative"),
+        (lambda doc: doc.update(conditions=[7]), "malformed model store"),
+    ],
+)
+def test_store_rejects_malformed_schema(tmp_path, clean_training_pair, corrupt, message):
+    g, h = train_families(clean_training_pair, Decomposition(aux_output_index=1), order=2)
+    path = tmp_path / "store.json"
+    save_store(path, g, h)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=message) as err:
+        load_store(path)
+    assert str(path) in str(err.value)
 
 
 def test_store_missing_file(tmp_path):
