@@ -14,12 +14,10 @@ from .dataset import (
     RegressionMatrices,
     TARGET_OUTPUT,
     TimeSeriesSet,
-    Window,
     build_regressor,
     decompose,
     detrend_mean,
     load_csv,
-    segment,
     signal_power,
     write_csv,
 )

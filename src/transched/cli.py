@@ -319,6 +319,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"order must be non-negative, got {cfg.order}")
     if not 1.0 < cfg.c_lim <= MAX_C_LIM:
         raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {cfg.c_lim}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.sample_time <= 0:
         raise ConfigError(f"sample_time must be positive, got {cfg.sample_time}")
     roles = set(cfg.channels.values())
@@ -349,6 +351,8 @@ def _validate(cfg: RunConfig) -> None:
             )
         if cfg.snr_scale not in ("linear", "db"):
             raise ConfigError(f"snr_scale must be linear or db, got {cfg.snr_scale!r}")
+        if math.isnan(cfg.snr):
+            raise ConfigError("snr must be a number, got nan")
         if cfg.snr_scale == "linear" and cfg.snr <= 0:
             raise ConfigError(f"linear snr must be positive, got {cfg.snr}")
         for label, n in cfg.schedule:
@@ -366,6 +370,8 @@ def _validate(cfg: RunConfig) -> None:
         if cfg.window <= 0:
             raise ConfigError(f"window must be positive, got {cfg.window}")
         if isinstance(cfg.priors, list):
+            if not all(math.isfinite(w) for w in cfg.priors):
+                raise ConfigError(f"prior weights must be finite, got {cfg.priors}")
             if any(w < 0 for w in cfg.priors):
                 raise ConfigError(f"prior weights must be non-negative, got {cfg.priors}")
             if sum(cfg.priors) <= 0:

@@ -3,8 +3,8 @@
 A record keeps named channels of equal length together with a role per
 channel: ``pseudo_input`` channels drive the FIR models, the single
 ``target_output`` channel is what the primary models estimate.  The
-functions here cover CSV I/O, mean removal, lag-matrix construction,
-pseudo-input decomposition, and fixed-length windowing.
+functions here cover CSV I/O, mean removal, lag-matrix construction
+and pseudo-input decomposition.
 """
 
 from __future__ import annotations
@@ -108,19 +108,6 @@ class TimeSeriesSet:
             raise DataError("record has no target_output channel")
         return self.channel(name)
 
-    def slice_samples(self, start: int, stop: int) -> "TimeSeriesSet":
-        labels = None
-        if self.sample_labels is not None:
-            labels = self.sample_labels[start:stop]
-        return TimeSeriesSet(
-            sample_rate=self.sample_rate,
-            names=self.names,
-            roles=self.roles,
-            data=self.data[:, start:stop],
-            condition_label=self.condition_label,
-            sample_labels=labels,
-        )
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -159,16 +146,6 @@ class RegressionMatrices:
     @property
     def n_params(self) -> int:
         return self.input_dim * (self.order + 1)
-
-
-@dataclass(frozen=True)
-class Window:
-    """One segment of a record; ``short`` flags a trailing remainder."""
-
-    ts: TimeSeriesSet
-    start: int  # 0-based inclusive
-    stop: int  # 0-based exclusive
-    short: bool = False
 
 
 def load_csv(
@@ -333,25 +310,6 @@ def decompose(ts: TimeSeriesSet, d: Decomposition) -> tuple[np.ndarray, np.ndarr
         )
     rest, aux = d.split(names)
     return ts.channels(tuple(rest)), ts.channel(aux)
-
-
-def segment(ts: TimeSeriesSet, window: int) -> list[Window]:
-    """Partition a record into consecutive non-overlapping windows.
-
-    A trailing remainder shorter than ``window`` is kept and flagged.
-    Concatenating the windows reproduces the record sample-for-sample.
-    """
-    if window <= 0:
-        raise DataError(f"window length must be positive, got {window}")
-    out: list[Window] = []
-    m = ts.n_samples
-    for start in range(0, m, window):
-        stop = min(start + window, m)
-        out.append(
-            Window(ts=ts.slice_samples(start, stop), start=start, stop=stop,
-                   short=stop - start < window)
-        )
-    return out
 
 
 def signal_power(ts: TimeSeriesSet) -> dict[str, float]:

@@ -8,6 +8,10 @@ the auxiliary models compete on their regression evidence
 with N the number of regression rows the window yields.  The winning
 condition's primary model then estimates the target over that window.
 Classification uses in-window rows only, so windows stay independent.
+``classify`` scores one window; ``schedule_estimate`` scores all windows
+of a record at once with array code and agrees with ``classify`` to
+|dL| <= 1e-12 * max(1, |L|) and |d posterior| <= 1e-12, with the same
+choice and ambiguity flag unless the deciding gap is within that bound.
 A scheduled sample's estimate is the chosen primary model's whole-record
 prediction at that sample, bit-identical to ``predict_record``: its lags
 reach back across window boundaries, so every sample after the record's
@@ -23,13 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TimeSeriesSet, build_regressor, segment
+from .dataset import TimeSeriesSet, build_regressor, lag_matrix
 from .errors import ConfigError, DataError, NumericalError
 from .transmissibility import FirModel, TransmissibilityFamily, predict_record
 
 # Windows whose two best log-evidences are closer than this are flagged
 # ambiguous in the trace; they typically straddle a dynamics switch.
 AMBIGUITY_NATS = 2.0
+
+# Rows per block of whole windows in the residual pass: a block's lag
+# matrix has at most BLOCK_ROWS rows (or one window, if longer) whatever
+# the record length.
+BLOCK_ROWS = 8192
 
 WINDOW_TRACE_FORMAT = "transched-window-trace v1"
 SAMPLE_TRACE_FORMAT = "transched-sample-trace v1"
@@ -49,6 +58,8 @@ class Prior:
         object.__setattr__(self, "weights", w)
         if w.size < 1:
             raise ConfigError("prior needs at least one weight")
+        if not np.isfinite(w).all():
+            raise ConfigError(f"prior weights must be finite, got {w}")
         if np.any(w < 0):
             raise ConfigError(f"prior weights must be non-negative, got {w}")
         if abs(float(w.sum()) - 1.0) > 1.0e-12:
@@ -65,6 +76,8 @@ class Prior:
     def from_weights(weights) -> "Prior":
         """Normalize arbitrary non-negative weights into a prior."""
         w = np.asarray(weights, dtype=float).ravel()
+        if not np.isfinite(w).all():
+            raise ConfigError(f"prior weights must be finite, got {w}")
         total = float(w.sum())
         if total <= 0:
             raise ConfigError("prior weights must have a positive sum")
@@ -214,18 +227,33 @@ def schedule_estimate(
 ) -> ScheduleTrace:
     """Classify every window and estimate the target with the chosen model.
 
+    The record is cut into consecutive windows of ``window_len`` samples;
+    a trailing remainder is its own window.  All windows are classified
+    at once: per block of whole windows, one lag matrix of the driver
+    channels times the stacked auxiliary thetas gives every model's
+    residuals, summed per window over its in-window rows.  The result
+    agrees with ``classify`` on each window to |dL| <= 1e-12 * max(1, |L|)
+    in log evidence and 1e-12 in posterior; the choice and the ambiguity
+    flag are the same unless ``classify``'s deciding gap is within that
+    bound.
+
     Each chosen primary model predicts the whole record once, through
     ``predict_record``; a classified window copies that prediction over its
     samples from ``max(start, order)`` on.  A scheduled estimate is thus
     bit-identical to the chosen model's whole-record prediction at that
     sample, with lags that reach back across window boundaries.
 
-    Windows shorter than order+1 samples (a trailing remainder) cannot be
-    classified; they are recorded under ``skipped`` and contribute no
-    estimates.
+    A trailing window of order samples or fewer cannot be classified; it
+    is recorded under ``skipped`` and contributes no estimates.
     """
     if g.labels != h.labels:
         raise DataError("primary and auxiliary families must share labels")
+    if g.order != h.order:
+        raise DataError("primary and auxiliary families must share the FIR order")
+    if prior.weights.size != len(h):
+        raise ConfigError(
+            f"prior has {prior.weights.size} weights for {len(h)} family members"
+        )
     order = g.order
     if window_len <= order:
         raise ConfigError(
@@ -234,35 +262,149 @@ def schedule_estimate(
     for name in g.input_channel_names:
         if name not in online.names:
             raise DataError(f"online record is missing channel {name!r}")
-    estimates = np.full(online.n_samples, math.nan)
-    sample_labels: list[str | None] = [None] * online.n_samples
-    windows: list[PosteriorResult] = []
-    bounds: list[tuple[int, int]] = []
-    skipped: list[tuple[int, int, int]] = []
-    for idx, win in enumerate(segment(online, window_len), start=1):
-        if win.stop - win.start <= order:
-            skipped.append((idx, win.start, win.stop))
-            continue
-        result = classify(h, win.ts, prior, pooled=pooled, window_id=idx)
-        windows.append(result)
-        bounds.append((win.start, win.stop))
-        label = g.labels[result.chosen]
-        for t in range(win.start, win.stop):
-            sample_labels[t] = label
-    for k in sorted({res.chosen for res in windows}):
+    m = online.n_samples
+    n_windows = -(-m // window_len)
+    skipped: tuple[tuple[int, int, int], ...] = ()
+    if m - (n_windows - 1) * window_len <= order:
+        n_windows -= 1
+        skipped = ((n_windows + 1, n_windows * window_len, m),)
+    starts = window_len * np.arange(n_windows)
+    stops = np.minimum(starts + window_len, m)
+    levidence = _window_log_evidence(h, online, prior, pooled, window_len, n_windows)
+    posterior = _posterior_rows(levidence)
+    chosen = np.argmax(levidence, axis=1)  # first index wins ties
+    ambiguous = _ambiguous_rows(levidence)
+    windows = tuple(
+        PosteriorResult(
+            window_id=i + 1,
+            log_evidence=levidence[i],
+            posterior=posterior[i],
+            chosen=int(chosen[i]),
+            ambiguous=bool(ambiguous[i]),
+        )
+        for i in range(n_windows)
+    )
+    bounds = tuple(zip(starts.tolist(), stops.tolist()))
+
+    member = np.repeat(chosen, stops - starts)  # chosen member per covered sample
+    covered = member.size
+    sample_labels = [g.labels[k] for k in member.tolist()] + [None] * (m - covered)
+    estimates = np.full(m, math.nan)
+    for k in sorted(set(chosen.tolist())):
         preds = predict_record(g.models[k], online)
-        for res, (start, stop) in zip(windows, bounds):
-            if res.chosen == k:
-                lo = max(start, order)
-                estimates[lo:stop] = preds[lo - order : stop - order]
+        pick = member[order:] == k
+        estimates[order:covered][pick] = preds[: covered - order][pick]
     return ScheduleTrace(
         labels=g.labels,
-        windows=tuple(windows),
-        bounds=tuple(bounds),
-        skipped=tuple(skipped),
+        windows=windows,
+        bounds=bounds,
+        skipped=skipped,
         sample_labels=tuple(sample_labels),
         estimates=estimates,
     )
+
+
+def _window_log_evidence(
+    h: TransmissibilityFamily,
+    online: TimeSeriesSet,
+    prior: Prior,
+    pooled: bool,
+    window_len: int,
+    n_windows: int,
+) -> np.ndarray:
+    """(windows, members) log evidences, by the rules of ``log_evidence``,
+    of the record's first ``n_windows`` windows of ``window_len`` samples;
+    the last one may be a shorter trailing window."""
+    order = h.order
+    m = online.n_samples
+    drivers = online.channels(h.input_channel_names)
+    aux = online.channel(h.output_channel_name)
+    thetas = np.stack([mod.theta for mod in h.models], axis=1)  # p x Q
+    n_full = min(n_windows, m // window_len)
+    per_block = max(1, BLOCK_ROWS // window_len)
+    blocks = [
+        (first * window_len, min(per_block, n_full - first), window_len)
+        for first in range(0, n_full, per_block)
+    ]
+    if n_windows > n_full:
+        blocks.append((n_full * window_len, 1, m - n_full * window_len))
+    rss = np.zeros((0, len(h)))
+    if blocks:
+        rss = np.concatenate(
+            [_window_rss(drivers, aux, thetas, order, *block) for block in blocks]
+        )
+    n_rows = np.minimum(window_len, m - window_len * np.arange(n_windows)) - order
+
+    if pooled:
+        s2 = np.full(len(h), pooled_sigma2(h))
+    else:
+        s2 = np.array([mod.sigma2 for mod in h.models])
+    weights = prior.weights
+    # scalar logs keep each term bit-identical to log_evidence's
+    log_p = np.array([math.log(w) if w > 0 else -math.inf for w in weights])
+    log_s2 = np.array([math.log(v) if v > 0 else 0.0 for v in s2])
+    with np.errstate(over="ignore"):  # tiny s2 overflows quad to inf: L = -inf
+        quad = rss / (2.0 * np.where(s2 > 0, s2, 1.0))
+    levidence = log_p - (0.5 * n_rows)[:, None] * log_s2 - quad
+    degenerate = (s2 <= 0) & (weights > 0)
+    if degenerate.any():
+        exact = rss == 0.0
+        if np.any(degenerate & ~exact):
+            warnings.warn(
+                "auxiliary model has zero residual variance but a nonzero window "
+                "residual; treating its evidence as -inf",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        # a perfect model with zero variance dominates; any residual excludes it
+        levidence = np.where(
+            degenerate, np.where(exact, math.inf, -math.inf), levidence
+        )
+    return levidence
+
+
+def _window_rss(
+    drivers: np.ndarray,
+    aux: np.ndarray,
+    thetas: np.ndarray,
+    order: int,
+    start: int,
+    count: int,
+    window_len: int,
+) -> np.ndarray:
+    """(count, members) residual sums of squares of ``count`` back-to-back
+    windows from ``start``, each over its own rows t in [start+order, stop)."""
+    stop = start + count * window_len
+    phi = lag_matrix(drivers[:, start:stop], order)
+    sq = np.zeros((count * window_len, thetas.shape[1]))
+    sq[order:] = (aux[start + order : stop, None] - phi @ thetas) ** 2
+    return sq.reshape(count, window_len, -1)[:, order:].sum(axis=1)
+
+
+def _posterior_rows(levidence: np.ndarray) -> np.ndarray:
+    """Row-wise ``_posterior_from_log``: a max-shifted softmax over the
+    finite evidences, or an even split over the +inf ones."""
+    top = levidence.max(axis=1, keepdims=True)
+    if np.any(top == -math.inf):
+        raise NumericalError("no admissible model: all log evidences are -inf")
+    at_top = levidence == math.inf
+    with np.errstate(invalid="ignore"):  # inf - inf in rows replaced below
+        expv = np.exp(levidence - top)
+        post = expv / expv.sum(axis=1, keepdims=True)
+    top_rows = at_top.any(axis=1)
+    if top_rows.any():
+        hits = at_top[top_rows]
+        post[top_rows] = hits / hits.sum(axis=1, keepdims=True)
+    return post
+
+
+def _ambiguous_rows(levidence: np.ndarray) -> np.ndarray:
+    """Whether each row's two best finite evidences lie within AMBIGUITY_NATS."""
+    if levidence.shape[1] < 2:
+        return np.zeros(levidence.shape[0], dtype=bool)
+    finite = np.where(np.isfinite(levidence), levidence, -math.inf)
+    second, first = np.sort(finite, axis=1)[:, -2:].T
+    return np.isfinite(second) & (first - second < AMBIGUITY_NATS)
 
 
 def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:

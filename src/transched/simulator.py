@@ -99,6 +99,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.scale not in ("linear", "db"):
             raise ConfigError(f"noise scale must be 'linear' or 'db', got {self.scale!r}")
+        if math.isnan(self.snr):
+            raise ConfigError("SNR must be a number, got nan")
         if self.scale == "linear" and self.snr <= 0:
             raise ConfigError(f"linear SNR must be positive, got {self.snr}")
 

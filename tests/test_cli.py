@@ -377,6 +377,28 @@ def test_exit_code_clim_above_ceiling(tmp_path, capsys):
     _assert_one_line_error(capsys, "c_lim")
 
 
+def test_exit_code_non_finite_priors(pipeline_dir, tmp_path, capsys):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", ("store.json", "validation.csv"))
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[estimate]\npriors = nan, nan\n")
+    capsys.readouterr()
+    assert _run(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "config error", "prior weights must be finite")
+    assert not (out / "trace_windows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [(["--seed", "-3"], "seed must be non-negative"), (["--snr", "nan"], "snr")],
+)
+def test_exit_code_bad_seed_or_snr(tmp_path, capsys, flags, fragment):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert _run(["simulate", "--out", str(out), *flags]) == 2
+    _assert_one_line_error(capsys, "config error", fragment)
+    assert not out.exists()
+
+
 def test_no_partial_outputs_on_validation_failure(tmp_path):
     out = tmp_path / "o"
     cfg = tmp_path / "bad.ini"

@@ -12,7 +12,6 @@ from transched.dataset import (
     decompose,
     detrend_mean,
     load_csv,
-    segment,
     signal_power,
     write_csv,
 )
@@ -204,43 +203,6 @@ def test_decompose_index_out_of_range():
     ts = _ts(np.arange(8.0).reshape(2, 4))
     with pytest.raises(DataError, match="out of range"):
         decompose(ts, Decomposition(aux_output_index=5))
-
-
-# ----------------------------------------------------------------- segment
-
-
-def test_segment_even_partition():
-    ts = _ts([np.arange(160.0)])
-    wins = segment(ts, 20)
-    assert len(wins) == 8
-    assert all(not w.short for w in wins)
-    assert [(w.start, w.stop) for w in wins] == [(20 * k, 20 * (k + 1)) for k in range(8)]
-
-
-def test_segment_remainder_flagged():
-    wins = segment(_ts([np.arange(10.0)]), 4)
-    assert [(w.stop - w.start) for w in wins] == [4, 4, 2]
-    assert [w.short for w in wins] == [False, False, True]
-
-
-def test_segment_degenerate_single_short_window():
-    wins = segment(_ts([np.arange(5.0)]), 10)
-    assert len(wins) == 1 and wins[0].short
-
-
-def test_segment_invalid_window():
-    with pytest.raises(DataError, match="positive"):
-        segment(_ts([np.arange(5.0)]), 0)
-
-
-@given(st.integers(1, 97), st.integers(1, 30))
-@settings(max_examples=40)
-def test_segment_is_partition(m_len, window):
-    data = np.arange(float(m_len))[None, :]
-    wins = segment(_ts(data), window)
-    glued = np.concatenate([w.ts.data[0] for w in wins])
-    np.testing.assert_array_equal(glued, data[0])
-    assert all(not w.short for w in wins[:-1])
 
 
 # ------------------------------------------------------------ other pieces

@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transched import scheduler
 from transched.dataset import Decomposition, PSEUDO_INPUT, TimeSeriesSet
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
 from transched.scheduler import (
+    AMBIGUITY_NATS,
     Prior,
     classify,
     log_evidence,
@@ -323,6 +326,152 @@ def test_schedule_missing_channel(trained_families):
         schedule_estimate(g, h, bad, Prior.uniform(2), window_len=20)
 
 
+# ------------------------------------------- array path vs per-window classify
+
+# Agreement bound of schedule_estimate against classify, stated in its
+# docstring: |dL| <= BOUND * max(1, |L|) and |d posterior| <= BOUND.
+BOUND = 1e-12
+
+
+def _families(thetas, sigma2s, order, n_drivers, labels=None):
+    """Auxiliary family over u0.. -> v and a primary family over u0.., v."""
+    q = len(thetas)
+    labels = labels or tuple(f"Q{i + 1}" for i in range(q))
+    h = _aux_family(
+        [_aux_model(t, s2, order=order, input_dim=n_drivers)
+         for t, s2 in zip(thetas, sigma2s)],
+        labels,
+    )
+    names = h.input_channel_names + ("v",)
+    g = TransmissibilityFamily(kind="primary", labels=tuple(labels), models=tuple(
+        FirModel(order=order, input_dim=n_drivers + 1,
+                 theta=np.linspace(-1.0, 1.0, (n_drivers + 1) * (order + 1)) * (k + 1),
+                 sigma2=1.0, dof=100, input_channel_names=names,
+                 output_channel_name="y")
+        for k in range(q)
+    ))
+    return g, h
+
+
+def _deciding_gaps(levidence):
+    """classify's deciding gaps: top-1 minus top-2 evidence for the choice,
+    and the distance of the two best finite evidences' gap from
+    AMBIGUITY_NATS for the ambiguity flag."""
+    top = np.sort(levidence)[::-1]
+    finite = top[np.isfinite(top)]
+    choice_gap = top[0] - top[1] if top.size > 1 else math.inf
+    flag_gap = (abs(finite[0] - finite[1] - AMBIGUITY_NATS)
+                if finite.size > 1 else math.inf)
+    return choice_gap, flag_gap
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.integers(0, 4),
+    n_drivers=st.integers(1, 2),
+    q=st.integers(1, 4),
+    extra=st.integers(1, 12),
+    n_full=st.integers(0, 9),
+    tail=st.integers(0, 16),
+    block=st.sampled_from([1, 7, 40, 8192]),
+    pooled=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
+                                              n_full, tail, block, pooled, data):
+    window_len = order + extra
+    tail %= window_len  # 0, a skipped tail (<= order) or a classified one
+    m = n_full * window_len + tail
+    if m == 0:
+        m = tail = 1
+    zero = data.draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    if all(zero):
+        zero[0] = False
+    rng = np.random.default_rng(seed)
+    p = n_drivers * (order + 1)
+    thetas = [rng.normal(size=p) for _ in range(q)]
+    g, h = _families(thetas, rng.uniform(0.05, 2.0, size=q), order, n_drivers)
+    weights = np.where(zero, 0.0, rng.uniform(0.1, 1.0, size=q))
+    prior = Prior.from_weights(weights)
+    u = rng.normal(size=(n_drivers, m))
+    truth = thetas[int(rng.integers(q))]
+    v = np.convolve(u[0], truth[::n_drivers])[:m] + rng.normal(0.0, 0.3, m)
+    online = _window(u, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "BLOCK_ROWS", block)
+        trace = schedule_estimate(g, h, online, prior, window_len, pooled=pooled)
+
+    # the windows partition the record; a tail of <= order samples is skipped
+    edges = list(range(0, m, window_len)) + [m]
+    expected = list(zip(edges[:-1], edges[1:]))
+    if expected[-1][1] - expected[-1][0] <= order:
+        assert trace.skipped == ((len(expected), *expected[-1]),)
+        expected.pop()
+    else:
+        assert trace.skipped == ()
+    assert list(trace.bounds) == expected
+    assert [w.window_id for w in trace.windows] == list(range(1, len(expected) + 1))
+
+    estimates = np.full(m, math.nan)
+    labels = [None] * m
+    for res, (start, stop) in zip(trace.windows, trace.bounds):
+        ref = classify(h, _window(u[:, start:stop], v[start:stop]), prior,
+                       pooled=pooled, window_id=res.window_id)
+        inf = ~np.isfinite(ref.log_evidence)
+        np.testing.assert_array_equal(res.log_evidence[inf], ref.log_evidence[inf])
+        scale = np.maximum(1.0, np.abs(ref.log_evidence[~inf]))
+        assert np.all(np.abs(res.log_evidence[~inf] - ref.log_evidence[~inf])
+                      <= BOUND * scale)
+        assert np.all(np.abs(res.posterior - ref.posterior) <= BOUND)
+        # both evidences of a gap may move by the bound, so the gap by twice it
+        tol = 2 * BOUND * max(1.0, abs(float(ref.log_evidence.max())))
+        choice_gap, flag_gap = _deciding_gaps(ref.log_evidence)
+        if choice_gap > tol:
+            assert res.chosen == ref.chosen
+        if flag_gap > tol:
+            assert res.ambiguous == ref.ambiguous
+        preds = predict_record(g.models[res.chosen], online)
+        lo = max(start, order)
+        estimates[lo:stop] = preds[lo - order : stop - order]
+        labels[start:stop] = [g.labels[res.chosen]] * (stop - start)
+    np.testing.assert_array_equal(trace.estimates, estimates)
+    assert trace.sample_labels == tuple(labels)
+
+
+def test_schedule_zero_variance_paths():
+    # Q1 has zero variance: exact windows give +inf, the rest -inf with a warning
+    g, h = _families([[1.0], [0.5]], [0.0, 1.0], order=0, n_drivers=1)
+    u = np.arange(1.0, 13.0)[None, :]
+    v = u[0].copy()
+    v[6:] *= 2.0  # second window misses Q1
+    with pytest.warns(RuntimeWarning, match="zero residual variance"):
+        trace = schedule_estimate(g, h, _window(u, v), Prior.uniform(2), window_len=6)
+    first, second = trace.windows
+    assert first.log_evidence[0] == math.inf and math.isfinite(first.log_evidence[1])
+    np.testing.assert_array_equal(first.posterior, [1.0, 0.0])
+    assert (first.chosen, first.ambiguous) == (0, False)
+    assert second.log_evidence[0] == -math.inf
+    np.testing.assert_array_equal(second.posterior, [0.0, 1.0])
+    assert second.chosen == 1
+    # a zero prior excludes the member before its variance is looked at
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = schedule_estimate(g, h, _window(u, v), Prior.from_weights([0.0, 1.0]),
+                                  window_len=6)
+    assert [w.log_evidence[0] for w in trace.windows] == [-math.inf] * 2
+    assert trace.chosen_labels() == ["Q2", "Q2"]
+
+
+def test_schedule_all_excluded_is_numerical_error():
+    g, h = _families([[1.0], [2.0]], [0.0, 0.0], order=0, n_drivers=1)
+    online = _window(np.ones((1, 12)), 5.0 * np.ones(12))
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericalError, match="no admissible model"):
+            schedule_estimate(g, h, online, Prior.uniform(2), window_len=6)
+
+
 # ------------------------------------------------------------------- traces
 
 
@@ -368,5 +517,10 @@ def test_prior_validation():
         Prior(weights=np.array([0.5, 0.4]))
     with pytest.raises(ConfigError, match="positive sum"):
         Prior.from_weights([0.0, 0.0])
+    for bad in ([math.nan, math.nan], [0.5, math.inf], [1.0, math.nan]):
+        with pytest.raises(ConfigError, match="finite"):
+            Prior(weights=np.array(bad))
+        with pytest.raises(ConfigError, match="finite"):
+            Prior.from_weights(bad)
     uniform = Prior.uniform(3)
     assert abs(float(uniform.weights.sum()) - 1.0) <= 1e-12

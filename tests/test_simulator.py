@@ -287,3 +287,7 @@ def test_noise_spec_validation():
         NoiseSpec(snr=50.0, seed=1, scale="percent")
     with pytest.raises(ConfigError, match="positive"):
         NoiseSpec(snr=-1.0, seed=1)
+    for scale in ("linear", "db"):
+        with pytest.raises(ConfigError, match="nan"):
+            NoiseSpec(snr=math.nan, seed=1, scale=scale)
+        assert NoiseSpec(snr=math.inf, seed=1, scale=scale).snr_linear == math.inf
