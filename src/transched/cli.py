@@ -28,6 +28,7 @@ from .dataset import (
     TimeSeriesSet,
     detrend_mean,
     load_csv,
+    read_csv_header,
     signal_power,
     write_csv,
 )
@@ -55,7 +56,13 @@ from .simulator import (
     gen_excitation,
     simulate,
 )
-from .transmissibility import fit_average, load_store, save_store, train_families
+from .transmissibility import (
+    fit_average,
+    load_store,
+    predict_record,
+    save_store,
+    train_families,
+)
 
 # Stock two-condition scenario: a softly and a stiffly sprung quarter car.
 STOCK_CONDITIONS = {
@@ -390,14 +397,12 @@ def _resolve_prior(cfg: RunConfig, q: int) -> Prior:
 
 
 def _load_record(
-    cfg: RunConfig, path: str, condition_label: str | None, require_target: bool
+    cfg: RunConfig, path: str, condition_label: str | None, require_target: bool, order: int
 ) -> TimeSeriesSet:
     """Load a CSV with the configured schema; the target column is optional
-    for online data unless the caller needs ground truth."""
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    with open(path) as f:
-        header = [h.strip() for h in f.readline().split(",")]
+    for online data unless the caller needs ground truth.  The record must
+    have more samples than the FIR ``order``."""
+    header = read_csv_header(path)
     schema = dict(cfg.channels)
     target = next(n for n, r in schema.items() if r == TARGET_OUTPUT)
     if target not in header:
@@ -407,6 +412,11 @@ def _load_record(
     ts = load_csv(
         path, schema, sample_rate=1.0 / cfg.sample_time, condition_label=condition_label
     )
+    if ts.n_samples <= order:
+        raise DataError(
+            f"{path}: {ts.n_samples} samples are too few for FIR order {order}; "
+            f"need at least {order + 1}"
+        )
     return detrend_mean(ts) if cfg.detrend else ts
 
 
@@ -484,7 +494,7 @@ def _strip_labels(ts: TimeSeriesSet) -> TimeSeriesSet:
 
 def cmd_train(cfg: RunConfig) -> int:
     records = [
-        _load_record(cfg, path, label, require_target=True)
+        _load_record(cfg, path, label, require_target=True, order=cfg.order)
         for label, path in cfg.train_data.items()
     ]
     pseudo = records[0].pseudo_input_names
@@ -514,7 +524,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         raise ConfigError(
             f"window {cfg.window} must exceed the stored FIR order {g.order}"
         )
-    online = _load_record(cfg, cfg.data, None, require_target=False)
+    online = _load_record(cfg, cfg.data, None, require_target=False, order=g.order)
     prior = _resolve_prior(cfg, len(g))
     trace = schedule_estimate(g, h, online, prior, cfg.window, pooled=cfg.pooled)
     os.makedirs(cfg.out, exist_ok=True)
@@ -542,18 +552,26 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         )
     prior = _resolve_prior(cfg, len(g))
     records = [
-        _load_record(cfg, path, label, require_target=True)
+        _load_record(cfg, path, label, require_target=True, order=g.order)
         for label, path in cfg.evaluate_data.items()
     ]
+    predictions = {}
     variant_traces = {"full": {}, "pooled": {}}
     for ts in records:
+        # each member predicts each record once, into one array filled row by
+        # row: separate per-member arrays would raise the peak RSS
+        preds = np.empty((len(g), ts.n_samples - g.order))
+        for k, model in enumerate(g.models):
+            preds[k] = predict_record(model, ts)
+        predictions[ts.condition_label] = preds
         for variant, pooled in (("full", False), ("pooled", True)):
             variant_traces[variant][ts.condition_label] = schedule_estimate(
-                g, h, ts, prior, cfg.window, pooled=pooled
+                g, h, ts, prior, cfg.window, pooled=pooled, predictions=preds
             )
     report = compare_report(
         g, avg, records, variant_traces,
         scheduled_variant="pooled" if cfg.pooled else "full",
+        predictions=predictions,
     )
     os.makedirs(cfg.out, exist_ok=True)
     paths = {

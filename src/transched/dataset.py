@@ -21,6 +21,18 @@ PSEUDO_INPUT = "pseudo_input"
 TARGET_OUTPUT = "target_output"
 _ROLES = (PSEUDO_INPUT, TARGET_OUTPUT)
 
+# Bytes per read of the plain-table check.  Blocks stay below glibc's
+# default mmap threshold (128 KiB); freeing larger ones raises that
+# threshold, and later arrays then land on a heap that does not shrink.
+GUARD_BLOCK_BYTES = 64 * 1024
+# Printable ASCII other than space, '"' and ',': the bytes a cell of a file
+# that needs no quoting, CR or whitespace handling is made of.
+_CELL_BYTES = bytes(c for c in range(0x21, 0x7F) if c not in b'",')
+
+# Rows formatted per chunk by the CSV writers: one ``tolist`` per column
+# and chunk keeps their memory flat whatever the record length.
+WRITE_CHUNK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class TimeSeriesSet:
@@ -148,6 +160,19 @@ class RegressionMatrices:
         return self.input_dim * (self.order + 1)
 
 
+def read_csv_header(path: str | os.PathLike) -> list[str]:
+    """Column names of a CSV file's first row, stripped of surrounding
+    whitespace, as ``load_csv`` reads them."""
+    if not os.path.exists(path):
+        raise DataError(f"file not found: {path}")
+    with open(path, newline="") as f:
+        try:
+            header = next(csv.reader(f))
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+    return [h.strip() for h in header]
+
+
 def load_csv(
     path: str | os.PathLike,
     schema: dict[str, str],
@@ -157,45 +182,29 @@ def load_csv(
     """Read a comma-separated file into a record.
 
     ``schema`` maps channel name to role and fixes the channel order of
-    the result.  Every schema channel must appear in the header; columns
-    not named in the schema (e.g. a time axis or a label column) are
-    ignored.
+    the result.  Every schema channel must appear in the header exactly
+    once; columns not named in the schema (e.g. a time axis or a label
+    column) are ignored.
+
+    A plain file (see ``_plain_table``) is parsed by numpy's C reader;
+    any other file, or one that reader rejects, goes through the csv
+    module, which also words every error.  Both give the same array.
     """
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for name in schema:
-            if name not in header:
-                raise DataError(f"{path}: unknown channel name {name!r}, header has {header}")
-        cols = {name: header.index(name) for name in schema}
-        values: list[list[float]] = [[] for _ in schema]
-        n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {lineno}: expected {len(header)} columns, found {len(row)}"
-                )
-            for k, name in enumerate(schema):
-                cell = row[cols[name]].strip()
-                try:
-                    values[k].append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}: non-numeric value {cell!r} "
-                        f"in channel {name!r}"
-                    ) from None
-            n_rows += 1
-    if n_rows == 0:
-        raise DataError(f"{path}: no samples")
-    data = np.array(values, dtype=float)
+    header = read_csv_header(path)
+    for name in schema:
+        if name not in header:
+            raise DataError(f"{path}: unknown channel name {name!r}, header has {header}")
+        if header.count(name) > 1:
+            raise DataError(
+                f"{path}: channel {name!r} appears {header.count(name)} times in the header"
+            )
+    cols = [header.index(name) for name in schema]
+    data = None
+    # an empty schema: loadtxt gives (0, samples), the csv loop a (0,) array
+    if cols and _plain_table(path, len(header)):
+        data = _load_plain(path, cols)
+    if data is None:
+        data = _load_rows(path, schema, len(header), cols)
     bad = ~np.isfinite(data)
     if bad.any():
         t, k = np.argwhere(bad.T)[0]  # first offending row, then channel
@@ -211,6 +220,86 @@ def load_csv(
         data=data,
         condition_label=condition_label,
     )
+
+
+def _plain_table(path: str | os.PathLike, n_columns: int) -> bool:
+    """Whether numpy's C reader reads the file exactly as ``_load_rows`` does.
+
+    True when the file holds only newlines, commas and printable ASCII
+    other than space and ``"`` (so no quoting, no CR and no whitespace to
+    strip), every non-empty line has ``n_columns - 1`` commas, and at
+    least one data line follows the header.  The file is read in blocks
+    of GUARD_BLOCK_BYTES cut at line ends.
+    """
+    unit = b"," * (n_columns - 1) + b"\n"
+    lines = 0
+    carry = b""
+    with open(path, "rb") as f:
+        while True:
+            block = f.read(GUARD_BLOCK_BYTES)
+            chunk = carry + block
+            cut = chunk.rfind(b"\n") + 1 if block else len(chunk)
+            chunk, carry = chunk[:cut], chunk[cut:]
+            if chunk and not chunk.endswith(b"\n"):
+                chunk += b"\n"  # the last line, without its newline
+            seps = chunk.translate(None, _CELL_BYTES)
+            if b"\n\n" in seps or seps.startswith(b"\n"):
+                # an empty line, which both readers skip, or a line without commas
+                while b"\n\n" in chunk:
+                    chunk = chunk.replace(b"\n\n", b"\n")
+                seps = chunk.lstrip(b"\n").translate(None, _CELL_BYTES)
+            count = len(seps) // len(unit)
+            if seps != unit * count:  # also false if a byte other than a cell's is left
+                return False
+            lines += count
+            if not block:
+                return lines > 1  # the header and at least one data line
+
+
+def _load_plain(path: str | os.PathLike, cols: list[int]) -> np.ndarray | None:
+    """(channels, samples) array of the columns ``cols`` of a plain table,
+    or None when a cell is not a number numpy's reader takes."""
+    # an open handle: a path would make loadtxt import the compression modules
+    with open(path) as f:
+        try:
+            table = np.loadtxt(
+                f, delimiter=",", skiprows=1, usecols=cols, ndmin=2,
+                comments=None, quotechar=None,
+            )
+        except ValueError:
+            return None
+    return np.ascontiguousarray(table.T)
+
+
+def _load_rows(
+    path: str | os.PathLike, schema: dict[str, str], n_columns: int, cols: list[int]
+) -> np.ndarray:
+    """(channels, samples) array read row by row with the csv module."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)  # the header
+        values: list[list[float]] = [[] for _ in schema]
+        n_rows = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n_columns:
+                raise DataError(
+                    f"{path}: line {lineno}: expected {n_columns} columns, found {len(row)}"
+                )
+            for k, name in enumerate(schema):
+                cell = row[cols[k]].strip()
+                try:
+                    values[k].append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {lineno}: non-numeric value {cell!r} "
+                        f"in channel {name!r}"
+                    ) from None
+            n_rows += 1
+    if n_rows == 0:
+        raise DataError(f"{path}: no samples")
+    return np.array(values, dtype=float)
 
 
 def _data_line(path: str | os.PathLike, index: int) -> int:
@@ -244,11 +333,12 @@ def write_csv(
             f.write(",".join(header + ["true_label"]) + "\n")
         else:
             f.write(",".join(header) + "\n")
-        for t in range(ts.n_samples):
-            cells = [repr(float(col[t])) for col in columns]
+        for lo in range(0, ts.n_samples, WRITE_CHUNK_ROWS):
+            hi = lo + WRITE_CHUNK_ROWS
+            cells = [map(repr, col[lo:hi].tolist()) for col in columns]
             if labels is not None:
-                cells.append(labels[t])
-            f.write(",".join(cells) + "\n")
+                cells.append(labels[lo:hi])
+            f.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def detrend_mean(ts: TimeSeriesSet) -> TimeSeriesSet:

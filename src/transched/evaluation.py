@@ -103,6 +103,7 @@ def compare_report(
     records: Sequence[TimeSeriesSet],
     variant_traces: Mapping[str, Mapping[str, ScheduleTrace]],
     scheduled_variant: str = "full",
+    predictions: Mapping[str, np.ndarray] | None = None,
 ) -> ComparisonReport:
     """Score every estimator on every online record.
 
@@ -114,6 +115,10 @@ def compare_report(
     Every estimator of a record is scored on the samples that variant's
     trace covers, so a trailing window too short to classify drops out of
     all FITs alike and the ideal FIT bounds the scheduled one.
+
+    ``predictions`` optionally maps every condition label to the
+    whole-record predictions of ``g``'s members on that record, one row
+    per member, as ``predict_record`` gives them.
     """
     if scheduled_variant not in variant_traces:
         raise DataError(f"no traces for scheduled variant {scheduled_variant!r}")
@@ -134,9 +139,11 @@ def compare_report(
         if not np.any(covered):
             raise DataError(f"trace for {label!r} contains no estimates")
         measured = ts.target()[covered]
-        member_fits = tuple(
-            fit_metric(measured, predict_record(m, ts)[covered[order:]]) for m in g.models
-        )
+        if predictions is None:
+            member_preds = (predict_record(m, ts) for m in g.models)
+        else:
+            member_preds = predictions[label]
+        member_fits = tuple(fit_metric(measured, p[covered[order:]]) for p in member_preds)
         fit_avg = fit_metric(measured, predict_record(average, ts)[covered[order:]])
         for variant, traces in variant_traces.items():
             idx = g.labels.index(traces[label].majority_label())

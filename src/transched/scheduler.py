@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TimeSeriesSet, build_regressor, lag_matrix
+from .dataset import WRITE_CHUNK_ROWS, TimeSeriesSet, build_regressor, lag_matrix
 from .errors import ConfigError, DataError, NumericalError
 from .transmissibility import FirModel, TransmissibilityFamily, predict_record
 
@@ -224,6 +224,7 @@ def schedule_estimate(
     prior: Prior,
     window_len: int,
     pooled: bool = False,
+    predictions: np.ndarray | None = None,
 ) -> ScheduleTrace:
     """Classify every window and estimate the target with the chosen model.
 
@@ -242,6 +243,10 @@ def schedule_estimate(
     samples from ``max(start, order)`` on.  A scheduled estimate is thus
     bit-identical to the chosen model's whole-record prediction at that
     sample, with lags that reach back across window boundaries.
+
+    ``predictions`` may supply those whole-record predictions, one row per
+    member of ``g``, as ``predict_record`` gives them; a caller that
+    schedules the same record more than once then predicts it only once.
 
     A trailing window of order samples or fewer cannot be classified; it
     is recorded under ``skipped`` and contributes no estimates.
@@ -263,6 +268,11 @@ def schedule_estimate(
         if name not in online.names:
             raise DataError(f"online record is missing channel {name!r}")
     m = online.n_samples
+    if predictions is not None and predictions.shape != (len(g), m - order):
+        raise DataError(
+            f"predictions have shape {predictions.shape}; expected "
+            f"{(len(g), m - order)} for {len(g)} members over {m} samples"
+        )
     n_windows = -(-m // window_len)
     skipped: tuple[tuple[int, int, int], ...] = ()
     if m - (n_windows - 1) * window_len <= order:
@@ -291,7 +301,10 @@ def schedule_estimate(
     sample_labels = [g.labels[k] for k in member.tolist()] + [None] * (m - covered)
     estimates = np.full(m, math.nan)
     for k in sorted(set(chosen.tolist())):
-        preds = predict_record(g.models[k], online)
+        if predictions is None:
+            preds = predict_record(g.models[k], online)
+        else:
+            preds = predictions[k]
         pick = member[order:] == k
         estimates[order:covered][pick] = preds[: covered - order][pick]
     return ScheduleTrace(
@@ -426,8 +439,8 @@ def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
                 str(stop),
                 trace.labels[res.chosen],
             ]
-            cells += [repr(float(v)) for v in res.log_evidence]
-            cells += [repr(float(v)) for v in res.posterior]
+            cells += map(repr, res.log_evidence.tolist())
+            cells += map(repr, res.posterior.tolist())
             cells.append("1" if res.ambiguous else "0")
             f.write(",".join(cells) + "\n")
 
@@ -442,9 +455,17 @@ def write_sample_trace(
     with open(path, "w", newline="") as f:
         f.write(f"# format: {SAMPLE_TRACE_FORMAT}\n")
         f.write("sample_index,y_O_measured,y_O_estimated,chosen_label\n")
-        for t in range(online.n_samples):
-            measured = "" if target is None else repr(float(target[t]))
-            est = trace.estimates[t]
-            estimated = "" if math.isnan(est) else repr(float(est))
-            label = trace.sample_labels[t] or ""
-            f.write(f"{t + 1},{measured},{estimated},{label}\n")
+        for lo in range(0, online.n_samples, WRITE_CHUNK_ROWS):
+            hi = min(lo + WRITE_CHUNK_ROWS, online.n_samples)
+            if target is None:
+                measured = [""] * (hi - lo)
+            else:
+                measured = map(repr, target[lo:hi].tolist())
+            estimated = (
+                "" if math.isnan(e) else repr(e) for e in trace.estimates[lo:hi].tolist()
+            )
+            labels = (label or "" for label in trace.sample_labels[lo:hi])
+            f.writelines(
+                f"{t},{m},{e},{label}\n"
+                for t, m, e, label in zip(range(lo + 1, hi + 1), measured, estimated, labels)
+            )

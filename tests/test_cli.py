@@ -371,6 +371,89 @@ def test_exit_code_malformed_store(pipeline_dir, tmp_path, capsys, corrupt, frag
     _assert_one_line_error(capsys, "store.json", fragment)
 
 
+def _edit(name, change):
+    def apply(out):
+        path = out / name
+        path.write_text(change(path.read_text()))
+    return apply
+
+
+def _keep_lines(n):
+    return lambda text: "".join(text.splitlines(keepends=True)[:n])
+
+
+def _drop_theta_coefficient(text):
+    doc = json.loads(text)
+    doc["conditions"][1]["G"]["theta"].pop()
+    return json.dumps(doc)
+
+
+def _constant_target(text):
+    lines = text.splitlines(keepends=True)
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[2] = "0.25"  # y_O
+        lines[i] = ",".join(cells)
+    return "".join(lines)
+
+
+_TRAIN_FILES = ("train_C1.csv", "train_C2.csv")
+_ONLINE_FILES = ("store.json", "validation.csv")
+
+
+@pytest.mark.parametrize(
+    "command, files, corrupt, fragments",
+    [
+        pytest.param("estimate", _ONLINE_FILES,
+                     _edit("validation.csv", lambda t: t.replace(",C1\n", "\n", 1)),
+                     ["validation.csv: line 2", "expected 7 columns, found 6"], id="ragged-row"),
+        pytest.param("train", _TRAIN_FILES, _edit("train_C1.csv", _keep_lines(1)),
+                     ["train_C1.csv: no samples"], id="header-only"),
+        pytest.param("evaluate", _ONLINE_FILES,
+                     lambda out: _corrupt_cell(out / "validation.csv", 9, 2, "1.5x"),
+                     ["validation.csv: line 9", "non-numeric value '1.5x'", "'y_O'"],
+                     id="non-numeric-cell"),
+        pytest.param("estimate", _ONLINE_FILES,
+                     _edit("validation.csv", lambda t: t.replace("y_I2_clean", "y_I2", 1)),
+                     ["validation.csv", "'y_I2' appears 2 times"], id="duplicate-header"),
+        pytest.param("train", _TRAIN_FILES, _edit("train_C2.csv", _keep_lines(9)),
+                     ["train_C2.csv: 8 samples are too few for FIR order 10"],
+                     id="fewer-samples-than-order"),
+        pytest.param("estimate", _ONLINE_FILES, _edit("validation.csv", _keep_lines(11)),
+                     ["validation.csv: 10 samples are too few for FIR order 10"],
+                     id="no-classifiable-window"),
+        pytest.param("evaluate", _ONLINE_FILES,
+                     _edit("validation.csv", lambda t: t.replace("y_O,", "y_Q,", 1)),
+                     ["validation.csv: ground-truth channel 'y_O' missing"],
+                     id="evaluate-without-target"),
+        pytest.param("evaluate", _ONLINE_FILES, _edit("validation.csv", _constant_target),
+                     ["FIT is undefined for a constant measured signal"],
+                     id="constant-target"),
+        pytest.param("estimate", _ONLINE_FILES,
+                     _edit("store.json", lambda t: t[: len(t) // 2]),
+                     ["store.json: not a valid model store"], id="truncated-store"),
+        pytest.param("evaluate", _ONLINE_FILES, _edit("store.json", _drop_theta_coefficient),
+                     ["store.json: theta length 21 does not match"], id="wrong-theta-length"),
+    ],
+)
+def test_fault_injection(pipeline_dir, tmp_path, capsys, command, files, corrupt, fragments):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", files)
+    corrupt(out)
+    capsys.readouterr()
+    assert _run([command, "--out", str(out)]) == 3
+    _assert_one_line_error(capsys, "data error: ", *fragments)
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)  # nothing written
+
+
+def test_quoted_header_reads_like_load_csv(pipeline_dir, tmp_path):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", _ONLINE_FILES)
+    plain = (out / "validation.csv").read_text()
+    quoted = plain.replace("y_O,", '"y_O",', 1)
+    (out / "validation.csv").write_text(quoted)
+    assert _run(["evaluate", "--out", str(out)]) == 0
+    assert (out / "report.csv").read_bytes() == (pipeline_dir / "report.csv").read_bytes()
+
+
 def test_exit_code_clim_above_ceiling(tmp_path, capsys):
     capsys.readouterr()
     assert _run(["train", "--out", str(tmp_path / "o"), "--clim", "1e13"]) == 2

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transched import dataset
 from transched.dataset import (
     Decomposition,
     PSEUDO_INPUT,
@@ -106,6 +109,122 @@ def test_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.data, ts.data)
     write_csv(back, tmp_path / "d2.csv")
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
+
+def test_load_csv_duplicate_schema_channel(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b,a,f\n1,2,3,4\n")
+    with pytest.raises(DataError, match=r"d\.csv: channel 'a' appears 2 times in the header"):
+        load_csv(p, SCHEMA3)
+
+
+def test_load_csv_duplicate_unused_column_is_fine(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("t,a,b,f,t\n0,1,2,3,0\n")
+    np.testing.assert_array_equal(load_csv(p, SCHEMA3).data, [[1], [2], [3]])
+
+
+def test_load_csv_quoted_and_crlf_files_are_read(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b'"a",b,f,"x,y"\r\n1,2,3,"C,1"\r\n4,5,6,C2\r\n')
+    np.testing.assert_array_equal(load_csv(p, SCHEMA3).data, [[1, 4], [2, 5], [3, 6]])
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        ("a,b,f,true_label\n1.5,-2e-07,3,C1\n\n4,5,6,C2", True),
+        ("a,b,f\n", False),  # header only
+        ("a,b,f\n1,2,3,\n", False),  # trailing comma
+        ("a,b,f\n1,2\n", False),  # ragged
+        ("a,b,f\r\n1,2,3\r\n", False),  # CRLF
+        ('a,b,f\n1,2,"3"\n', False),  # quoted
+        ("a,b,f\n1, 2,3\n", False),  # whitespace to strip
+        ("a,b,f\n1,2,3\n   \n", False),  # whitespace-only line
+        ("a\n1\n   \n", False),  # whitespace-only line where no comma is due
+        ('t,u,a,b,f\n"0,C1",1,2,3\n', False),  # a quoted comma
+    ],
+)
+def test_plain_table_guard(tmp_path, text, plain):
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    assert dataset._plain_table(p, len(dataset.read_csv_header(p))) is plain
+
+
+def test_plain_table_guard_crosses_blocks(tmp_path):
+    rng = np.random.default_rng(3)
+    ts = _ts(rng.normal(size=(3, 6000)), roles=(PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT),
+             names=("a", "b", "f"))
+    p = tmp_path / "d.csv"
+    write_csv(ts, p)
+    assert p.stat().st_size > 3 * dataset.GUARD_BLOCK_BYTES
+    assert dataset._plain_table(p, 3)
+    with p.open("a") as f:
+        f.write("1,2\n")  # a ragged last line
+    assert not dataset._plain_table(p, 3)
+
+
+# A plain file holds numbers, plain labels and empty lines only; any other
+# file may also hold what a reader must reject or treat specially.
+_PLAIN_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ODD_NUMBER = st.sampled_from(
+    ["", "x", "1_000", "nan", "-inf", "inf", "1e999", "+.5", " 2.5 ", "#", '"7"', "\u00e9"]
+)
+_PLAIN_LABEL = st.sampled_from(["C1", "C2"])
+_ODD_LABEL = st.sampled_from(['"C,1"', "", "la bel", "\u00e9"])
+
+
+@st.composite
+def _csv_texts(draw):
+    odd = draw(st.booleans())
+    extra = ("time", "true_label") + (('"x,y"', "a") if odd else ())  # "a" is a duplicate
+    columns = draw(st.permutations(
+        list(SCHEMA3) + draw(st.lists(st.sampled_from(extra), max_size=3, unique=True))
+    ))
+    kinds = ["row"] * 8 + ["blank"]
+    if odd:
+        kinds += ["spaces", "comment", "ragged", "trailing comma", "joined", "odd row", "odd row"]
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("blank", "spaces", "comment"):
+            lines.append({"blank": "", "spaces": "  ", "comment": "# note"}[kind])
+            continue
+        number, label = _PLAIN_NUMBER, _PLAIN_LABEL
+        if kind == "odd row":
+            number, label = st.one_of(_PLAIN_NUMBER, _ODD_NUMBER), _ODD_LABEL
+        cells = [draw(label if c in ("true_label", '"x,y"') else number) for c in columns]
+        if kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        elif kind == "joined":  # one quoted cell holding the comma between two
+            i = draw(st.integers(0, len(cells) - 2))
+            cells[i : i + 2] = [f'"{cells[i]},{cells[i + 1]}"']
+        elif kind == "trailing comma":
+            cells.append("")
+        lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"])) if odd else "\n"
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(path):
+    try:
+        data = load_csv(path, SCHEMA3).data
+    except DataError as e:
+        return "error", str(e)
+    return "data", data.shape, data.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+def test_load_csv_fast_path_matches_csv_module(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    p.write_bytes(text.encode())
+    with mock.patch.object(dataset, "_plain_table", return_value=False):
+        reference = _outcome(p)
+    assert _outcome(p) == reference
 
 
 # ------------------------------------------------------------ detrend_mean

@@ -14,7 +14,7 @@ from transched.evaluation import (
     write_summary_csv,
 )
 from transched.scheduler import Prior, schedule_estimate
-from transched.transmissibility import fit_average, train_families
+from transched.transmissibility import fit_average, predict_record, train_families
 
 from conftest import make_training_record
 
@@ -92,6 +92,12 @@ def test_accuracy_values():
 
 
 def _study(systems, n_online):
+    g, avg, online, traces = _scheduled_study(systems, n_online)
+    report = compare_report(g, avg, online, {"full": traces})
+    return g, avg, online, report
+
+
+def _scheduled_study(systems, n_online):
     records = [
         make_training_record(systems, label, 1000, seed=60 + i)
         for i, label in enumerate(("C1", "C2"))
@@ -107,8 +113,7 @@ def _study(systems, n_online):
     traces = {
         ts.condition_label: schedule_estimate(g, h, ts, prior, 50) for ts in online
     }
-    report = compare_report(g, avg, online, {"full": traces})
-    return g, avg, online, report
+    return g, avg, online, traces
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +167,16 @@ def test_report_scores_ragged_records_on_covered_samples(ragged_study):
     row = report.rows[0]
     assert row.chosen == "C1"
     assert row.fit_scheduled == row.member_fits[g.labels.index("C1")]
+
+
+def test_report_with_given_predictions_is_identical(quarter_car_systems):
+    g, avg, online, traces = _scheduled_study(quarter_car_systems, 605)
+    preds = {
+        ts.condition_label: np.array([predict_record(m, ts) for m in g.models])
+        for ts in online
+    }
+    own = compare_report(g, avg, online, {"full": traces})
+    assert compare_report(g, avg, online, {"full": traces}, predictions=preds) == own
 
 
 def test_report_accuracy_full_variant(study):

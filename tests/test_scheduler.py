@@ -300,6 +300,23 @@ def test_schedule_skips_short_remainder(quarter_car_systems, trained_families):
     assert np.all(np.isfinite(trace.estimates[10:160]))
 
 
+def test_schedule_with_given_predictions_is_identical(quarter_car_systems,
+                                                     trained_families):
+    g, h = trained_families
+    online = make_switching_record(
+        quarter_car_systems, (("C1", 80), ("C2", 85)), seed=78, snr=50.0
+    )
+    preds = np.array([predict_record(m, online) for m in g.models])
+    for pooled in (False, True):
+        own = schedule_estimate(g, h, online, Prior.uniform(2), 20, pooled=pooled)
+        given_ = schedule_estimate(g, h, online, Prior.uniform(2), 20, pooled=pooled,
+                                   predictions=preds)
+        assert given_.estimates.tobytes() == own.estimates.tobytes()
+        assert given_.sample_labels == own.sample_labels
+    with pytest.raises(DataError, match="predictions have shape"):
+        schedule_estimate(g, h, online, Prior.uniform(2), 20, predictions=preds[:, 1:])
+
+
 def test_schedule_record_shorter_than_one_window(quarter_car_systems,
                                                  trained_families):
     g, h = trained_families
