@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,9 +149,14 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # channel names are case-sensitive
     try:
-        cp.read(path)
+        with open(path, encoding="utf-8") as f:
+            cp.read_file(f)
     except configparser.Error as e:
         raise ConfigError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: byte 0x{e.object[e.start]:02x} is not valid UTF-8") from None
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from None
     return cp
 
 
@@ -428,56 +434,86 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # one independent (excitation, noise) seed pair per record, then validation
     n_records = len(cfg.params) + 1
     state = np.random.SeedSequence(cfg.seed).generate_state(2 * n_records)
-    os.makedirs(cfg.out, exist_ok=True)
     snr = math.inf if cfg.clean else cfg.snr
-    written = []
-    for k, label in enumerate(cfg.params):
-        z = gen_excitation(cfg.train_samples, cfg.excitation_variance, int(state[2 * k]))
-        clean_ts = simulate(
-            systems, SwitchSchedule(steps=((label, cfg.train_samples),)), z,
-            condition_label=label,
+    csv_names = [f"train_{label}.csv" for label in cfg.params] + ["validation.csv"]
+    manifest_name = "simulate_manifest.json"
+    with _staged_outputs(cfg.out, [*csv_names, manifest_name]) as staged:
+        for k, label in enumerate(cfg.params):
+            z = gen_excitation(cfg.train_samples, cfg.excitation_variance, int(state[2 * k]))
+            clean_ts = simulate(
+                systems, SwitchSchedule(steps=((label, cfg.train_samples),)), z,
+                condition_label=label,
+            )
+            noisy_ts = add_noise(
+                _strip_labels(clean_ts),
+                NoiseSpec(snr=snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale),
+            )
+            write_csv(noisy_ts, staged[f"train_{label}.csv"])
+        schedule = SwitchSchedule(steps=tuple(cfg.schedule))
+        z = gen_excitation(
+            schedule.total_samples, cfg.excitation_variance, int(state[2 * n_records - 2])
         )
-        clean_ts = _strip_labels(clean_ts)
-        noisy_ts = add_noise(
-            clean_ts, NoiseSpec(snr=snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale)
+        clean_val = simulate(systems, schedule, z, condition_label="validation")
+        noisy_val = add_noise(
+            clean_val,
+            NoiseSpec(snr=snr, seed=int(state[2 * n_records - 1]), scale=cfg.snr_scale),
         )
-        path = os.path.join(cfg.out, f"train_{label}.csv")
-        write_csv(noisy_ts, path, clean=clean_ts)
-        written.append(path)
-    schedule = SwitchSchedule(steps=tuple(cfg.schedule))
-    z = gen_excitation(
-        schedule.total_samples, cfg.excitation_variance, int(state[2 * n_records - 2])
-    )
-    clean_val = simulate(systems, schedule, z, condition_label="validation")
-    noisy_val = add_noise(
-        clean_val,
-        NoiseSpec(snr=snr, seed=int(state[2 * n_records - 1]), scale=cfg.snr_scale),
-    )
-    val_path = os.path.join(cfg.out, "validation.csv")
-    write_csv(noisy_val, val_path, clean=_strip_labels(clean_val))
-    written.append(val_path)
-    manifest = {
-        "format": "transched-simulate-manifest v1",
-        "seed": cfg.seed,
-        "sample_time": cfg.sample_time,
-        "order_default": cfg.order,
-        "train_samples": cfg.train_samples,
-        "excitation_variance": cfg.excitation_variance,
-        "snr": "clean" if cfg.clean else cfg.snr,
-        "snr_scale": cfg.snr_scale,
-        "schedule": [[label, n] for label, n in cfg.schedule],
-        "conditions": {
-            label: {k: getattr(p, k) for k in ("m_s", "m_u", "k_s", "k_r", "c_s")}
-            for label, p in cfg.params.items()
-        },
-        "files": [os.path.basename(p) for p in written],
-    }
-    with open(os.path.join(cfg.out, "simulate_manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-    for path in written:
-        print(f"wrote {path}")
+        write_csv(noisy_val, staged["validation.csv"])
+        manifest = {
+            "format": "transched-simulate-manifest v1",
+            "seed": cfg.seed,
+            "sample_time": cfg.sample_time,
+            "order_default": cfg.order,
+            "train_samples": cfg.train_samples,
+            "excitation_variance": cfg.excitation_variance,
+            "snr": "clean" if cfg.clean else cfg.snr,
+            "snr_scale": cfg.snr_scale,
+            "schedule": [[label, n] for label, n in cfg.schedule],
+            "conditions": {
+                label: {k: getattr(p, k) for k in ("m_s", "m_u", "k_s", "k_r", "c_s")}
+                for label, p in cfg.params.items()
+            },
+            "files": csv_names,
+        }
+        with open(staged[manifest_name], "w") as f:
+            json.dump(manifest, f, indent=2)
+            f.write("\n")
+    for name in csv_names:
+        print(f"wrote {os.path.join(cfg.out, name)}")
     return 0
+
+
+@contextmanager
+def _staged_outputs(out: str, names: list[str]):
+    """Yield a temporary path in ``out`` for each file name; after the body
+    succeeds, move every file into place.  If the body fails, the temporary
+    files are removed and ``out`` is left as it was.  An ``out`` that is not
+    a directory, or a destination that is one, is a ConfigError."""
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"output directory {out} exists and is not a directory")
+    finals = {name: os.path.join(out, name) for name in names}
+    for path in finals.values():
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+    created = not os.path.exists(out)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e.strerror or e}") from None
+    staged = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in names}
+    try:
+        yield staged
+        for name in names:
+            os.replace(staged[name], finals[name])
+    except BaseException as e:
+        for path in staged.values():
+            if os.path.exists(path):
+                os.remove(path)
+        if created and not os.listdir(out):
+            os.rmdir(out)
+        if isinstance(e, OSError):
+            raise ConfigError(f"cannot write to {out}: {e.strerror or e}") from None
+        raise
 
 
 def _strip_labels(ts: TimeSeriesSet) -> TimeSeriesSet:

@@ -165,12 +165,27 @@ def read_csv_header(path: str | os.PathLike) -> list[str]:
     whitespace, as ``load_csv`` reads them."""
     if not os.path.exists(path):
         raise DataError(f"file not found: {path}")
-    with open(path, newline="") as f:
-        try:
+    try:
+        with open(path, newline="") as f:
             header = next(csv.reader(f))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except _READ_ERRORS as e:
+        raise _unreadable(path, e) from None
     return [h.strip() for h in header]
+
+
+# Raised by a file that cannot be opened, decoded or parsed as CSV.
+_READ_ERRORS = (csv.Error, UnicodeDecodeError, OSError)
+
+
+def _unreadable(path: str | os.PathLike, e: Exception) -> DataError:
+    """A DataError naming the file for one of ``_READ_ERRORS``."""
+    if isinstance(e, UnicodeDecodeError):
+        return DataError(f"{path}: byte 0x{e.object[e.start]:02x} is not valid {e.encoding} text")
+    if isinstance(e, OSError):
+        return DataError(f"{path}: cannot read: {e.strerror or e}")
+    return DataError(f"{path}: unreadable CSV: {e}")
 
 
 def load_csv(
@@ -188,7 +203,9 @@ def load_csv(
 
     A plain file (see ``_plain_table``) is parsed by numpy's C reader;
     any other file, or one that reader rejects, goes through the csv
-    module, which also words every error.  Both give the same array.
+    module, which also words every error.  Both give the same array.  A
+    file that cannot be read or decoded, or that the csv module rejects, is
+    a ``DataError`` naming it.
     """
     header = read_csv_header(path)
     for name in schema:
@@ -199,20 +216,22 @@ def load_csv(
                 f"{path}: channel {name!r} appears {header.count(name)} times in the header"
             )
     cols = [header.index(name) for name in schema]
-    data = None
-    # an empty schema: loadtxt gives (0, samples), the csv loop a (0,) array
-    if cols and _plain_table(path, len(header)):
-        data = _load_plain(path, cols)
-    if data is None:
-        data = _load_rows(path, schema, len(header), cols)
-    bad = ~np.isfinite(data)
-    if bad.any():
-        t, k = np.argwhere(bad.T)[0]  # first offending row, then channel
-        name = list(schema)[k]
-        raise DataError(
-            f"{path}: line {_data_line(path, t)}: non-finite value "
-            f"{float(data[k, t])!r} in channel {name!r}"
-        )
+    try:
+        data = None
+        # an empty schema: loadtxt gives (0, samples), the csv loop a (0,) array
+        if cols and _plain_table(path, len(header)):
+            data = _load_plain(path, cols)
+        if data is None:
+            data = _load_rows(path, schema, len(header), cols)
+        bad = ~np.isfinite(data)
+        if bad.any():
+            t, k = np.argwhere(bad.T)[0]  # first offending row, then channel
+            raise DataError(
+                f"{path}: line {_data_line(path, t)}: non-finite value "
+                f"{float(data[k, t])!r} in channel {list(schema)[k]!r}"
+            )
+    except _READ_ERRORS as e:
+        raise _unreadable(path, e) from None
     return TimeSeriesSet(
         sample_rate=sample_rate,
         names=tuple(schema),
@@ -309,33 +328,22 @@ def _data_line(path: str | os.PathLike, index: int) -> int:
     return lines[index + 1]  # lines[0] is the header
 
 
-def write_csv(
-    ts: TimeSeriesSet,
-    path: str | os.PathLike,
-    clean: TimeSeriesSet | None = None,
-) -> None:
-    """Write a record as CSV; channels of ``clean`` are appended with a
-    ``_clean`` suffix, and ``sample_labels`` become a ``true_label`` column.
+def write_csv(ts: TimeSeriesSet, path: str | os.PathLike) -> None:
+    """Write a record as CSV: one column per channel, in ``names`` order,
+    then a ``true_label`` column when the record has ``sample_labels``.
 
     Floats are rendered with ``repr`` (shortest exact round trip), so
     rewriting the same record is byte-identical.
     """
     header = list(ts.names)
-    columns = [ts.data[i] for i in range(ts.n_channels)]
-    if clean is not None:
-        if clean.n_samples != ts.n_samples:
-            raise DataError("clean record length does not match")
-        header += [f"{n}_clean" for n in clean.names]
-        columns += [clean.data[i] for i in range(clean.n_channels)]
     labels = ts.sample_labels
+    if labels is not None:
+        header.append("true_label")
     with open(path, "w", newline="") as f:
-        if labels is not None:
-            f.write(",".join(header + ["true_label"]) + "\n")
-        else:
-            f.write(",".join(header) + "\n")
+        f.write(",".join(header) + "\n")
         for lo in range(0, ts.n_samples, WRITE_CHUNK_ROWS):
             hi = lo + WRITE_CHUNK_ROWS
-            cells = [map(repr, col[lo:hi].tolist()) for col in columns]
+            cells = [map(repr, col.tolist()) for col in ts.data[:, lo:hi]]
             if labels is not None:
                 cells.append(labels[lo:hi])
             f.writelines(",".join(row) + "\n" for row in zip(*cells))

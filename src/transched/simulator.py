@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping
 
 import numpy as np
@@ -25,6 +26,11 @@ DEFAULT_SAMPLE_TIME = 0.1
 # Channel order matches the output matrix rows.
 CHANNEL_NAMES = ("y_I1_a", "y_I2", "y_O")
 CHANNEL_ROLES = (PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT)
+N_STATES = 4  # x = [z_s, z_s', z_u, z_u']
+
+# Samples stepped per chunk by ``simulate``: the outputs of one chunk are
+# Python floats, so memory stays flat whatever the record length.
+SIMULATE_CHUNK_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,9 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring around a Taylor core.
 
     The argument is halved until its 1-norm is below 0.25, the series is
-    summed to machine precision, and the result squared back up.
+    summed to machine precision, and the result squared back up.  The
+    matrix products are taken on Python floats (see ``_matmul``), so the
+    result does not depend on the BLAS kernel.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -153,17 +161,25 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     squarings = 0
     if norm > 0.25:
         squarings = max(0, int(math.ceil(math.log2(norm / 0.25))))
-    scaled = m / (2.0**squarings)
-    result = np.eye(n)
-    term = np.eye(n)
+    scaled = (m / (2.0**squarings)).tolist()
+    result = np.eye(n).tolist()
+    term = result
     for k in range(1, 40):
-        term = term @ scaled / k
-        result = result + term
+        term = [[v / k for v in row] for row in _matmul(term, scaled)]
+        result = [[u + v for u, v in zip(ru, rv)] for ru, rv in zip(result, term)]
         if float(np.max(np.abs(term))) <= 1.0e-20 * max(1.0, float(np.max(np.abs(result)))):
             break
     for _ in range(squarings):
-        result = result @ result
-    return result
+        result = _matmul(result, result)
+    return np.array(result).reshape(n, n)
+
+
+def _matmul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """Product of two matrices given as row lists.  Each entry is the
+    correctly rounded sum of its products, so it depends neither on the
+    summation order nor on a BLAS kernel."""
+    cols = list(zip(*b))
+    return [[math.fsum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def c2d_zoh(ss: ContinuousStateSpace, t: float) -> DiscreteStateSpace:
@@ -205,8 +221,12 @@ def simulate(
 ) -> TimeSeriesSet:
     """Run the switching recursion x+ = A_q x + b_q z, y = C_q x + d_q z.
 
-    The state is carried continuously across switches.  The result
-    carries the active condition per sample in ``sample_labels``.
+    Every system must be a quarter car: 4 states and the 3 outputs of
+    ``CHANNEL_NAMES``.  Each state and output component is a Python float
+    sum taken left to right, ``a_i0*x0 + ... + a_i3*x3 + b_i*z``, so the
+    record is the same on every machine and BLAS kernel.  The state is
+    carried continuously across switches.  The result carries the active
+    condition per sample in ``sample_labels``.
     """
     z_r = np.asarray(z_r, dtype=float).ravel()
     if schedule.total_samples != z_r.shape[0]:
@@ -217,22 +237,55 @@ def simulate(
     for label, _ in schedule.steps:
         if label not in systems:
             raise DataError(f"schedule references unknown condition {label!r}")
-    first = next(iter(systems.values()))
-    n = first.a.shape[0]
-    p = first.c.shape[0]
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros((p, z_r.shape[0]))
+    p = len(CHANNEL_NAMES)
+    for label, sys in systems.items():
+        shapes = (sys.a.shape, sys.b.shape, sys.c.shape, sys.d.shape)
+        if shapes != ((N_STATES, N_STATES), (N_STATES,), (p, N_STATES), (p,)):
+            raise DataError(
+                f"condition {label!r} is not a quarter car with {N_STATES} states and "
+                f"{p} outputs: a, b, c, d have shapes {shapes}"
+            )
+    x = [0.0] * N_STATES if x0 is None else np.asarray(x0, dtype=float).ravel().tolist()
+    if len(x) != N_STATES:
+        raise DataError(f"initial state must have {N_STATES} entries, got {len(x)}")
+    x0, x1, x2, x3 = x
+    y = np.empty((p, z_r.shape[0]))
     t = 0
     for label, duration in schedule.steps:
         sys = systems[label]
-        for _ in range(duration):
-            y[:, t] = sys.c @ x + sys.d * z_r[t]
-            x = sys.a @ x + sys.b * z_r[t]
-            t += 1
+        a, c = sys.a.tolist(), sys.c.tolist()
+        a00, a01, a02, a03 = a[0]
+        a10, a11, a12, a13 = a[1]
+        a20, a21, a22, a23 = a[2]
+        a30, a31, a32, a33 = a[3]
+        b0, b1, b2, b3 = sys.b.tolist()
+        c00, c01, c02, c03 = c[0]
+        c10, c11, c12, c13 = c[1]
+        c20, c21, c22, c23 = c[2]
+        d0, d1, d2 = sys.d.tolist()
+        for lo in range(t, t + duration, SIMULATE_CHUNK_SAMPLES):
+            hi = min(lo + SIMULATE_CHUNK_SAMPLES, t + duration)
+            y0: list[float] = []
+            y1: list[float] = []
+            y2: list[float] = []
+            for z in z_r[lo:hi].tolist():
+                y0.append(c00 * x0 + c01 * x1 + c02 * x2 + c03 * x3 + d0 * z)
+                y1.append(c10 * x0 + c11 * x1 + c12 * x2 + c13 * x3 + d1 * z)
+                y2.append(c20 * x0 + c21 * x1 + c22 * x2 + c23 * x3 + d2 * z)
+                x0, x1, x2, x3 = (
+                    a00 * x0 + a01 * x1 + a02 * x2 + a03 * x3 + b0 * z,
+                    a10 * x0 + a11 * x1 + a12 * x2 + a13 * x3 + b1 * z,
+                    a20 * x0 + a21 * x1 + a22 * x2 + a23 * x3 + b2 * z,
+                    a30 * x0 + a31 * x1 + a32 * x2 + a33 * x3 + b3 * z,
+                )
+            y[0, lo:hi] = y0
+            y[1, lo:hi] = y1
+            y[2, lo:hi] = y2
+        t += duration
     return TimeSeriesSet(
-        sample_rate=1.0 / first.t,
-        names=CHANNEL_NAMES[:p] if p == len(CHANNEL_NAMES) else tuple(f"y{i}" for i in range(p)),
-        roles=CHANNEL_ROLES[:p] if p == len(CHANNEL_ROLES) else tuple([PSEUDO_INPUT] * p),
+        sample_rate=1.0 / next(iter(systems.values())).t,
+        names=CHANNEL_NAMES,
+        roles=CHANNEL_ROLES,
         data=y,
         condition_label=condition_label,
         sample_labels=tuple(schedule.labels_per_sample()),

@@ -2,9 +2,19 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
-from transched.cli import main
+from transched.cli import STOCK_CONDITIONS, main
+from transched.errors import DataError
+from transched.simulator import (
+    QuarterCarParams,
+    SwitchSchedule,
+    build_continuous,
+    c2d_zoh,
+    gen_excitation,
+    simulate,
+)
 
 
 def _run(args):
@@ -30,7 +40,7 @@ def test_simulate_outputs(pipeline_dir):
                  "simulate_manifest.json"):
         assert (pipeline_dir / name).exists()
     header = (pipeline_dir / "validation.csv").read_text().splitlines()[0]
-    assert header == ("y_I1_a,y_I2,y_O,y_I1_a_clean,y_I2_clean,y_O_clean,true_label")
+    assert header == "y_I1_a,y_I2,y_O,true_label"
     train_header = (pipeline_dir / "train_C1.csv").read_text().splitlines()[0]
     assert "true_label" not in train_header
     lines = (pipeline_dir / "validation.csv").read_text().splitlines()
@@ -98,8 +108,15 @@ def test_clean_flag(tmp_path):
     out = tmp_path / "clean"
     assert _run(["simulate", "--out", str(out), "--clean"]) == 0
     lines = (out / "train_C1.csv").read_text().splitlines()
-    cells = lines[1].split(",")
-    assert cells[0] == cells[3] and cells[2] == cells[5]  # noisy == clean columns
+    assert lines[0] == "y_I1_a,y_I2,y_O"
+    written = np.array([[float(c) for c in line.split(",")] for line in lines[1:]]).T
+    # the first record's excitation seed, drawn from the default root seed
+    seed = int(np.random.SeedSequence(20260808).generate_state(6)[0])
+    systems = {label: c2d_zoh(build_continuous(QuarterCarParams(**p)), 0.1)
+               for label, p in STOCK_CONDITIONS.items()}
+    z = gen_excitation(1000, 0.01, seed)
+    expected = simulate(systems, SwitchSchedule(steps=(("C1", 1000),)), z)
+    np.testing.assert_array_equal(written, expected.data)
 
 
 def test_snr_db_flag(tmp_path):
@@ -397,6 +414,18 @@ def _constant_target(text):
     return "".join(lines)
 
 
+def _non_utf8_last_label(out):
+    path = out / "validation.csv"
+    raw = path.read_bytes()
+    cut = raw.rindex(b",C2\n")  # past the block the header read decodes
+    path.write_bytes(raw[:cut] + b",C\xff2\n")
+
+
+def _data_is_a_directory(out):
+    (out / "validation.csv").unlink()
+    (out / "validation.csv").mkdir()
+
+
 _TRAIN_FILES = ("train_C1.csv", "train_C2.csv")
 _ONLINE_FILES = ("store.json", "validation.csv")
 
@@ -406,7 +435,7 @@ _ONLINE_FILES = ("store.json", "validation.csv")
     [
         pytest.param("estimate", _ONLINE_FILES,
                      _edit("validation.csv", lambda t: t.replace(",C1\n", "\n", 1)),
-                     ["validation.csv: line 2", "expected 7 columns, found 6"], id="ragged-row"),
+                     ["validation.csv: line 2", "expected 4 columns, found 3"], id="ragged-row"),
         pytest.param("train", _TRAIN_FILES, _edit("train_C1.csv", _keep_lines(1)),
                      ["train_C1.csv: no samples"], id="header-only"),
         pytest.param("evaluate", _ONLINE_FILES,
@@ -414,7 +443,7 @@ _ONLINE_FILES = ("store.json", "validation.csv")
                      ["validation.csv: line 9", "non-numeric value '1.5x'", "'y_O'"],
                      id="non-numeric-cell"),
         pytest.param("estimate", _ONLINE_FILES,
-                     _edit("validation.csv", lambda t: t.replace("y_I2_clean", "y_I2", 1)),
+                     _edit("validation.csv", lambda t: t.replace("true_label", "y_I2", 1)),
                      ["validation.csv", "'y_I2' appears 2 times"], id="duplicate-header"),
         pytest.param("train", _TRAIN_FILES, _edit("train_C2.csv", _keep_lines(9)),
                      ["train_C2.csv: 8 samples are too few for FIR order 10"],
@@ -434,6 +463,15 @@ _ONLINE_FILES = ("store.json", "validation.csv")
                      ["store.json: not a valid model store"], id="truncated-store"),
         pytest.param("evaluate", _ONLINE_FILES, _edit("store.json", _drop_theta_coefficient),
                      ["store.json: theta length 21 does not match"], id="wrong-theta-length"),
+        pytest.param("estimate", _ONLINE_FILES,
+                     _edit("validation.csv",
+                           lambda t: t.replace(",C1\n", ',"' + "x" * 200_000 + '"\n', 1)),
+                     ["validation.csv: unreadable CSV", "field larger than field limit"],
+                     id="quoted-200000-character-cell"),
+        pytest.param("estimate", _ONLINE_FILES, _non_utf8_last_label,
+                     ["validation.csv: byte 0xff is not valid"], id="non-utf8-label"),
+        pytest.param("estimate", _ONLINE_FILES, _data_is_a_directory,
+                     ["validation.csv: cannot read"], id="data-is-a-directory"),
     ],
 )
 def test_fault_injection(pipeline_dir, tmp_path, capsys, command, files, corrupt, fragments):
@@ -492,3 +530,68 @@ def test_no_partial_outputs_on_validation_failure(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert _run(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [
+        (lambda p: p.write_bytes(b"[common]\norder = 6 ; caf\xe9\n"),
+         "byte 0xe9 is not valid UTF-8"),
+        (lambda p: p.mkdir(), "cannot read"),
+    ],
+    ids=["non-utf8-byte", "directory"],
+)
+def test_exit_code_unreadable_config(tmp_path, capsys, make, fragment):
+    cfg = tmp_path / "run.ini"
+    make(cfg)
+    capsys.readouterr()
+    assert _run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys, "config error: ", "run.ini", fragment)
+    assert not (tmp_path / "o").exists()
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def test_simulate_out_is_a_file(tmp_path, capsys):
+    (tmp_path / "f").write_text("keep\n")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert _run(["simulate", "--out", str(tmp_path / "f")]) == 2
+    _assert_one_line_error(capsys, "config error: ", "exists and is not a directory")
+    assert _tree(tmp_path) == before
+
+
+def test_simulate_destination_is_a_directory(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "train_C1.csv").write_text("older run\n")
+    (out / "validation.csv").mkdir()
+    before = _tree(out)
+    capsys.readouterr()
+    assert _run(["simulate", "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "config error: ", "validation.csv: it is a directory")
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_simulate_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch, existing):
+    import transched.cli as cli
+
+    def fail_on_validation(systems, schedule, z, condition_label=None):
+        if condition_label == "validation":
+            raise DataError("injected failure")
+        return simulate(systems, schedule, z, condition_label=condition_label)
+
+    monkeypatch.setattr(cli, "simulate", fail_on_validation)
+    out = tmp_path / "o"
+    if existing:
+        out.mkdir()
+        (out / "train_C1.csv").write_text("older run\n")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert _run(["simulate", "--out", str(out)]) == 3  # after both training records
+    _assert_one_line_error(capsys, "data error: injected failure")
+    assert _tree(tmp_path) == before

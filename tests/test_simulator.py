@@ -1,11 +1,22 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 
+import transched
+from transched import simulator
 from transched.errors import ConfigError, DataError
 from transched.simulator import (
+    SIMULATE_CHUNK_SAMPLES,
+    DiscreteStateSpace,
     NoiseSpec,
     QuarterCarParams,
     SwitchSchedule,
@@ -220,15 +231,108 @@ def test_simulate_switching_carries_state_and_labels(quarter_car_systems):
     np.testing.assert_array_equal(ts.data[:, :80], seg1.data)
 
 
+def _row_dot(row, x, z):
+    """row . [x, z] summed left to right: sum() compensates from Python 3.12."""
+    return reduce(add, map(mul, row, x + [z]))
+
+
+def _generic_simulate(systems, schedule, z_r, x0=(0.0, 0.0, 0.0, 0.0)):
+    """Reference recursion for any state and output count, on Python floats."""
+    x = list(x0)
+    y = []
+    t = 0
+    for label, duration in schedule.steps:
+        sys = systems[label]
+        ab = np.column_stack([sys.a, sys.b]).tolist()
+        cd = np.column_stack([sys.c, sys.d]).tolist()
+        for z in z_r[t:t + duration].tolist():
+            y.append([_row_dot(row, x, z) for row in cd])
+            x = [_row_dot(row, x, z) for row in ab]
+        t += duration
+    return np.array(y).T
+
+
 def test_simulate_relative_displacement_channel(quarter_car_systems):
     # y_O must equal z_s - z_u reproduced by an explicit state recursion
     sys1 = quarter_car_systems["C1"]
     z = gen_excitation(60, 0.01, 10)
     ts = simulate({"C1": sys1}, SwitchSchedule(steps=(("C1", 60),)), z)
-    x = np.zeros(4)
-    for t in range(60):
+    ab = np.column_stack([sys1.a, sys1.b]).tolist()
+    x = [0.0] * 4
+    for t, z_t in enumerate(z.tolist()):
         assert ts.data[2, t] == x[0] - x[2]
-        x = sys1.a @ x + sys1.b * z[t]
+        x = [a0 * x[0] + a1 * x[1] + a2 * x[2] + a3 * x[3] + b * z_t
+             for a0, a1, a2, a3, b in ab]
+
+
+@pytest.mark.parametrize("chunk", [7, SIMULATE_CHUNK_SAMPLES])
+def test_simulate_equals_generic_recursion_bit_for_bit(
+    quarter_car_systems, monkeypatch, chunk
+):
+    monkeypatch.setattr(simulator, "SIMULATE_CHUNK_SAMPLES", chunk)
+    schedule = SwitchSchedule(steps=(("C1", 70), ("C2", 55), ("C1", 30), ("C2", 1)))
+    z = gen_excitation(schedule.total_samples, 0.01, 21)
+    x0 = (0.01, -0.2, 0.003, 0.4)
+    ts = simulate(quarter_car_systems, schedule, z, x0=np.array(x0))
+    np.testing.assert_array_equal(
+        ts.data, _generic_simulate(quarter_car_systems, schedule, z, x0)
+    )
+
+
+def test_simulate_matches_dlsim_per_segment(quarter_car_systems):
+    schedule = SwitchSchedule(steps=(("C1", 400), ("C2", 300), ("C1", 250)))
+    z = gen_excitation(schedule.total_samples, 0.01, 22)
+    ts = simulate(quarter_car_systems, schedule, z)
+    x = np.zeros(4)
+    t = 0
+    for label, duration in schedule.steps:
+        sys = quarter_car_systems[label]
+        u = z[t:t + duration]
+        _, y, xs = scipy.signal.dlsim(
+            (sys.a, sys.b[:, None], sys.c, sys.d[:, None], sys.t), u, x0=x
+        )
+        got = ts.data[:, t:t + duration]
+        err = np.max(np.abs(got - y.T), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(y.T), axis=1)), (label, t, err)
+        x = sys.a @ xs[-1] + sys.b * u[-1]  # the state carried into the next segment
+        t += duration
+
+
+@pytest.mark.parametrize("n_states, n_outputs", [(2, 3), (4, 2), (5, 3)])
+def test_simulate_rejects_non_quarter_car_shape(n_states, n_outputs):
+    sys = DiscreteStateSpace(
+        a=np.eye(n_states) * 0.5, b=np.ones(n_states),
+        c=np.ones((n_outputs, n_states)), d=np.zeros(n_outputs), t=0.1,
+    )
+    with pytest.raises(DataError, match="not a quarter car"):
+        simulate({"Q": sys}, SwitchSchedule(steps=(("Q", 10),)), np.zeros(10))
+
+
+def test_simulate_rejects_wrong_initial_state(quarter_car_systems):
+    with pytest.raises(DataError, match="initial state must have 4 entries"):
+        simulate(quarter_car_systems, SwitchSchedule(steps=(("C1", 5),)), np.zeros(5),
+                 x0=np.zeros(3))
+
+
+def test_simulated_csvs_identical_on_every_openblas_kernel(tmp_path):
+    # The simulator makes no BLAS call, so the bytes must not depend on the
+    # kernel OpenBLAS picks for this CPU (Prescott and Haswell round GEMV and
+    # GEMM differently).
+    src = os.path.dirname(os.path.dirname(transched.__file__))
+    digests = {}
+    for kernel in ("Prescott", "Haswell"):
+        out = tmp_path / kernel
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "transched.cli", "simulate", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        digests[kernel] = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+        }
+    assert len(digests["Prescott"]) == 4  # two training CSVs, validation, manifest
+    assert digests["Prescott"] == digests["Haswell"]
 
 
 def test_simulate_length_mismatch(quarter_car_systems):
