@@ -12,58 +12,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
+# Only what config resolution needs; each command imports its own layers,
+# so e.g. `simulate` never loads the scheduler.
 from . import __version__
-from .dataset import (
-    Decomposition,
-    PSEUDO_INPUT,
-    TARGET_OUTPUT,
-    TimeSeriesSet,
-    detrend_mean,
-    load_csv,
-    read_csv_header,
-    signal_power,
-    write_csv,
-)
+from .dataset import PSEUDO_INPUT, TARGET_OUTPUT
 from .errors import ConfigError, DataError, NumericalError, TranschedError
-from .evaluation import (
-    compare_report,
-    write_accuracy_csv,
-    write_report_csv,
-    write_summary_csv,
-)
 from .regression import MAX_C_LIM
-from .scheduler import (
-    Prior,
-    schedule_estimate,
-    write_sample_trace,
-    write_window_trace,
-)
-from .simulator import (
-    NoiseSpec,
-    QuarterCarParams,
-    SwitchSchedule,
-    add_noise,
-    build_continuous,
-    c2d_zoh,
-    gen_excitation,
-    simulate,
-)
-from .transmissibility import (
-    fit_average,
-    load_store,
-    predict_record,
-    save_store,
-    train_families,
-)
 
 # Stock two-condition scenario: a softly and a stiffly sprung quarter car.
 STOCK_CONDITIONS = {
@@ -88,7 +48,7 @@ class RunConfig:
     channels: dict = field(default_factory=lambda: dict(DEFAULT_CHANNELS))
     aux_output: str = "y_I2"
     # simulate
-    params: dict = field(default_factory=dict)  # label -> QuarterCarParams
+    params: dict = field(default_factory=dict)  # label -> {parameter: value}
     train_samples: int = 1000
     excitation_variance: float = 0.01
     snr: float = 50.0
@@ -260,7 +220,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if key not in values:
                 raise ConfigError(f"[params.{label}] missing parameter {key}")
             fields[key] = _typed(f"params.{label}", key, str(values[key]), float)
-        cfg.params[label] = QuarterCarParams(**fields)
+        # the QuarterCarParams check, without importing the simulator here
+        for key, v in fields.items():
+            if v <= 0:
+                raise ConfigError(f"quarter-car parameter {key} must be positive, got {v}")
+        cfg.params[label] = fields
 
     # train settings
     if cp is not None and cp.has_option("train", "data"):
@@ -391,7 +355,9 @@ def _validate(cfg: RunConfig) -> None:
                 raise ConfigError("prior weights must have a positive sum")
 
 
-def _resolve_prior(cfg: RunConfig, q: int) -> Prior:
+def _resolve_prior(cfg: RunConfig, q: int):
+    from .scheduler import Prior
+
     if cfg.priors == "uniform":
         return Prior.uniform(q)
     weights = list(cfg.priors)
@@ -404,10 +370,12 @@ def _resolve_prior(cfg: RunConfig, q: int) -> Prior:
 
 def _load_record(
     cfg: RunConfig, path: str, condition_label: str | None, require_target: bool, order: int
-) -> TimeSeriesSet:
+):
     """Load a CSV with the configured schema; the target column is optional
     for online data unless the caller needs ground truth.  The record must
     have more samples than the FIR ``order``."""
+    from .dataset import detrend_mean, load_csv, read_csv_header
+
     header = read_csv_header(path)
     schema = dict(cfg.channels)
     target = next(n for n, r in schema.items() if r == TARGET_OUTPUT)
@@ -427,8 +395,24 @@ def _load_record(
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    import json
+
+    import numpy as np
+
+    from .dataset import write_csv
+    from .simulator import (
+        NoiseSpec,
+        QuarterCarParams,
+        SwitchSchedule,
+        add_noise,
+        build_continuous,
+        c2d_zoh,
+        gen_excitation,
+        simulate,
+    )
+
     systems = {
-        label: c2d_zoh(build_continuous(p), cfg.sample_time)
+        label: c2d_zoh(build_continuous(QuarterCarParams(**p)), cfg.sample_time)
         for label, p in cfg.params.items()
     }
     # one independent (excitation, noise) seed pair per record, then validation
@@ -469,10 +453,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "snr": "clean" if cfg.clean else cfg.snr,
             "snr_scale": cfg.snr_scale,
             "schedule": [[label, n] for label, n in cfg.schedule],
-            "conditions": {
-                label: {k: getattr(p, k) for k in ("m_s", "m_u", "k_s", "k_r", "c_s")}
-                for label, p in cfg.params.items()
-            },
+            "conditions": cfg.params,
             "files": csv_names,
         }
         with open(staged[manifest_name], "w") as f:
@@ -516,7 +497,9 @@ def _staged_outputs(out: str, names: list[str]):
         raise
 
 
-def _strip_labels(ts: TimeSeriesSet) -> TimeSeriesSet:
+def _strip_labels(ts):
+    from .dataset import TimeSeriesSet
+
     if ts.sample_labels is None:
         return ts
     return TimeSeriesSet(
@@ -529,6 +512,9 @@ def _strip_labels(ts: TimeSeriesSet) -> TimeSeriesSet:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    from .dataset import Decomposition, signal_power
+    from .transmissibility import fit_average, save_store, train_families
+
     records = [
         _load_record(cfg, path, label, require_target=True, order=cfg.order)
         for label, path in cfg.train_data.items()
@@ -538,8 +524,9 @@ def cmd_train(cfg: RunConfig) -> int:
     d = Decomposition(aux_output_index=pseudo.index(cfg.aux_output))
     g, h = train_families(records, d, cfg.order, cfg.c_lim)
     avg = fit_average(records, pseudo, target, cfg.order, cfg.c_lim)
-    os.makedirs(os.path.dirname(os.path.abspath(cfg.store)), exist_ok=True)
-    save_store(cfg.store, g, h, average=avg, c_lim=cfg.c_lim)
+    store_dir, store_name = os.path.split(cfg.store)
+    with _staged_outputs(store_dir or os.curdir, [store_name]) as staged:
+        save_store(staged[store_name], g, h, average=avg, c_lim=cfg.c_lim)
     print(f"wrote {cfg.store} ({len(g)} conditions, order {cfg.order})")
     print("condition  model  sigma2        rho           kappa")
     for label, gm, hm in zip(g.labels, g.models, h.models):
@@ -555,6 +542,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    from .scheduler import schedule_estimate, write_sample_trace, write_window_trace
+    from .transmissibility import load_store
+
     g, h, _ = load_store(cfg.store)
     if cfg.window <= g.order:
         raise ConfigError(
@@ -563,13 +553,12 @@ def cmd_estimate(cfg: RunConfig) -> int:
     online = _load_record(cfg, cfg.data, None, require_target=False, order=g.order)
     prior = _resolve_prior(cfg, len(g))
     trace = schedule_estimate(g, h, online, prior, cfg.window, pooled=cfg.pooled)
-    os.makedirs(cfg.out, exist_ok=True)
-    windows_path = os.path.join(cfg.out, "trace_windows.csv")
-    samples_path = os.path.join(cfg.out, "trace_samples.csv")
-    write_window_trace(trace, windows_path)
-    write_sample_trace(trace, online, samples_path)
-    print(f"wrote {windows_path}")
-    print(f"wrote {samples_path}")
+    names = ["trace_windows.csv", "trace_samples.csv"]
+    with _staged_outputs(cfg.out, names) as staged:
+        write_window_trace(trace, staged[names[0]])
+        write_sample_trace(trace, online, staged[names[1]])
+    for name in names:
+        print(f"wrote {os.path.join(cfg.out, name)}")
     print(f"chosen sequence: {' '.join(trace.chosen_labels())}")
     if cfg.pooled:
         print("classifier variant: pooled variance")
@@ -577,6 +566,17 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .evaluation import (
+        compare_report,
+        write_accuracy_csv,
+        write_report_csv,
+        write_summary_csv,
+    )
+    from .scheduler import schedule_estimate
+    from .transmissibility import load_store, predict_record
+
     g, h, avg = load_store(cfg.store)
     if avg is None:
         raise DataError(
@@ -609,17 +609,16 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         scheduled_variant="pooled" if cfg.pooled else "full",
         predictions=predictions,
     )
-    os.makedirs(cfg.out, exist_ok=True)
-    paths = {
-        "report": os.path.join(cfg.out, "report.csv"),
-        "summary": os.path.join(cfg.out, "report_summary.csv"),
-        "accuracy": os.path.join(cfg.out, "report_accuracy.csv"),
+    writers = {
+        "report.csv": write_report_csv,
+        "report_summary.csv": write_summary_csv,
+        "report_accuracy.csv": write_accuracy_csv,
     }
-    write_report_csv(report, paths["report"])
-    write_summary_csv(report, paths["summary"])
-    write_accuracy_csv(report, paths["accuracy"])
-    for p in paths.values():
-        print(f"wrote {p}")
+    with _staged_outputs(cfg.out, list(writers)) as staged:
+        for name, write in writers.items():
+            write(report, staged[name])
+    for name in writers:
+        print(f"wrote {os.path.join(cfg.out, name)}")
     print("estimator   mean FIT   std FIT")
     for name, mean, std in report.summary():
         print(f"{name:<12s}{mean:>8.2f}% {std:>8.2f}%")

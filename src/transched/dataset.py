@@ -133,6 +133,10 @@ class Decomposition:
     aux_output_index: int
 
     def split(self, items: tuple | list) -> tuple[list, object]:
+        if len(items) < 2:
+            raise DataError(
+                f"decomposition needs at least 2 pseudo-input channels, got {len(items)}"
+            )
         if not 0 <= self.aux_output_index < len(items):
             raise DataError(
                 f"auxiliary output index {self.aux_output_index} out of range "
@@ -397,17 +401,6 @@ def build_regressor(y_i: np.ndarray, y_target: np.ndarray, order: int) -> Regres
     return RegressionMatrices(
         phi=phi, y=y_target[order:], order=order, input_dim=y_i.shape[0]
     )
-
-
-def decompose(ts: TimeSeriesSet, d: Decomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Split the pseudo-input channels into (drivers, auxiliary output)."""
-    names = ts.pseudo_input_names
-    if len(names) < 2:
-        raise DataError(
-            f"decomposition needs at least 2 pseudo-input channels, got {len(names)}"
-        )
-    rest, aux = d.split(names)
-    return ts.channels(tuple(rest)), ts.channel(aux)
 
 
 def signal_power(ts: TimeSeriesSet) -> dict[str, float]:

@@ -131,14 +131,6 @@ def ridge_solve(m: RegressionMatrices, rho: float) -> np.ndarray:
     return _filter_solve(gram, _eigh(gram), m.phi.T @ m.y, rho)
 
 
-def mle_fit(m: RegressionMatrices) -> np.ndarray:
-    """Unregularized least-squares estimate of the FIR parameters."""
-    try:
-        return ridge_solve(m, 0.0)
-    except NumericalError as e:
-        raise NumericalError(f"gram matrix is ill-conditioned ({e}); use ridge_fit") from e
-
-
 def estimate_variance(m: RegressionMatrices, theta: np.ndarray) -> float:
     """Residual variance, normalized by the regression degrees of freedom."""
     dof = m.n_rows - m.n_params

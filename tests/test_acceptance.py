@@ -14,7 +14,7 @@ import pytest
 from transched.cli import main as cli_main
 from transched.dataset import Decomposition, build_regressor
 from transched.evaluation import compare_report, fit_metric
-from transched.regression import mle_fit, ridge_fit
+from transched.regression import ridge_fit, ridge_solve
 from transched.scheduler import Prior, schedule_estimate
 from transched.simulator import (
     ContinuousStateSpace,
@@ -113,7 +113,7 @@ def test_criterion_2_noise_free_identifiability():
     for t in range(order, 800):  # independent convolution oracle
         y[t] = sum(blocks[k] @ u[:, t - k] for k in range(order + 1))
     m = build_regressor(u, y[: u.shape[1]], order)
-    err_mle = float(np.max(np.abs(mle_fit(m) - theta_true)))
+    err_mle = float(np.max(np.abs(ridge_solve(m, 0.0) - theta_true)))
     err_ridge = float(np.max(np.abs(ridge_fit(m, C_LIM).theta - theta_true)))
     ok = err_mle <= 1e-8 and err_ridge <= 1e-8
     _report(2, "noise-free identifiability", ok,

@@ -578,14 +578,15 @@ def test_simulate_destination_is_a_directory(tmp_path, capsys):
 
 @pytest.mark.parametrize("existing", [True, False])
 def test_simulate_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch, existing):
-    import transched.cli as cli
+    import transched.simulator
 
     def fail_on_validation(systems, schedule, z, condition_label=None):
         if condition_label == "validation":
             raise DataError("injected failure")
         return simulate(systems, schedule, z, condition_label=condition_label)
 
-    monkeypatch.setattr(cli, "simulate", fail_on_validation)
+    # cmd_simulate imports simulate when it runs, so it picks up the patch
+    monkeypatch.setattr(transched.simulator, "simulate", fail_on_validation)
     out = tmp_path / "o"
     if existing:
         out.mkdir()
@@ -595,3 +596,85 @@ def test_simulate_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch
     assert _run(["simulate", "--out", str(out)]) == 3  # after both training records
     _assert_one_line_error(capsys, "data error: injected failure")
     assert _tree(tmp_path) == before
+
+
+def test_estimate_out_is_a_file(pipeline_dir, tmp_path, capsys):
+    src = _copy_outputs(pipeline_dir, tmp_path / "in", _ONLINE_FILES)
+    (tmp_path / "f").write_text("keep\n")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert _run(["estimate", "--out", str(tmp_path / "f"), "--store", str(src / "store.json"),
+                 "--data", str(src / "validation.csv")]) == 2
+    _assert_one_line_error(capsys, "config error: ", "exists and is not a directory")
+    assert _tree(tmp_path) == before
+
+
+def test_train_store_is_a_directory(pipeline_dir, tmp_path, capsys):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", _TRAIN_FILES)
+    (out / "store").mkdir()
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert _run(["train", "--out", str(out), "--store", str(out / "store")]) == 2
+    _assert_one_line_error(capsys, "config error: ", "store: it is a directory")
+    assert _tree(tmp_path) == before
+
+
+def test_train_store_in_a_new_directory(pipeline_dir, tmp_path, capsys):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", _TRAIN_FILES)
+    store = tmp_path / "models" / "store.json"
+    assert _run(["train", "--out", str(out), "--store", str(store)]) == 0
+    assert store.read_bytes() == (pipeline_dir / "store.json").read_bytes()
+    assert os.listdir(store.parent) == ["store.json"]
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("estimate", "trace_samples.csv"), ("evaluate", "report_summary.csv")],
+)
+def test_output_destination_is_a_directory(pipeline_dir, tmp_path, capsys, command, blocked):
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", _ONLINE_FILES)
+    (out / blocked).mkdir()
+    before = _tree(out)
+    capsys.readouterr()
+    assert _run([command, "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "config error: ", f"{blocked}: it is a directory")
+    assert _tree(out) == before  # no earlier file of the command written
+
+
+@pytest.mark.parametrize(
+    "command, module, writer",
+    [
+        ("train", "transched.transmissibility", "save_store"),
+        ("estimate", "transched.scheduler", "write_sample_trace"),
+        ("evaluate", "transched.evaluation", "write_accuracy_csv"),
+    ],
+)
+def test_write_failure_leaves_no_partial_output(
+    pipeline_dir, tmp_path, capsys, monkeypatch, command, module, writer
+):
+    import importlib
+
+    def fail(*args, **kwargs):
+        raise DataError("injected failure")
+
+    monkeypatch.setattr(importlib.import_module(module), writer, fail)
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", _TRAIN_FILES + _ONLINE_FILES)
+    if command == "train":
+        (out / "store.json").unlink()
+    before = _tree(out)
+    capsys.readouterr()
+    assert _run([command, "--out", str(out)]) == 3
+    _assert_one_line_error(capsys, "data error: injected failure")
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "estimate", "evaluate"])
+def test_non_positive_params_is_a_config_error_for_every_command(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[params.X]\nm_s = 300\nm_u = 40\nk_s = -1\nk_r = 1.8e5\nc_s = 1.5e3\n")
+    capsys.readouterr()
+    assert _run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(
+        capsys, "config error: quarter-car parameter k_s must be positive, got -1.0"
+    )
+    assert not (tmp_path / "o").exists()

@@ -12,7 +12,6 @@ from transched.dataset import (
     TARGET_OUTPUT,
     TimeSeriesSet,
     build_regressor,
-    decompose,
     detrend_mean,
     load_csv,
     signal_power,
@@ -295,33 +294,35 @@ def test_regressor_lag_blocks_recover_shifted_channels():
         np.testing.assert_array_equal(block, y_i[:, order - lag : m_len - lag].T)
 
 
-# --------------------------------------------------------------- decompose
+# ----------------------------------------------------------- decomposition
 
 
 def test_decompose_selects_channel():
     ts = _ts(np.arange(12.0).reshape(3, 4), names=("a", "b", "c"))
-    y_i1, y_i2 = decompose(ts, Decomposition(aux_output_index=2))
-    np.testing.assert_array_equal(y_i2, ts.channel("c"))
-    np.testing.assert_array_equal(y_i1, ts.channels(("a", "b")))
+    drivers, aux = Decomposition(aux_output_index=2).split(ts.pseudo_input_names)
+    assert (drivers, aux) == (["a", "b"], "c")
+    np.testing.assert_array_equal(ts.channel(aux), np.arange(8.0, 12.0))
+    np.testing.assert_array_equal(ts.channels(drivers), np.arange(8.0).reshape(2, 4))
 
 
 def test_decompose_two_channels():
     ts = _ts(np.arange(8.0).reshape(2, 4), names=("a", "b"))
-    y_i1, y_i2 = decompose(ts, Decomposition(aux_output_index=1))
-    assert y_i1.shape == (1, 4)
-    np.testing.assert_array_equal(y_i1[0], ts.channel("a"))
+    drivers, aux = Decomposition(aux_output_index=1).split(ts.pseudo_input_names)
+    assert aux == "b"
+    assert ts.channels(drivers).shape == (1, 4)
+    np.testing.assert_array_equal(ts.channels(drivers)[0], ts.channel("a"))
 
 
 def test_decompose_single_channel_impossible():
     ts = _ts(np.arange(4.0).reshape(1, 4))
     with pytest.raises(DataError, match="at least 2 pseudo-input"):
-        decompose(ts, Decomposition(aux_output_index=0))
+        Decomposition(aux_output_index=0).split(ts.pseudo_input_names)
 
 
 def test_decompose_index_out_of_range():
     ts = _ts(np.arange(8.0).reshape(2, 4))
     with pytest.raises(DataError, match="out of range"):
-        decompose(ts, Decomposition(aux_output_index=5))
+        Decomposition(aux_output_index=5).split(ts.pseudo_input_names)
 
 
 # ------------------------------------------------------------ other pieces

@@ -10,7 +10,6 @@ from transched.regression import (
     EigenExtremes,
     eigen_extremes,
     estimate_variance,
-    mle_fit,
     ridge_fit,
     ridge_solve,
     select_rho,
@@ -61,13 +60,12 @@ def _fir_response(theta_blocks, u):
 def test_solve_spd_identity():
     m = _matrices(np.eye(3), [1.0, 2.0, 3.0], order=0, input_dim=3)
     np.testing.assert_array_equal(ridge_solve(m, 0.0), [1, 2, 3])
-    np.testing.assert_array_equal(mle_fit(m), [1, 2, 3])
 
 
 def test_solve_spd_diagonal():
     # Gram diag(4, 16), Phi'y = [4, 32]
     m = _matrices(np.diag([2.0, 4.0]), [2.0, 8.0], order=0, input_dim=2)
-    np.testing.assert_allclose(mle_fit(m), [1.0, 2.0])
+    np.testing.assert_allclose(ridge_solve(m, 0.0), [1.0, 2.0])
 
 
 def test_solve_spd_matches_elimination_oracle():
@@ -89,7 +87,7 @@ def test_solve_spd_residual_bound_at_high_conditioning():
     m = _matrices(phi, rng.normal(size=8), order=0, input_dim=8)
     gram, rhs = phi.T @ phi, phi.T @ m.y
     assert np.linalg.cond(gram) == pytest.approx(1e6, rel=1e-3)
-    x = mle_fit(m)
+    x = ridge_solve(m, 0.0)
     assert np.linalg.norm(gram @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
@@ -194,7 +192,7 @@ def test_select_rho_rejects_cap_above_ceiling():
 
 def test_mle_identity_design():
     m = _matrices(np.eye(2), [3.0, 5.0], order=0, input_dim=2)
-    np.testing.assert_allclose(mle_fit(m), [3.0, 5.0], atol=1e-14)
+    np.testing.assert_allclose(ridge_solve(m, 0.0), [3.0, 5.0], atol=1e-14)
 
 
 def test_mle_recovers_noise_free_fir():
@@ -204,7 +202,7 @@ def test_mle_recovers_noise_free_fir():
     u = rng.normal(size=(n_i, 400))
     y = _fir_response(theta_blocks, u)
     m = build_regressor(u, y, order)
-    theta = mle_fit(m)
+    theta = ridge_solve(m, 0.0)
     np.testing.assert_allclose(theta, np.concatenate(theta_blocks), atol=1e-8)
 
 
@@ -212,7 +210,7 @@ def test_mle_residual_orthogonal_to_columns():
     rng = np.random.default_rng(32)
     phi = rng.normal(size=(60, 5))
     y = rng.normal(size=60)
-    theta = mle_fit(_matrices(phi, y, order=0, input_dim=5))
+    theta = ridge_solve(_matrices(phi, y, order=0, input_dim=5), 0.0)
     r = y - phi @ theta
     assert np.max(np.abs(phi.T @ r)) <= 1e-8 * np.linalg.norm(y) * np.linalg.norm(phi)
 
@@ -221,8 +219,8 @@ def test_mle_duplicated_column_fails():
     rng = np.random.default_rng(33)
     col = rng.normal(size=(30, 1))
     phi = np.hstack([col, col])
-    with pytest.raises(NumericalError, match="ridge_fit"):
-        mle_fit(_matrices(phi, rng.normal(size=30), order=0, input_dim=2))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        ridge_solve(_matrices(phi, rng.normal(size=30), order=0, input_dim=2), 0.0)
 
 
 def test_ridge_equals_mle_when_well_conditioned():
@@ -232,7 +230,7 @@ def test_ridge_equals_mle_when_well_conditioned():
     m = _matrices(phi, y, order=0, input_dim=6)
     sol = ridge_fit(m, 1e6)
     assert sol.rho == 0.0
-    theta_mle = mle_fit(m)
+    theta_mle = np.linalg.lstsq(phi, y, rcond=None)[0]
     np.testing.assert_allclose(sol.theta, theta_mle,
                                atol=1e-10 * max(1.0, np.max(np.abs(theta_mle))))
 
@@ -272,7 +270,8 @@ def test_ridge_solve_zero_rho_equals_mle():
     phi = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
     m = _matrices(phi, y, order=0, input_dim=3)
-    np.testing.assert_allclose(ridge_solve(m, 0.0), mle_fit(m), rtol=0, atol=1e-12)
+    theta_mle = np.linalg.lstsq(phi, y, rcond=None)[0]  # SVD least squares
+    np.testing.assert_allclose(ridge_solve(m, 0.0), theta_mle, rtol=0, atol=1e-12)
 
 
 def test_non_finite_input_is_numerical_error():

@@ -154,6 +154,12 @@ def test_train_families_schema_mismatch():
         train_families([r1, r2], Decomposition(aux_output_index=0), order=2)
 
 
+def test_train_families_single_pseudo_input():
+    r = _record(np.random.default_rng(5).normal(size=(2, 50)), ("a", "f"), label="Q")
+    with pytest.raises(DataError, match="at least 2 pseudo-input channels, got 1"):
+        train_families([r], Decomposition(aux_output_index=0), order=2)
+
+
 def test_train_families_order_independent(clean_training_pair):
     d = Decomposition(aux_output_index=1)
     g12, _ = train_families(list(clean_training_pair), d, order=6)
