@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 # Only what config resolution needs; each command imports its own layers,
 # so e.g. `simulate` never loads the scheduler.
@@ -34,37 +34,116 @@ STOCK_CONDITIONS = {
 DEFAULT_CHANNELS = {"y_I1_a": PSEUDO_INPUT, "y_I2": PSEUDO_INPUT, "y_O": TARGET_OUTPUT}
 
 
+def _typed(kind):
+    """Parser of one INI value of a plain type: int, float, bool or str."""
+
+    def parse(where: str, raw: str):
+        try:
+            if kind is bool:
+                if raw.lower() in ("true", "yes", "on", "1"):
+                    return True
+                if raw.lower() in ("false", "no", "off", "0"):
+                    return False
+                raise ValueError(raw)
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: expected {kind.__name__}, got {raw!r}") from None
+
+    return parse
+
+
+def _parse_pairs(where: str, raw: str) -> dict[str, str]:
+    """Parse 'label=value, label=value' lists."""
+    out: dict[str, str] = {}
+    for item in raw.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if "=" not in item:
+            raise ConfigError(f"{where}: expected label=value, got {item!r}")
+        label, value = item.split("=", 1)
+        label, value = label.strip(), value.strip()
+        if label in out:
+            raise ConfigError(f"{where}: duplicate label {label!r}")
+        out[label] = value
+    if not out:
+        raise ConfigError(f"{where}: empty list")
+    return out
+
+
+def _parse_schedule(where: str, raw: str) -> list[tuple[str, int]]:
+    steps = []
+    for item in raw.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if ":" not in item:
+            raise ConfigError(f"{where}: expected label:samples, got {item!r}")
+        label, n = item.split(":", 1)
+        steps.append((label.strip(), _typed(int)(where, n.strip())))
+    if not steps:
+        raise ConfigError(f"{where}: empty schedule")
+    return steps
+
+
+def _parse_priors(where: str, raw: str) -> str | list[float]:
+    if raw == "uniform":
+        return raw
+    try:
+        return [float(x) for x in raw.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"{where}: expected 'uniform' or comma-separated weights, got {raw!r}"
+        ) from None
+
+
+def _setting(default, *sections: str, key: str | None = None, parse=None):
+    """A RunConfig field read from ``key`` (default: the field's name) in the
+    INI ``sections``.  The first section always applies; a later one overrides
+    it only when it is the running command's own section.  ``parse(where,
+    raw)`` turns the raw string into the value; by default it is the type of
+    ``default``."""
+    meta = {"sections": sections, "key": key, "parse": parse or _typed(type(default))}
+    if isinstance(default, (dict, list)):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved settings for one command invocation."""
+    """Fully resolved settings for one command invocation.
+
+    Each INI setting is declared once, here; a flag sets the attribute named
+    by its argparse ``dest``.
+    """
 
     command: str
-    out: str = "out"
-    order: int = 10
-    c_lim: float = 1.0e6
-    seed: int = 20260808
-    sample_time: float = 0.1
-    detrend: bool = False
-    channels: dict = field(default_factory=lambda: dict(DEFAULT_CHANNELS))
-    aux_output: str = "y_I2"
+    out: str = _setting("out", "common")
+    order: int = _setting(10, "common")
+    c_lim: float = _setting(1.0e6, "common")
+    seed: int = _setting(20260808, "common")
+    sample_time: float = _setting(0.1, "common")
+    detrend: bool = _setting(False, "common")
+    channels: dict = field(default_factory=DEFAULT_CHANNELS.copy)  # the [channels] section
+    aux_output: str = _setting("y_I2", "decomposition")
     # simulate
-    params: dict = field(default_factory=dict)  # label -> {parameter: value}
-    train_samples: int = 1000
-    excitation_variance: float = 0.01
-    snr: float = 50.0
-    snr_scale: str = "linear"
-    clean: bool = False
-    schedule: list = field(default_factory=lambda: [("C1", 80), ("C2", 80)])
-    validation_samples: int | None = None
+    params: dict = field(default_factory=dict)  # [params.<label>]: {parameter: value}
+    train_samples: int = _setting(1000, "simulate")
+    excitation_variance: float = _setting(0.01, "simulate")
+    snr: float = _setting(50.0, "simulate")
+    snr_scale: str = _setting("linear", "simulate")
+    clean: bool = _setting(False, "simulate")
+    schedule: list = _setting([("C1", 80), ("C2", 80)], "simulate", parse=_parse_schedule)
+    validation_samples: int | None = _setting(None, "simulate", parse=_typed(int))
     # train
-    train_data: dict = field(default_factory=dict)  # label -> path
-    store: str = ""
+    train_data: dict = _setting({}, "train", key="data", parse=_parse_pairs)  # label -> path
+    store: str = _setting("", "train", "estimate", "evaluate")
     # estimate / evaluate
-    data: str = ""
-    window: int = 20
-    priors: str | list = "uniform"
-    pooled: bool = False
-    evaluate_data: dict = field(default_factory=dict)  # label -> path
+    data: str = _setting("", "estimate")
+    window: int = _setting(20, "estimate", "evaluate")
+    priors: str | list = _setting("uniform", "estimate", "evaluate", parse=_parse_priors)
+    pooled: bool = _setting(False, "estimate", "evaluate")
+    evaluate_data: dict = _setting({}, "evaluate", key="data", parse=_parse_pairs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,21 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate": "classify windows and estimate the target from online data",
         "evaluate": "compare estimators and classifier variants on labeled records",
     }
+    # each dest is a RunConfig attribute; None leaves the config file's value
     for name, help_text in helps.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file; flags override its values")
         p.add_argument("--seed", type=int, help="root RNG seed")
         p.add_argument("--order", type=int, help="FIR model order n")
-        p.add_argument("--clim", type=float, help="condition-number cap for ridge")
+        p.add_argument("--clim", type=float, dest="c_lim", metavar="CLIM",
+                       help="condition-number cap for ridge")
         p.add_argument("--window", type=int, help="online classification window (samples)")
-        p.add_argument("--pooled", action="store_true", default=None,
+        p.add_argument("--pooled", action="store_const", const=True,
                        help="classify with one pooled residual variance")
         p.add_argument("--snr", type=float, help="measurement SNR")
-        p.add_argument("--snr-db", action="store_true", default=None,
+        p.add_argument("--snr-db", action="store_const", const="db", dest="snr_scale",
                        help="interpret --snr in decibels instead of a linear power ratio")
         p.add_argument("--out", help="output directory")
         if name == "simulate":
-            p.add_argument("--clean", action="store_true", default=None,
+            p.add_argument("--clean", action="store_const", const=True,
                            help="emit noise-free measurements")
         if name in ("train", "estimate", "evaluate"):
             p.add_argument("--store", help="model store path")
@@ -120,160 +201,39 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     return cp
 
 
-def _typed(section: str, key: str, raw: str, kind):
-    try:
-        if kind is bool:
-            if raw.lower() in ("true", "yes", "on", "1"):
-                return True
-            if raw.lower() in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected {kind.__name__}, got {raw!r}"
-        ) from None
-
-
-def _parse_pairs(section: str, key: str, raw: str) -> dict[str, str]:
-    """Parse 'label=value, label=value' lists."""
-    out: dict[str, str] = {}
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigError(f"[{section}] {key}: expected label=value, got {item!r}")
-        label, value = item.split("=", 1)
-        label, value = label.strip(), value.strip()
-        if label in out:
-            raise ConfigError(f"[{section}] {key}: duplicate label {label!r}")
-        out[label] = value
-    if not out:
-        raise ConfigError(f"[{section}] {key}: empty list")
-    return out
-
-
-def _parse_schedule(raw: str) -> list[tuple[str, int]]:
-    steps = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" not in item:
-            raise ConfigError(f"[simulate] schedule: expected label:samples, got {item!r}")
-        label, n = item.split(":", 1)
-        steps.append((label.strip(), _typed("simulate", "schedule", n.strip(), int)))
-    if not steps:
-        raise ConfigError("[simulate] schedule: empty schedule")
-    return steps
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, config file, and flags into a validated RunConfig."""
     cfg = RunConfig(command=args.command)
-    cp = _read_ini(args.config) if args.config else None
-
-    def ini(section: str, key: str, kind, fallback):
-        if cp is not None and cp.has_option(section, key):
-            return _typed(section, key, cp.get(section, key), kind)
-        return fallback
-
-    cfg.out = ini("common", "out", str, cfg.out)
-    cfg.order = ini("common", "order", int, cfg.order)
-    cfg.c_lim = ini("common", "c_lim", float, cfg.c_lim)
-    cfg.seed = ini("common", "seed", int, cfg.seed)
-    cfg.sample_time = ini("common", "sample_time", float, cfg.sample_time)
-    cfg.detrend = ini("common", "detrend", bool, cfg.detrend)
-
-    if cp is not None and cp.has_section("channels"):
+    cp = _read_ini(args.config) if args.config else configparser.ConfigParser()
+    for f in fields(RunConfig):
+        key = f.metadata.get("key") or f.name
+        given = [
+            s for i, s in enumerate(f.metadata.get("sections", ()))
+            if (i == 0 or s == args.command) and cp.has_option(s, key)
+        ]
+        if given:
+            section, parse = given[-1], f.metadata["parse"]
+            setattr(cfg, f.name, parse(f"[{section}] {key}", cp.get(section, key)))
+    if cp.has_section("channels"):
         cfg.channels = dict(cp.items("channels"))
-    if cp is not None and cp.has_option("decomposition", "aux_output"):
-        cfg.aux_output = cp.get("decomposition", "aux_output")
-
-    # simulate settings
-    cfg.train_samples = ini("simulate", "train_samples", int, cfg.train_samples)
-    cfg.excitation_variance = ini(
-        "simulate", "excitation_variance", float, cfg.excitation_variance
-    )
-    cfg.snr = ini("simulate", "snr", float, cfg.snr)
-    cfg.snr_scale = ini("simulate", "snr_scale", str, cfg.snr_scale)
-    cfg.clean = ini("simulate", "clean", bool, cfg.clean)
-    if cp is not None and cp.has_option("simulate", "schedule"):
-        cfg.schedule = _parse_schedule(cp.get("simulate", "schedule"))
-    if cp is not None and cp.has_option("simulate", "validation_samples"):
-        cfg.validation_samples = _typed(
-            "simulate", "validation_samples", cp.get("simulate", "validation_samples"), int
-        )
-    param_sections = (
-        [s for s in cp.sections() if s.startswith("params.")] if cp is not None else []
-    )
-    raw_params = (
-        {s.split(".", 1)[1]: dict(cp.items(s)) for s in param_sections}
-        if param_sections
-        else STOCK_CONDITIONS
-    )
-    cfg.params = {}
-    for label, values in raw_params.items():
-        fields = {}
+    raw_params = {
+        s.split(".", 1)[1]: dict(cp.items(s)) for s in cp.sections() if s.startswith("params.")
+    }
+    for label, values in (raw_params or STOCK_CONDITIONS).items():
+        params = {}
         for key in ("m_s", "m_u", "k_s", "k_r", "c_s"):
             if key not in values:
                 raise ConfigError(f"[params.{label}] missing parameter {key}")
-            fields[key] = _typed(f"params.{label}", key, str(values[key]), float)
+            params[key] = _typed(float)(f"[params.{label}] {key}", str(values[key]))
         # the QuarterCarParams check, without importing the simulator here
-        for key, v in fields.items():
+        for key, v in params.items():
             if v <= 0:
                 raise ConfigError(f"quarter-car parameter {key} must be positive, got {v}")
-        cfg.params[label] = fields
-
-    # train settings
-    if cp is not None and cp.has_option("train", "data"):
-        cfg.train_data = _parse_pairs("train", "data", cp.get("train", "data"))
-    cfg.store = ini("train", "store", str, "")
-
-    # estimate settings
-    cfg.data = ini("estimate", "data", str, "")
-    cfg.window = ini("estimate", "window", int, cfg.window)
-    cfg.pooled = ini("estimate", "pooled", bool, cfg.pooled)
-    priors_raw = ini("estimate", "priors", str, None)
-    if args.command == "evaluate":
-        cfg.window = ini("evaluate", "window", int, cfg.window)
-        cfg.pooled = ini("evaluate", "pooled", bool, cfg.pooled)
-        priors_raw = ini("evaluate", "priors", str, priors_raw)
-        if cp is not None and cp.has_option("evaluate", "store"):
-            cfg.store = cp.get("evaluate", "store")
-    if args.command == "estimate" and cp is not None and cp.has_option("estimate", "store"):
-        cfg.store = cp.get("estimate", "store")
-    if priors_raw is not None and priors_raw != "uniform":
-        try:
-            cfg.priors = [float(x) for x in priors_raw.split(",") if x.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"priors: expected 'uniform' or comma-separated weights, got {priors_raw!r}"
-            ) from None
-    if cp is not None and cp.has_option("evaluate", "data"):
-        cfg.evaluate_data = _parse_pairs("evaluate", "data", cp.get("evaluate", "data"))
-
-    # flag overrides
-    for flag, attr in [
-        ("seed", "seed"),
-        ("order", "order"),
-        ("clim", "c_lim"),
-        ("window", "window"),
-        ("snr", "snr"),
-        ("out", "out"),
-        ("store", "store"),
-        ("data", "data"),
-    ]:
-        value = getattr(args, flag, None)
+        cfg.params[label] = params
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "pooled", None):
-        cfg.pooled = True
-    if getattr(args, "snr_db", None):
-        cfg.snr_scale = "db"
-    if getattr(args, "clean", None):
-        cfg.clean = True
+            setattr(cfg, f.name, value)
 
     # path defaults derived from the output directory
     if not cfg.store:
@@ -292,6 +252,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    """Config checks every command makes before it reads any file."""
     if cfg.order < 0:
         raise ConfigError(f"order must be non-negative, got {cfg.order}")
     if not 1.0 < cfg.c_lim <= MAX_C_LIM:
@@ -316,8 +277,8 @@ def _validate(cfg: RunConfig) -> None:
             f"aux_output {cfg.aux_output!r} is not a pseudo_input channel {pseudo}"
         )
     if cfg.command == "simulate":
-        if not cfg.params:
-            raise ConfigError("simulate needs at least one [params.<label>] section")
+        from .simulator import NoiseSpec, SwitchSchedule
+
         if cfg.train_samples <= cfg.order:
             raise ConfigError(
                 f"train_samples {cfg.train_samples} must exceed the FIR order {cfg.order}"
@@ -326,18 +287,12 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"excitation_variance must be positive, got {cfg.excitation_variance}"
             )
-        if cfg.snr_scale not in ("linear", "db"):
-            raise ConfigError(f"snr_scale must be linear or db, got {cfg.snr_scale!r}")
-        if math.isnan(cfg.snr):
-            raise ConfigError("snr must be a number, got nan")
-        if cfg.snr_scale == "linear" and cfg.snr <= 0:
-            raise ConfigError(f"linear snr must be positive, got {cfg.snr}")
-        for label, n in cfg.schedule:
+        NoiseSpec(snr=cfg.snr, seed=cfg.seed, scale=cfg.snr_scale)
+        for label, _ in cfg.schedule:  # before SwitchSchedule checks the durations
             if label not in cfg.params:
                 raise ConfigError(f"schedule references unknown condition {label!r}")
-            if n < 1:
-                raise ConfigError(f"schedule duration for {label!r} must be >= 1")
-        total = sum(n for _, n in cfg.schedule)
+        schedule = SwitchSchedule(steps=tuple(cfg.schedule))
+        total = schedule.total_samples
         if cfg.validation_samples is not None and cfg.validation_samples != total:
             raise ConfigError(
                 f"schedule durations sum to {total}, not the requested "
@@ -347,12 +302,9 @@ def _validate(cfg: RunConfig) -> None:
         if cfg.window <= 0:
             raise ConfigError(f"window must be positive, got {cfg.window}")
         if isinstance(cfg.priors, list):
-            if not all(math.isfinite(w) for w in cfg.priors):
-                raise ConfigError(f"prior weights must be finite, got {cfg.priors}")
-            if any(w < 0 for w in cfg.priors):
-                raise ConfigError(f"prior weights must be non-negative, got {cfg.priors}")
-            if sum(cfg.priors) <= 0:
-                raise ConfigError("prior weights must have a positive sum")
+            from .scheduler import Prior
+
+            Prior.from_weights(cfg.priors)
 
 
 def _resolve_prior(cfg: RunConfig, q: int):
@@ -429,7 +381,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 condition_label=label,
             )
             noisy_ts = add_noise(
-                _strip_labels(clean_ts),
+                replace(clean_ts, sample_labels=None),  # no true_label column
                 NoiseSpec(snr=snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale),
             )
             write_csv(noisy_ts, staged[f"train_{label}.csv"])
@@ -495,20 +447,6 @@ def _staged_outputs(out: str, names: list[str]):
         if isinstance(e, OSError):
             raise ConfigError(f"cannot write to {out}: {e.strerror or e}") from None
         raise
-
-
-def _strip_labels(ts):
-    from .dataset import TimeSeriesSet
-
-    if ts.sample_labels is None:
-        return ts
-    return TimeSeriesSet(
-        sample_rate=ts.sample_rate,
-        names=ts.names,
-        roles=ts.roles,
-        data=ts.data,
-        condition_label=ts.condition_label,
-    )
 
 
 def cmd_train(cfg: RunConfig) -> int:

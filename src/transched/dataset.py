@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -359,14 +359,7 @@ def detrend_mean(ts: TimeSeriesSet) -> TimeSeriesSet:
     # a large common offset leaves a residue of order eps*offset; mop it up
     # so the result is zero-mean at its own amplitude scale
     data -= data.mean(axis=1, keepdims=True)
-    return TimeSeriesSet(
-        sample_rate=ts.sample_rate,
-        names=ts.names,
-        roles=ts.roles,
-        data=data,
-        condition_label=ts.condition_label,
-        sample_labels=ts.sample_labels,
-    )
+    return replace(ts, data=data)
 
 
 def lag_matrix(y_i: np.ndarray, order: int) -> np.ndarray:

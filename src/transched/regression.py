@@ -92,7 +92,8 @@ def eigen_extremes(gram: np.ndarray) -> EigenExtremes:
 
     Round-off can push the smallest eigenvalue of a PSD matrix slightly
     negative; such values are floored at zero.  A clearly negative
-    eigenvalue means the input was not PSD.
+    eigenvalue means the input was not PSD.  ``ridge_fit`` applies the
+    same check to the spectrum of its own Gram matrix.
     """
     a = np.asarray(gram, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -103,26 +104,24 @@ def eigen_extremes(gram: np.ndarray) -> EigenExtremes:
     return _psd_extremes(_eigh(a, vectors=False))
 
 
-def select_rho(ext: EigenExtremes, c_lim: float) -> float:
+def _kappa(lambda_max: float, lambda_min: float) -> float:
+    return math.inf if lambda_min == 0.0 else lambda_max / lambda_min
+
+
+def select_rho(lambda_max: float, lambda_min: float, c_lim: float) -> float:
     """Smallest ridge weight capping the Gram condition number at c_lim.
 
-    A lambda_min at or below the rank tolerance is treated as exactly
-    zero (condition number infinite), which keeps the cap safe when the
-    eigensolver reports a tiny value for a singular matrix.  ``c_lim``
-    must lie in (1, MAX_C_LIM]: the eigenvalues carry an absolute error
-    of about eps * lambda_max, so rho is only good to about eps * c_lim.
+    ``lambda_min`` is taken as given: ``ridge_fit`` floors it to exactly zero
+    at the rank tolerance first, which keeps the cap safe when the
+    eigensolver reports a tiny value for a singular matrix.  ``c_lim`` must
+    lie in (1, MAX_C_LIM]: the eigenvalues carry an absolute error of about
+    eps * lambda_max, so rho is only good to about eps * c_lim.
     """
     if not 1.0 < c_lim <= MAX_C_LIM:
         raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {c_lim}")
-    l_max, l_min = ext.lambda_max, ext.lambda_min
-    if l_max <= 0.0:
-        return 0.0  # zero matrix: nothing to regularize
-    if l_min <= _RANK_TOL * l_max:
-        l_min = 0.0
-    kappa = math.inf if l_min == 0.0 else l_max / l_min
-    if kappa <= c_lim:
+    if _kappa(lambda_max, lambda_min) <= c_lim:
         return 0.0
-    return (l_max - l_min * c_lim) / (c_lim - 1.0)
+    return (lambda_max - lambda_min * c_lim) / (c_lim - 1.0)
 
 
 def ridge_solve(m: RegressionMatrices, rho: float) -> np.ndarray:
@@ -148,15 +147,16 @@ def ridge_fit(m: RegressionMatrices, c_lim: float = DEFAULT_C_LIM) -> RidgeSolut
     gram = m.phi.T @ m.phi
     eig = _eigh(gram)
     ext = _psd_extremes(eig[0])
-    rho = select_rho(ext, c_lim)
+    l_max = ext.lambda_max
+    l_min = 0.0 if ext.lambda_min <= _RANK_TOL * l_max else ext.lambda_min
+    rho = select_rho(l_max, l_min, c_lim)
+    # a zero Gram matrix gets rho 0, which _filter_solve rejects
     theta = _filter_solve(gram, eig, m.phi.T @ m.y, rho)
-    # a zero Gram matrix never gets here: _filter_solve rejects it
-    l_min = 0.0 if ext.lambda_min <= _RANK_TOL * ext.lambda_max else ext.lambda_min
     return RidgeSolution(
         theta=theta,
         sigma2=estimate_variance(m, theta),
         rho=rho,
-        kappa_before=math.inf if l_min == 0.0 else ext.lambda_max / l_min,
-        kappa_after=(ext.lambda_max + rho) / (l_min + rho),
+        kappa_before=_kappa(l_max, l_min),
+        kappa_after=(l_max + rho) / (l_min + rho),
         c_lim=c_lim,
     )

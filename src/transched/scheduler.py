@@ -74,10 +74,13 @@ class Prior:
 
     @staticmethod
     def from_weights(weights) -> "Prior":
-        """Normalize arbitrary non-negative weights into a prior."""
+        """Normalize arbitrary non-negative weights into a prior.  Errors show
+        the weights as given."""
         w = np.asarray(weights, dtype=float).ravel()
         if not np.isfinite(w).all():
-            raise ConfigError(f"prior weights must be finite, got {w}")
+            raise ConfigError(f"prior weights must be finite, got {weights}")
+        if np.any(w < 0):
+            raise ConfigError(f"prior weights must be non-negative, got {weights}")
         total = float(w.sum())
         if total <= 0:
             raise ConfigError("prior weights must have a positive sum")

@@ -12,7 +12,7 @@ switch instead of resetting it away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 from typing import Mapping
 
@@ -94,8 +94,9 @@ class SwitchSchedule:
 class NoiseSpec:
     """Measurement-noise request: SNR (power ratio, or dB) and a seed.
 
-    ``snr=math.inf`` means clean output.  ``scale`` is "linear" for a
-    plain power ratio or "db" for decibels.
+    ``snr=math.inf`` means clean output, and so does a dB value too large
+    for a float power ratio.  ``scale`` is "linear" for a plain power ratio
+    or "db" for decibels.
     """
 
     snr: float
@@ -104,16 +105,21 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.scale not in ("linear", "db"):
-            raise ConfigError(f"noise scale must be 'linear' or 'db', got {self.scale!r}")
+            raise ConfigError(f"snr_scale must be linear or db, got {self.scale!r}")
         if math.isnan(self.snr):
-            raise ConfigError("SNR must be a number, got nan")
+            raise ConfigError("snr must be a number, got nan")
         if self.scale == "linear" and self.snr <= 0:
-            raise ConfigError(f"linear SNR must be positive, got {self.snr}")
+            raise ConfigError(f"linear snr must be positive, got {self.snr}")
+        if self.snr == -math.inf:
+            raise ConfigError("snr of -inf db asks for infinite noise")
 
     @property
     def snr_linear(self) -> float:
         if self.scale == "db":
-            return math.inf if math.isinf(self.snr) else 10.0 ** (self.snr / 10.0)
+            try:
+                return 10.0 ** (self.snr / 10.0)
+            except OverflowError:
+                return math.inf
         return self.snr
 
 
@@ -296,7 +302,8 @@ def add_noise(ts: TimeSeriesSet, spec: NoiseSpec) -> TimeSeriesSet:
     """Add independent white Gaussian noise per channel at the given SNR.
 
     Noise power is the channel's mean-square power divided by the linear
-    SNR.  An infinite SNR returns the record unchanged.
+    SNR.  An infinite SNR returns the record unchanged; one so small that
+    the noise power is not a finite float is a ConfigError.
     """
     snr = spec.snr_linear
     if math.isinf(snr):
@@ -309,12 +316,11 @@ def add_noise(ts: TimeSeriesSet, spec: NoiseSpec) -> TimeSeriesSet:
             raise DataError(
                 f"channel {ts.names[i]!r} has zero power; cannot scale noise to finite SNR"
             )
-        data[i] = data[i] + rng.normal(0.0, math.sqrt(power / snr), ts.n_samples)
-    return TimeSeriesSet(
-        sample_rate=ts.sample_rate,
-        names=ts.names,
-        roles=ts.roles,
-        data=data,
-        condition_label=ts.condition_label,
-        sample_labels=ts.sample_labels,
-    )
+        noise_power = power / snr if snr > 0.0 else math.inf  # a dB snr can underflow to 0
+        if not math.isfinite(noise_power):
+            raise ConfigError(
+                f"snr {spec.snr} ({spec.scale}) makes the noise power of channel "
+                f"{ts.names[i]!r} infinite"
+            )
+        data[i] = data[i] + rng.normal(0.0, math.sqrt(noise_power), ts.n_samples)
+    return replace(ts, data=data)

@@ -5,7 +5,7 @@ primary family maps all pseudo-inputs to the target output (one model
 per condition, used for estimation), and the auxiliary family maps the
 remaining pseudo-inputs to a designated one (used online to recognize
 the active condition).  Families persist to a JSON store with floats
-written at 17 significant digits so a reload is bit-exact.
+written as the shortest ``repr`` that round-trips, so a reload is bit-exact.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Decomposition, RegressionMatrices, TimeSeriesSet, build_regressor, lag_matrix
 from .errors import DataError
-from .regression import DEFAULT_C_LIM, RidgeSolution, ridge_fit
+from .regression import DEFAULT_C_LIM, ridge_fit
 
 PRIMARY = "primary"
 AUXILIARY = "auxiliary"
@@ -126,12 +126,16 @@ def fit_fir(
     c_lim: float = DEFAULT_C_LIM,
 ) -> FirModel:
     """Fit one FIR map between named channels of a record."""
-    y_i = ts.channels(tuple(inputs))
-    y_o = ts.channel(output)
-    m = build_regressor(y_i, y_o, order)
-    sol: RidgeSolution = ridge_fit(m, c_lim)
+    m = build_regressor(ts.channels(tuple(inputs)), ts.channel(output), order)
+    return _fit_model(m, inputs, output, c_lim)
+
+
+def _fit_model(
+    m: RegressionMatrices, inputs: Sequence[str], output: str, c_lim: float
+) -> FirModel:
+    sol = ridge_fit(m, c_lim)
     return FirModel(
-        order=order,
+        order=m.order,
         input_dim=m.input_dim,
         theta=sol.theta,
         sigma2=sol.sigma2,
@@ -226,46 +230,16 @@ def fit_average(
         order=order,
         input_dim=parts[0].input_dim,
     )
-    sol = ridge_fit(stacked, c_lim)
-    return FirModel(
-        order=order,
-        input_dim=stacked.input_dim,
-        theta=sol.theta,
-        sigma2=sol.sigma2,
-        rho=sol.rho,
-        kappa_after=sol.kappa_after,
-        dof=stacked.n_rows - stacked.n_params,
-        input_channel_names=tuple(inputs),
-        output_channel_name=output,
-    )
-
-
-def _format_value(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    if isinstance(x, str):
-        return json.dumps(x)
-    if x is None:
-        return "null"
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_format_value(v) for v in x) + "]"
-    if isinstance(x, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in x.items())
-        return "{" + items + "}"
-    raise TypeError(f"cannot serialize {type(x)}")
+    return _fit_model(stacked, inputs, output, c_lim)
 
 
 def _model_record(m: FirModel) -> dict:
     return {
-        "theta": list(m.theta),
-        "sigma2": m.sigma2,
-        "rho": m.rho,
-        "kappa_after": m.kappa_after if math.isfinite(m.kappa_after) else None,
-        "dof": m.dof,
+        "theta": m.theta.tolist(),
+        "sigma2": float(m.sigma2),
+        "rho": float(m.rho),
+        "kappa_after": float(m.kappa_after) if math.isfinite(m.kappa_after) else None,
+        "dof": int(m.dof),
     }
 
 
@@ -295,8 +269,8 @@ def save_store(
 ) -> None:
     """Write both families (plus an optional pooled-data model) as JSON.
 
-    Floats carry 17 significant digits, enough to reload the exact same
-    binary values.
+    Floats are written as the shortest ``repr`` that round-trips, so a
+    reload gives the exact same binary values.
     """
     if g.labels != h.labels:
         raise DataError("primary and auxiliary families must share labels")
@@ -305,10 +279,10 @@ def save_store(
     doc = {
         "version": STORE_VERSION,
         "kind": "transmissibility-family-store",
-        "order": g.order,
-        "c_lim": c_lim,
+        "order": int(g.order),
+        "c_lim": float(c_lim),
         "decomposition": {
-            "aux_output_index": h.decomposition.aux_output_index,
+            "aux_output_index": int(h.decomposition.aux_output_index),
             "aux_output": h.output_channel_name,
         },
         "channel_names": {
@@ -322,9 +296,12 @@ def save_store(
     }
     if average is not None:
         doc["average"] = _model_record(average)
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as e:  # a non-finite c_lim; the models check their own floats
+        raise DataError(f"{path}: cannot write model store: {e}") from None
     with open(path, "w") as f:
-        f.write(_format_value(doc))
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def load_store(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from transched.dataset import RegressionMatrices, build_regressor
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.regression import (
-    EigenExtremes,
     eigen_extremes,
     estimate_variance,
     ridge_fit,
@@ -153,36 +154,70 @@ def test_eigen_extremes_rejects_indefinite():
         eigen_extremes(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+# ridge_fit checks the spectrum of its own Gram matrix with the same rule
+# and floors lambda_min at the rank tolerance before kappa_before and rho.
+
+
+def _gram_fit(x):
+    """ridge_fit on a design whose Gram matrix is x'x; zero rows keep dof > 0."""
+    phi = np.vstack([x, np.zeros((x.shape[1] + 1, x.shape[1]))])
+    return ridge_fit(_matrices(phi, np.ones(phi.shape[0]), order=0, input_dim=x.shape[1]))
+
+
+def test_ridge_fit_kappa_before_matches_scipy_eigvalsh():
+    rng = np.random.default_rng(22)
+    for n_rows, n_cols in ((30, 12), (12, 12), (6, 12)):  # full rank, square, rank deficient
+        x = rng.normal(size=(n_rows, n_cols))
+        lam = scipy.linalg.eigvalsh(x.T @ x)
+        kappa = _gram_fit(x).kappa_before
+        if n_rows < n_cols:
+            assert kappa == math.inf  # floored to exactly zero at the rank tolerance
+        else:
+            assert kappa == pytest.approx(lam[-1] / lam[0], rel=1e-8)
+
+
+def test_ridge_fit_floors_tiny_eigenvalue_to_zero():
+    # two nearly collinear columns: lambda_min / lambda_max ~ 5e-14, positive
+    # and well above round-off, but under the rank tolerance
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(20, 3))
+    x[:, 2] = x[:, 1] + 3e-7 * rng.normal(size=20)
+    lam = np.linalg.eigvalsh(x.T @ x)
+    assert 1e-15 < lam[0] / lam[-1] < 1e-12
+    sol = ridge_fit(_matrices(x, np.ones(20), order=0, input_dim=3))
+    assert sol.kappa_before == math.inf
+    assert sol.rho == pytest.approx(lam[-1] / (1e6 - 1.0), rel=1e-12)
+
+
 # ------------------------------------------------------------------ select_rho
 
 
 def test_select_rho_zero_branch():
-    assert select_rho(EigenExtremes(lambda_max=100.0, lambda_min=1.0), 1e6) == 0.0
+    assert select_rho(100.0, 1.0, 1e6) == 0.0
 
 
 def test_select_rho_cap_branch():
-    rho = select_rho(EigenExtremes(lambda_max=1e8, lambda_min=1.0), 1e6)
+    rho = select_rho(1e8, 1.0, 1e6)
     assert rho == (1e8 - 1e6) / (1e6 - 1.0)
     assert (1e8 + rho) / (1.0 + rho) == pytest.approx(1e6, rel=1e-9)
 
 
 def test_select_rho_singular_gram():
-    rho = select_rho(EigenExtremes(lambda_max=1.0, lambda_min=0.0), 1e6)
+    rho = select_rho(1.0, 0.0, 1e6)
     assert rho == 1.0 / (1e6 - 1.0)
     assert (1.0 + rho) / rho == pytest.approx(1e6, rel=1e-12)
 
 
 def test_select_rho_invalid_cap():
     with pytest.raises(ConfigError, match="c_lim"):
-        select_rho(EigenExtremes(lambda_max=1.0, lambda_min=1.0), 1.0)
+        select_rho(1.0, 1.0, 1.0)
 
 
 def test_select_rho_rejects_cap_above_ceiling():
     # eigenvalue error ~ eps * lambda_max makes rho inaccurate above 1e12
-    ext = EigenExtremes(lambda_max=1.0, lambda_min=0.0)
-    assert select_rho(ext, 1e12) == 1.0 / (1e12 - 1.0)
+    assert select_rho(1.0, 0.0, 1e12) == 1.0 / (1e12 - 1.0)
     with pytest.raises(ConfigError, match="c_lim"):
-        select_rho(ext, 1e13)
+        select_rho(1.0, 0.0, 1e13)
     with pytest.raises(ConfigError, match="c_lim"):
         ridge_fit(_matrices(np.eye(2), [1.0, 1.0], order=0, input_dim=2), 1e13)
 
@@ -277,10 +312,11 @@ def test_ridge_solve_zero_rho_equals_mle():
 def test_non_finite_input_is_numerical_error():
     # library callers can bypass the CSV and record checks; a LAPACK failure
     # or a nan spectrum must still surface as NumericalError (exit 4)
-    phi = np.random.default_rng(39).normal(size=(20, 3))
-    phi[4, 1] = np.nan
-    with pytest.raises(NumericalError):
-        ridge_fit(_matrices(phi, np.ones(20), order=0, input_dim=3))
+    for where in ((4, 1), (slice(None), 0), (slice(None), slice(None))):
+        phi = np.random.default_rng(39).normal(size=(20, 3))
+        phi[where] = np.nan
+        with pytest.raises(NumericalError):
+            ridge_fit(_matrices(phi, np.ones(20), order=0, input_dim=3))
     with pytest.raises(NumericalError):
         eigen_extremes(np.full((2, 2), np.nan))
 

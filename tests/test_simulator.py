@@ -395,3 +395,15 @@ def test_noise_spec_validation():
         with pytest.raises(ConfigError, match="nan"):
             NoiseSpec(snr=math.nan, seed=1, scale=scale)
         assert NoiseSpec(snr=math.inf, seed=1, scale=scale).snr_linear == math.inf
+    # more dB than a float power ratio holds is as clean as +inf; -inf dB is no SNR
+    assert NoiseSpec(snr=4000.0, seed=1, scale="db").snr_linear == math.inf
+    with pytest.raises(ConfigError, match="-inf"):
+        NoiseSpec(snr=-math.inf, seed=1, scale="db")
+
+
+@pytest.mark.parametrize("snr, scale", [(-4000.0, "db"), (1e-320, "linear")])
+def test_add_noise_infinite_noise_power(quarter_car_systems, snr, scale):
+    ts = simulate(quarter_car_systems, SwitchSchedule(steps=(("C1", 30),)),
+                  gen_excitation(30, 0.01, 11))
+    with pytest.raises(ConfigError, match=r"snr .* channel 'y_I1_a'"):
+        add_noise(ts, NoiseSpec(snr=snr, seed=1, scale=scale))

@@ -223,6 +223,23 @@ def test_store_round_trip_bit_exact(tmp_path, clean_training_pair):
     assert h2.decomposition.aux_output_index == 1
 
 
+def test_store_accepts_numpy_scalars(tmp_path, clean_training_pair):
+    # a library caller may take the index from np.argmax
+    g, h = train_families(clean_training_pair, Decomposition(aux_output_index=np.int64(1)), order=2)
+    save_store(tmp_path / "np.json", g, h, c_lim=np.float64(1e6))
+    g1, h1 = train_families(clean_training_pair, Decomposition(aux_output_index=1), order=2)
+    save_store(tmp_path / "py.json", g1, h1, c_lim=1e6)
+    assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
+
+
+def test_store_rejects_non_finite_c_lim(tmp_path, clean_training_pair):
+    g, h = train_families(clean_training_pair, Decomposition(aux_output_index=1), order=2)
+    path = tmp_path / "store.json"
+    with pytest.raises(DataError, match="cannot write model store") as err:
+        save_store(path, g, h, c_lim=float("nan"))
+    assert str(path) in str(err.value) and not path.exists()
+
+
 def test_store_rejects_unknown_version(tmp_path):
     path = tmp_path / "store.json"
     path.write_text('{"version": 99}')
