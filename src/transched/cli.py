@@ -321,11 +321,17 @@ def _resolve_prior(cfg: RunConfig, q: int):
 
 
 def _load_record(
-    cfg: RunConfig, path: str, condition_label: str | None, require_target: bool, order: int
+    cfg: RunConfig,
+    path: str,
+    condition_label: str | None,
+    require_target: bool,
+    order: int,
+    n_params: int = 0,
 ):
     """Load a CSV with the configured schema; the target column is optional
     for online data unless the caller needs ground truth.  The record must
-    have more samples than the FIR ``order``."""
+    have more samples than the FIR ``order``, and a training record must
+    give more regression rows than its model's ``n_params``."""
     from .dataset import detrend_mean, load_csv, read_csv_header
 
     header = read_csv_header(path)
@@ -342,6 +348,12 @@ def _load_record(
         raise DataError(
             f"{path}: {ts.n_samples} samples are too few for FIR order {order}; "
             f"need at least {order + 1}"
+        )
+    if ts.n_samples - order <= n_params:
+        raise DataError(
+            f"{path}: condition {condition_label!r}: {ts.n_samples - order} regression rows "
+            f"are too few for {n_params} FIR parameters at order {order}; "
+            f"need at least {order + n_params + 1} samples"
         )
     return detrend_mean(ts) if cfg.detrend else ts
 
@@ -453,8 +465,11 @@ def cmd_train(cfg: RunConfig) -> int:
     from .dataset import Decomposition, signal_power
     from .transmissibility import fit_average, save_store, train_families
 
+    # the primary models take every pseudo-input, so they have the most parameters
+    n_pseudo = list(cfg.channels.values()).count(PSEUDO_INPUT)
     records = [
-        _load_record(cfg, path, label, require_target=True, order=cfg.order)
+        _load_record(cfg, path, label, require_target=True, order=cfg.order,
+                     n_params=n_pseudo * (cfg.order + 1))
         for label, path in cfg.train_data.items()
     ]
     pseudo = records[0].pseudo_input_names

@@ -33,6 +33,14 @@ _CELL_BYTES = bytes(c for c in range(0x21, 0x7F) if c not in b'",')
 # and chunk keeps their memory flat whatever the record length.
 WRITE_CHUNK_ROWS = 1024
 
+# Lag-matrix rows per block of the online stage: prediction and window
+# classification build one block's lag matrix at a time, so their memory
+# stays flat whatever the record length.  Prediction blocks start at
+# multiples of 8192 rows, where a BLAS kernel's unrolled row loops restart,
+# which keeps blockwise prediction bit-identical to one whole-record product
+# at one BLAS thread.
+BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class TimeSeriesSet:
@@ -362,20 +370,37 @@ def detrend_mean(ts: TimeSeriesSet) -> TimeSeriesSet:
     return replace(ts, data=data)
 
 
-def lag_matrix(y_i: np.ndarray, order: int) -> np.ndarray:
-    """Stack lags 0..order of all input channels row-wise per time step.
-
-    Row t (t = order..M-1, 0-based) is [y(t)', y(t-1)', ..., y(t-order)'],
-    one block of all channels per lag.
-    """
-    y_i = np.atleast_2d(np.asarray(y_i, dtype=float))
-    n_i, m = y_i.shape
+def lag_rows(m: int, order: int) -> int:
+    """Rows of the lag matrix of an ``m``-sample record: ``m - order``."""
     if order < 0:
         raise DataError(f"order must be non-negative, got {order}")
     if m <= order:
         raise DataError(f"insufficient samples for order {order}: need > {order}, got {m}")
+    return m - order
+
+
+def lag_layout(n_inputs: int) -> str:
+    """Memory order of a lag matrix of ``n_inputs`` channels: Fortran when a
+    lag spans several channels, as ``np.hstack`` of the per-lag blocks gave
+    it.  The rounding of BLAS products with the matrix depends on it."""
+    return "F" if n_inputs > 1 else "C"
+
+
+def lag_matrix(y_i: np.ndarray, order: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Stack lags 0..order of all input channels row-wise per time step.
+
+    Row t (t = order..M-1, 0-based) is [y(t)', y(t-1)', ..., y(t-order)'],
+    one block of all channels per lag.  The rows go into ``out`` if given
+    (any view of the right shape, such as a row slice of a larger matrix),
+    else into a new matrix in ``lag_layout`` order; that array is returned.
+    """
+    y_i = np.atleast_2d(np.asarray(y_i, dtype=float))
+    n_i, m = y_i.shape
+    rows = lag_rows(m, order)
+    if out is None:
+        out = np.empty((rows, n_i * (order + 1)), order=lag_layout(n_i))
     blocks = [y_i[:, order - k : m - k].T for k in range(order + 1)]
-    return np.hstack(blocks)
+    return np.concatenate(blocks, axis=1, out=out)
 
 
 def build_regressor(y_i: np.ndarray, y_target: np.ndarray, order: int) -> RegressionMatrices:

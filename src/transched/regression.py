@@ -108,6 +108,11 @@ def _kappa(lambda_max: float, lambda_min: float) -> float:
     return math.inf if lambda_min == 0.0 else lambda_max / lambda_min
 
 
+def _check_c_lim(c_lim: float) -> None:
+    if not 1.0 < c_lim <= MAX_C_LIM:
+        raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {c_lim}")
+
+
 def select_rho(lambda_max: float, lambda_min: float, c_lim: float) -> float:
     """Smallest ridge weight capping the Gram condition number at c_lim.
 
@@ -117,8 +122,7 @@ def select_rho(lambda_max: float, lambda_min: float, c_lim: float) -> float:
     lie in (1, MAX_C_LIM]: the eigenvalues carry an absolute error of about
     eps * lambda_max, so rho is only good to about eps * c_lim.
     """
-    if not 1.0 < c_lim <= MAX_C_LIM:
-        raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {c_lim}")
+    _check_c_lim(c_lim)
     if _kappa(lambda_max, lambda_min) <= c_lim:
         return 0.0
     return (lambda_max - lambda_min * c_lim) / (c_lim - 1.0)
@@ -130,20 +134,27 @@ def ridge_solve(m: RegressionMatrices, rho: float) -> np.ndarray:
     return _filter_solve(gram, _eigh(gram), m.phi.T @ m.y, rho)
 
 
-def estimate_variance(m: RegressionMatrices, theta: np.ndarray) -> float:
-    """Residual variance, normalized by the regression degrees of freedom."""
+def _dof(m: RegressionMatrices) -> int:
     dof = m.n_rows - m.n_params
     if dof <= 0:
         raise DataError(f"insufficient data for variance estimate: {m.n_rows} rows, "
                         f"{m.n_params} parameters")
+    return dof
+
+
+def estimate_variance(m: RegressionMatrices, theta: np.ndarray) -> float:
+    """Residual variance, normalized by the regression degrees of freedom."""
+    dof = _dof(m)
     r = m.y - m.phi @ np.asarray(theta, dtype=float)
     return float(r @ r) / dof
 
 
 def ridge_fit(m: RegressionMatrices, c_lim: float = DEFAULT_C_LIM) -> RidgeSolution:
-    """Ridge estimate with rho chosen by the condition-number rule."""
-    if m.n_rows <= 0:
-        raise DataError("regression needs at least one row")
+    """Ridge estimate with rho chosen by the condition-number rule.  A
+    regression with no more rows than parameters fails before its Gram
+    matrix is formed."""
+    _check_c_lim(c_lim)  # a config error is reported before a data error
+    _dof(m)
     gram = m.phi.T @ m.phi
     eig = _eigh(gram)
     ext = _psd_extremes(eig[0])

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataset
 from .dataset import WRITE_CHUNK_ROWS, TimeSeriesSet, build_regressor, lag_matrix
 from .errors import ConfigError, DataError, NumericalError
 from .transmissibility import FirModel, TransmissibilityFamily, predict_record
@@ -34,11 +35,6 @@ from .transmissibility import FirModel, TransmissibilityFamily, predict_record
 # Windows whose two best log-evidences are closer than this are flagged
 # ambiguous in the trace; they typically straddle a dynamics switch.
 AMBIGUITY_NATS = 2.0
-
-# Rows per block of whole windows in the residual pass: a block's lag
-# matrix has at most BLOCK_ROWS rows (or one window, if longer) whatever
-# the record length.
-BLOCK_ROWS = 8192
 
 WINDOW_TRACE_FORMAT = "transched-window-trace v1"
 SAMPLE_TRACE_FORMAT = "transched-sample-trace v1"
@@ -337,7 +333,9 @@ def _window_log_evidence(
     aux = online.channel(h.output_channel_name)
     thetas = np.stack([mod.theta for mod in h.models], axis=1)  # p x Q
     n_full = min(n_windows, m // window_len)
-    per_block = max(1, BLOCK_ROWS // window_len)
+    # a block of whole windows spans at most dataset.BLOCK_ROWS rows (or one
+    # window, if longer)
+    per_block = max(1, dataset.BLOCK_ROWS // window_len)
     blocks = [
         (first * window_len, min(per_block, n_full - first), window_len)
         for first in range(0, n_full, per_block)

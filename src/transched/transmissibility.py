@@ -18,7 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Decomposition, RegressionMatrices, TimeSeriesSet, build_regressor, lag_matrix
+from . import dataset
+from .dataset import (
+    Decomposition,
+    RegressionMatrices,
+    TimeSeriesSet,
+    build_regressor,
+    lag_layout,
+    lag_matrix,
+    lag_rows,
+)
 from .errors import DataError
 from .regression import DEFAULT_C_LIM, ridge_fit
 
@@ -151,14 +160,23 @@ def predict(model: FirModel, y_i: np.ndarray) -> np.ndarray:
     """Apply a fitted model to pseudo-input data.
 
     Returns estimates for t = order..M-1 (length M - order); the first
-    ``order`` samples only seed the lags.
+    ``order`` samples only seed the lags.  The output is filled in blocks
+    of ``dataset.BLOCK_ROWS`` rows, one block's lag matrix at a time; at one
+    BLAS thread it is bit-identical to the whole-record ``lag_matrix @ theta``.
     """
     y_i = np.atleast_2d(np.asarray(y_i, dtype=float))
     if y_i.shape[0] != model.input_dim:
         raise DataError(
             f"model expects {model.input_dim} input channels, got {y_i.shape[0]}"
         )
-    return lag_matrix(y_i, model.order) @ model.theta
+    order = model.order
+    n = lag_rows(y_i.shape[1], order)
+    out = np.empty(n)
+    step = dataset.BLOCK_ROWS
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        out[a:b] = lag_matrix(y_i[:, a : b + order], order) @ model.theta
+    return out
 
 
 def predict_record(model: FirModel, ts: TimeSeriesSet) -> np.ndarray:
@@ -219,16 +237,27 @@ def fit_average(
     order: int,
     c_lim: float = DEFAULT_C_LIM,
 ) -> FirModel:
-    """Fit one model to all conditions at once by row-stacking their regressions."""
+    """Fit one model to all conditions at once by row-stacking their regressions.
+
+    Each record's lag rows are written straight into one preallocated
+    design matrix, in the memory order ``np.vstack`` of the records' lag
+    matrices would give it, so the fit equals that of the vstacked
+    regression bit for bit without holding every record's matrix twice.
+    """
     if not records:
         raise DataError("need at least one record")
-    parts = [build_regressor(ts.channels(tuple(inputs)), ts.channel(output), order)
-             for ts in records]
+    inputs = tuple(inputs)
+    rows = [lag_rows(ts.n_samples, order) for ts in records]
+    phi = np.empty((sum(rows), len(inputs) * (order + 1)), order=lag_layout(len(inputs)))
+    at = 0
+    for ts, n in zip(records, rows):
+        lag_matrix(ts.channels(inputs), order, out=phi[at : at + n])
+        at += n
     stacked = RegressionMatrices(
-        phi=np.vstack([p.phi for p in parts]),
-        y=np.concatenate([p.y for p in parts]),
+        phi=phi,
+        y=np.concatenate([ts.channel(output)[order:] for ts in records]),
         order=order,
-        input_dim=parts[0].input_dim,
+        input_dim=len(inputs),
     )
     return _fit_model(stacked, inputs, output, c_lim)
 

@@ -483,6 +483,21 @@ def test_fault_injection(pipeline_dir, tmp_path, capsys, command, files, corrupt
     assert sorted(p.name for p in out.iterdir()) == sorted(files)  # nothing written
 
 
+def test_train_with_more_parameters_than_rows_fails_before_fitting(
+        pipeline_dir, tmp_path, capsys, monkeypatch):
+    # 1000 samples at order 900 give 100 rows for 2 * 901 primary parameters
+    def no_fit(*args):
+        raise AssertionError("a hopeless fit must fail before its Gram matrix is formed")
+
+    monkeypatch.setattr("transched.transmissibility.ridge_fit", no_fit)
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", _TRAIN_FILES)
+    capsys.readouterr()
+    assert _run(["train", "--out", str(out), "--order", "900"]) == 3
+    _assert_one_line_error(capsys, "data error: ", "train_C1.csv: condition 'C1': ",
+                           "100 regression rows are too few for 1802 FIR parameters")
+    assert sorted(p.name for p in out.iterdir()) == sorted(_TRAIN_FILES)  # nothing written
+
+
 def test_quoted_header_reads_like_load_csv(pipeline_dir, tmp_path):
     out = _copy_outputs(pipeline_dir, tmp_path / "o", _ONLINE_FILES)
     plain = (out / "validation.csv").read_text()

@@ -13,6 +13,7 @@ from transched.dataset import (
     TimeSeriesSet,
     build_regressor,
     detrend_mean,
+    lag_matrix,
     load_csv,
     signal_power,
     write_csv,
@@ -292,6 +293,34 @@ def test_regressor_lag_blocks_recover_shifted_channels():
     for lag in range(order + 1):
         block = m.phi[:, lag * n_i : (lag + 1) * n_i]
         np.testing.assert_array_equal(block, y_i[:, order - lag : m_len - lag].T)
+
+
+@pytest.mark.parametrize("n_i", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 3])
+def test_lag_matrix_keeps_the_layout_of_hstack(n_i, order):
+    # BLAS products round by memory layout; the per-lag hstack set it first
+    y_i = np.random.default_rng(n_i).normal(size=(n_i, 50))
+    ref = np.hstack([y_i[:, order - k : 50 - k].T for k in range(order + 1)])
+    phi = lag_matrix(y_i, order)
+    np.testing.assert_array_equal(phi, ref)
+    assert (phi.flags.c_contiguous, phi.flags.f_contiguous) == (
+        ref.flags.c_contiguous, ref.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_lag_matrix_fills_a_row_slice(layout):
+    rng = np.random.default_rng(3)
+    y_i = rng.normal(size=(2, 30))
+    stacked = np.full((40, 6), np.nan, order=layout)
+    returned = lag_matrix(y_i, 2, out=stacked[5:33])
+    assert np.shares_memory(returned, stacked)
+    np.testing.assert_array_equal(stacked[5:33], lag_matrix(y_i, 2))
+    assert np.isnan(stacked[:5]).all() and np.isnan(stacked[33:]).all()
+
+
+def test_lag_matrix_rejects_negative_order():
+    with pytest.raises(DataError, match="order must be non-negative"):
+        lag_matrix([1.0, 2.0], -1)
 
 
 # ----------------------------------------------------------- decomposition

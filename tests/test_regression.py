@@ -342,6 +342,16 @@ def test_variance_arithmetic():
     assert estimate_variance(m, np.zeros(2)) == 10.0 / 18.0
 
 
+def test_ridge_fit_rejects_too_few_rows_before_the_gram(monkeypatch):
+    def no_eigh(*args):
+        raise AssertionError("Gram matrix formed")
+
+    monkeypatch.setattr("transched.regression._eigh", no_eigh)
+    m = _matrices(np.ones((3, 4)), [1.0, 2.0, 3.0], order=1, input_dim=2)
+    with pytest.raises(DataError, match="insufficient data for variance estimate: 3 rows, 4"):
+        ridge_fit(m)
+
+
 def test_variance_dof_guard():
     m = _matrices(np.eye(2), [1.0, 2.0], order=0, input_dim=2)
     with pytest.raises(DataError, match="insufficient data"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transched import scheduler
+from transched import dataset
 from transched.dataset import Decomposition, PSEUDO_INPUT, TimeSeriesSet
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
@@ -417,8 +417,10 @@ def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
     online = _window(u, v)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scheduler, "BLOCK_ROWS", block)
+        mp.setattr(dataset, "BLOCK_ROWS", block)
         trace = schedule_estimate(g, h, online, prior, window_len, pooled=pooled)
+        # predictions run in blocks of the same size
+        member_preds = [predict_record(mod, online) for mod in g.models] if m > order else []
 
     # the windows partition the record; a tail of <= order samples is skipped
     edges = list(range(0, m, window_len)) + [m]
@@ -449,7 +451,7 @@ def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
             assert res.chosen == ref.chosen
         if flag_gap > tol:
             assert res.ambiguous == ref.ambiguous
-        preds = predict_record(g.models[res.chosen], online)
+        preds = member_preds[res.chosen]
         lo = max(start, order)
         estimates[lo:stop] = preds[lo - order : stop - order]
         labels[start:stop] = [g.labels[res.chosen]] * (stop - start)

@@ -1,11 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from transched.dataset import Decomposition, PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
+import transched
+from transched import dataset
+from transched.dataset import (
+    Decomposition,
+    PSEUDO_INPUT,
+    TARGET_OUTPUT,
+    RegressionMatrices,
+    TimeSeriesSet,
+    build_regressor,
+)
 from transched.errors import DataError
 from transched.evaluation import fit_metric
+from transched.regression import ridge_fit
 from transched.transmissibility import (
     FirModel,
     TransmissibilityFamily,
@@ -25,6 +39,23 @@ def _record(data, names, target="f", label=None):
     roles = tuple(TARGET_OUTPUT if n == target else PSEUDO_INPUT for n in names)
     return TimeSeriesSet(sample_rate=10.0, names=tuple(names), roles=roles,
                          data=np.asarray(data, dtype=float), condition_label=label)
+
+
+def _random_record(rng, m_len, label=None):
+    # channels of very different scales, so a changed summation order shows
+    scale = 10.0 ** rng.uniform(-3, 3, size=(3, 1))
+    return _record(scale * rng.normal(size=(3, m_len)), ("a", "b", "f"), label=label)
+
+
+def _peak_bytes(fn, *args):
+    """Peak of the memory traced while ``fn(*args)`` runs; numpy reports its
+    array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _passthrough_record(seed=0, m_len=200):
@@ -103,6 +134,62 @@ def test_predict_linear_in_theta():
     combo = predict(m(2.0 * t1 + 3.0 * t2), u)
     np.testing.assert_allclose(combo, 2.0 * predict(m(t1), u) + 3.0 * predict(m(t2), u),
                                rtol=1e-12, atol=1e-12)
+
+
+# Blockwise prediction against the whole-record product, in a child with one
+# BLAS thread: a threaded GEMV splits a whole record's rows between threads
+# at an unaligned row, so the promise holds per kernel at one thread.  The
+# child inherits OPENBLAS_CORETYPE, so a CI step can pin the kernel.
+_BLOCKWISE_IDENTITY = """
+import numpy as np
+from transched import dataset
+from transched.transmissibility import FirModel, predict
+
+for n_i in (1, 2):
+    for order in (0, 9):
+        for blocks in (2, 3):  # whole blocks, then a ragged tail of 37 rows
+            rng = np.random.default_rng(100 * n_i + 10 * order + blocks)
+            rows = blocks * dataset.BLOCK_ROWS + 37
+            y_i = 10.0 ** rng.uniform(-3, 3, size=(n_i, 1)) * rng.normal(
+                size=(n_i, rows + order))
+            theta = rng.normal(size=n_i * (order + 1))
+            model = FirModel(order=order, input_dim=n_i, theta=theta, sigma2=1.0, dof=1,
+                             input_channel_names=tuple(f"u{i}" for i in range(n_i)),
+                             output_channel_name="v")
+            # the whole-record lag matrix, laid out as np.hstack of the lag blocks
+            phi = np.hstack([y_i[:, order - k : rows + order - k].T
+                             for k in range(order + 1)])
+            whole = phi @ theta
+            blockwise = predict(model, y_i)
+            if not np.array_equal(blockwise, whole):
+                bad = np.flatnonzero(blockwise != whole)
+                print(f"n_i={n_i} order={order} rows={rows}: rows {bad[:5].tolist()} differ")
+"""
+
+
+def test_predict_in_blocks_equals_whole_record_product():
+    # blocks start at multiples of 8192 rows, where the kernels' unrolled row
+    # loops restart
+    assert dataset.BLOCK_ROWS % 8192 == 0
+    src = os.path.dirname(os.path.dirname(transched.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _BLOCKWISE_IDENTITY], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_predict_memory_stays_within_two_blocks():
+    rng = np.random.default_rng(5)
+    n_i, order = 2, 10
+    p = n_i * (order + 1)
+    y_i = rng.normal(size=(n_i, 5 * dataset.BLOCK_ROWS))
+    model = FirModel(order=order, input_dim=n_i, theta=rng.normal(size=p), sigma2=1.0,
+                     dof=1, input_channel_names=("u0", "u1"), output_channel_name="v")
+    output = (y_i.shape[1] - order) * 8
+    block_lag_matrix = dataset.BLOCK_ROWS * p * 8
+    assert _peak_bytes(predict, model, y_i) < output + 2 * block_lag_matrix
 
 
 # ---------------------------------------------------------------- families
@@ -201,6 +288,40 @@ def test_fit_average_loses_to_matched_models(quarter_car_systems, clean_training
         fit_matched = fit_metric(heldout.target()[10:], predict_record(matched, heldout))
         fit_avg = fit_metric(heldout.target()[10:], predict_record(avg, heldout))
         assert fit_avg < fit_matched
+
+
+@pytest.mark.parametrize("inputs", [("a",), ("a", "b")])
+@pytest.mark.parametrize("c_lim", [1.0e6, 1.1])
+def test_fit_average_equals_fit_of_vstacked_regressions(inputs, c_lim):
+    rng = np.random.default_rng(len(inputs))
+    order = 6
+    records = [_random_record(rng, m_len, label=f"C{i}")
+               for i, m_len in enumerate((300, 451, 1000))]
+    parts = [build_regressor(ts.channels(inputs), ts.channel("f"), order) for ts in records]
+    stacked = RegressionMatrices(
+        phi=np.vstack([m.phi for m in parts]),
+        y=np.concatenate([m.y for m in parts]),
+        order=order,
+        input_dim=len(inputs),
+    )
+    sol = ridge_fit(stacked, c_lim)
+    avg = fit_average(records, inputs, "f", order, c_lim)
+    np.testing.assert_array_equal(avg.theta, sol.theta)
+    assert avg.sigma2 == sol.sigma2
+    assert avg.rho == sol.rho
+    assert avg.kappa_after == sol.kappa_after
+    assert avg.dof == stacked.n_rows - stacked.n_params
+    if c_lim == 1.1:
+        assert avg.rho > 0.0  # the cap binds
+
+
+def test_fit_average_memory_stays_near_the_stacked_regression():
+    rng = np.random.default_rng(6)
+    order = 30
+    records = [_random_record(rng, 5000, label=f"C{i}") for i in range(4)]
+    rows = sum(ts.n_samples - order for ts in records)
+    stacked = rows * 2 * (order + 1) * 8 + rows * 8  # design matrix and targets
+    assert _peak_bytes(fit_average, records, ("a", "b"), "f", order) < 1.1 * stacked
 
 
 # -------------------------------------------------------------- model store
