@@ -45,6 +45,7 @@ _EXPORTS = {
         "eigen_extremes",
         "estimate_variance",
         "ridge_fit",
+        "ridge_fit_pooled",
         "ridge_solve",
         "select_rho",
     ),

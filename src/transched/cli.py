@@ -99,10 +99,10 @@ def _parse_priors(where: str, raw: str) -> str | list[float]:
 
 def _setting(default, *sections: str, key: str | None = None, parse=None):
     """A RunConfig field read from ``key`` (default: the field's name) in the
-    INI ``sections``.  The first section always applies; a later one overrides
-    it only when it is the running command's own section.  ``parse(where,
-    raw)`` turns the raw string into the value; by default it is the type of
-    ``default``."""
+    INI ``sections``.  The first section always applies, and so does every
+    section up to the running command's own, each overriding the ones before
+    it.  ``parse(where, raw)`` turns the raw string into the value; by
+    default it is the type of ``default``."""
     meta = {"sections": sections, "key": key, "parse": parse or _typed(type(default))}
     if isinstance(default, (dict, list)):
         return field(default_factory=default.copy, metadata=meta)
@@ -207,10 +207,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cp = _read_ini(args.config) if args.config else configparser.ConfigParser()
     for f in fields(RunConfig):
         key = f.metadata.get("key") or f.name
-        given = [
-            s for i, s in enumerate(f.metadata.get("sections", ()))
-            if (i == 0 or s == args.command) and cp.has_option(s, key)
-        ]
+        sections = f.metadata.get("sections", ())
+        own = sections.index(args.command) if args.command in sections else 0
+        given = [s for s in sections[: own + 1] if cp.has_option(s, key)]
         if given:
             section, parse = given[-1], f.metadata["parse"]
             setattr(cfg, f.name, parse(f"[{section}] {key}", cp.get(section, key)))

@@ -379,26 +379,18 @@ def lag_rows(m: int, order: int) -> int:
     return m - order
 
 
-def lag_layout(n_inputs: int) -> str:
-    """Memory order of a lag matrix of ``n_inputs`` channels: Fortran when a
-    lag spans several channels, as ``np.hstack`` of the per-lag blocks gave
-    it.  The rounding of BLAS products with the matrix depends on it."""
-    return "F" if n_inputs > 1 else "C"
-
-
-def lag_matrix(y_i: np.ndarray, order: int, out: np.ndarray | None = None) -> np.ndarray:
+def lag_matrix(y_i: np.ndarray, order: int) -> np.ndarray:
     """Stack lags 0..order of all input channels row-wise per time step.
 
     Row t (t = order..M-1, 0-based) is [y(t)', y(t-1)', ..., y(t-order)'],
-    one block of all channels per lag.  The rows go into ``out`` if given
-    (any view of the right shape, such as a row slice of a larger matrix),
-    else into a new matrix in ``lag_layout`` order; that array is returned.
+    one block of all channels per lag.  The matrix is in Fortran order when
+    a lag spans several channels, as ``np.hstack`` of the per-lag blocks
+    gave it; the rounding of BLAS products with the matrix depends on it.
     """
     y_i = np.atleast_2d(np.asarray(y_i, dtype=float))
     n_i, m = y_i.shape
     rows = lag_rows(m, order)
-    if out is None:
-        out = np.empty((rows, n_i * (order + 1)), order=lag_layout(n_i))
+    out = np.empty((rows, n_i * (order + 1)), order="F" if n_i > 1 else "C")
     blocks = [y_i[:, order - k : m - k].T for k in range(order + 1)]
     return np.concatenate(blocks, axis=1, out=out)
 

@@ -9,12 +9,17 @@ value that caps the Gram matrix condition number at ``c_lim``:
 which lands the regularized condition number exactly on ``c_lim``.  One
 LAPACK eigendecomposition Phi'Phi = V diag(lambda) V' gives both the extremes
 of that rule and theta = V diag(1/(lambda + rho)) V' Phi'y (filter-factor form).
+
+The rule works from the normal equations alone, so a row-stacked regression
+is fitted from the sums of its parts' Gram matrices and right-hand sides
+(``ridge_fit_pooled``) and never holds the stacked design matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -45,6 +50,7 @@ class RidgeSolution:
 
     theta: np.ndarray
     sigma2: float
+    dof: int
     rho: float
     kappa_before: float
     kappa_after: float
@@ -134,19 +140,38 @@ def ridge_solve(m: RegressionMatrices, rho: float) -> np.ndarray:
     return _filter_solve(gram, _eigh(gram), m.phi.T @ m.y, rho)
 
 
-def _dof(m: RegressionMatrices) -> int:
-    dof = m.n_rows - m.n_params
+def _dof(n_rows: int, n_params: int) -> int:
+    dof = n_rows - n_params
     if dof <= 0:
-        raise DataError(f"insufficient data for variance estimate: {m.n_rows} rows, "
-                        f"{m.n_params} parameters")
+        raise DataError(f"insufficient data for variance estimate: {n_rows} rows, "
+                        f"{n_params} parameters")
     return dof
 
 
 def estimate_variance(m: RegressionMatrices, theta: np.ndarray) -> float:
     """Residual variance, normalized by the regression degrees of freedom."""
-    dof = _dof(m)
-    r = m.y - m.phi @ np.asarray(theta, dtype=float)
-    return float(r @ r) / dof
+    dof = _dof(m.n_rows, m.n_params)
+    return _rss(m, np.asarray(theta, dtype=float)) / dof
+
+
+def _rss(m: RegressionMatrices, theta: np.ndarray) -> float:
+    r = m.y - m.phi @ theta
+    return float(r @ r)
+
+
+def _solve_normal(
+    gram: np.ndarray, rhs: np.ndarray, c_lim: float
+) -> tuple[np.ndarray, float, float, float]:
+    """theta, rho, kappa before and after, from the normal equations
+    ``gram theta = rhs`` with rho chosen by the condition-number rule."""
+    eig = _eigh(gram)
+    ext = _psd_extremes(eig[0])
+    l_max = ext.lambda_max
+    l_min = 0.0 if ext.lambda_min <= _RANK_TOL * l_max else ext.lambda_min
+    rho = select_rho(l_max, l_min, c_lim)
+    # a zero Gram matrix gets rho 0, which _filter_solve rejects
+    theta = _filter_solve(gram, eig, rhs, rho)
+    return theta, rho, _kappa(l_max, l_min), (l_max + rho) / (l_min + rho)
 
 
 def ridge_fit(m: RegressionMatrices, c_lim: float = DEFAULT_C_LIM) -> RidgeSolution:
@@ -154,20 +179,54 @@ def ridge_fit(m: RegressionMatrices, c_lim: float = DEFAULT_C_LIM) -> RidgeSolut
     regression with no more rows than parameters fails before its Gram
     matrix is formed."""
     _check_c_lim(c_lim)  # a config error is reported before a data error
-    _dof(m)
-    gram = m.phi.T @ m.phi
-    eig = _eigh(gram)
-    ext = _psd_extremes(eig[0])
-    l_max = ext.lambda_max
-    l_min = 0.0 if ext.lambda_min <= _RANK_TOL * l_max else ext.lambda_min
-    rho = select_rho(l_max, l_min, c_lim)
-    # a zero Gram matrix gets rho 0, which _filter_solve rejects
-    theta = _filter_solve(gram, eig, m.phi.T @ m.y, rho)
+    dof = _dof(m.n_rows, m.n_params)
+    theta, rho, kappa_before, kappa_after = _solve_normal(m.phi.T @ m.phi, m.phi.T @ m.y, c_lim)
     return RidgeSolution(
         theta=theta,
         sigma2=estimate_variance(m, theta),
+        dof=dof,
         rho=rho,
-        kappa_before=_kappa(l_max, l_min),
-        kappa_after=(l_max + rho) / (l_min + rho),
+        kappa_before=kappa_before,
+        kappa_after=kappa_after,
+        c_lim=c_lim,
+    )
+
+
+def ridge_fit_pooled(
+    parts: Callable[[], Iterable[RegressionMatrices]],
+    n_rows: int,
+    n_params: int,
+    c_lim: float = DEFAULT_C_LIM,
+) -> RidgeSolution:
+    """``ridge_fit`` of the row-stacked regressions that ``parts()`` yields,
+    holding one part at a time.
+
+    ``parts`` is called twice: to sum the parts' Gram matrices and
+    right-hand sides (the stacked normal equations), then to sum their
+    squared residuals, never as y'y - 2 theta'b + theta'G theta, which
+    cancels below zero on an exact fit.  ``n_rows`` (all parts together) and
+    ``n_params`` are checked before any part is built.  One part gives
+    exactly ``ridge_fit``'s solution.
+    """
+    _check_c_lim(c_lim)
+    dof = _dof(n_rows, n_params)
+    gram = np.zeros((n_params, n_params))
+    rhs = np.zeros(n_params)
+    for m in parts():
+        gram += m.phi.T @ m.phi
+        rhs += m.phi.T @ m.y
+        del m  # else it is still held while the next part is built
+    theta, rho, kappa_before, kappa_after = _solve_normal(gram, rhs, c_lim)
+    rss = 0.0
+    for m in parts():
+        rss += _rss(m, theta)
+        del m
+    return RidgeSolution(
+        theta=theta,
+        sigma2=rss / dof,
+        dof=dof,
+        rho=rho,
+        kappa_before=kappa_before,
+        kappa_after=kappa_after,
         c_lim=c_lim,
     )

@@ -4,8 +4,11 @@ Two families are built offline from the same labeled records: the
 primary family maps all pseudo-inputs to the target output (one model
 per condition, used for estimation), and the auxiliary family maps the
 remaining pseudo-inputs to a designated one (used online to recognize
-the active condition).  Families persist to a JSON store with floats
-written as the shortest ``repr`` that round-trips, so a reload is bit-exact.
+the active condition).  A pooled-data "average" model, fitted to all
+records at once for comparison studies, is solved from the summed normal
+equations, so it holds one record's lag matrix at a time.  Families
+persist to a JSON store with floats written as the shortest ``repr`` that
+round-trips, so a reload is bit-exact.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ import numpy as np
 from . import dataset
 from .dataset import (
     Decomposition,
-    RegressionMatrices,
     TimeSeriesSet,
     build_regressor,
-    lag_layout,
     lag_matrix,
     lag_rows,
 )
 from .errors import DataError
-from .regression import DEFAULT_C_LIM, ridge_fit
+from .regression import DEFAULT_C_LIM, RidgeSolution, ridge_fit, ridge_fit_pooled
 
 PRIMARY = "primary"
 AUXILIARY = "auxiliary"
@@ -136,21 +137,20 @@ def fit_fir(
 ) -> FirModel:
     """Fit one FIR map between named channels of a record."""
     m = build_regressor(ts.channels(tuple(inputs)), ts.channel(output), order)
-    return _fit_model(m, inputs, output, c_lim)
+    return _fir_model(ridge_fit(m, c_lim), order, inputs, output)
 
 
-def _fit_model(
-    m: RegressionMatrices, inputs: Sequence[str], output: str, c_lim: float
+def _fir_model(
+    sol: RidgeSolution, order: int, inputs: Sequence[str], output: str
 ) -> FirModel:
-    sol = ridge_fit(m, c_lim)
     return FirModel(
-        order=m.order,
-        input_dim=m.input_dim,
+        order=order,
+        input_dim=len(inputs),
         theta=sol.theta,
         sigma2=sol.sigma2,
         rho=sol.rho,
         kappa_after=sol.kappa_after,
-        dof=m.n_rows - m.n_params,
+        dof=sol.dof,
         input_channel_names=tuple(inputs),
         output_channel_name=output,
     )
@@ -237,29 +237,37 @@ def fit_average(
     order: int,
     c_lim: float = DEFAULT_C_LIM,
 ) -> FirModel:
-    """Fit one model to all conditions at once by row-stacking their regressions.
+    """Fit one model to all conditions at once: the ridge fit of the
+    row-stacked regressions of every record.
 
-    Each record's lag rows are written straight into one preallocated
-    design matrix, in the memory order ``np.vstack`` of the records' lag
-    matrices would give it, so the fit equals that of the vstacked
-    regression bit for bit without holding every record's matrix twice.
+    The stacked problem is solved from its normal equations, the sums of
+    the records' Gram matrices and right-hand sides, and its residual is
+    summed record by record; only one record's lag matrix exists at a
+    time, whatever the number of records.  One record gives exactly
+    ``fit_fir``.  ``ridge_fit`` of the vstacked regression rounds the same
+    sums in another order.  Its Gram eigenvalues then move by about
+    (p + sqrt(N)) * eps * lambda_max, for p parameters and N rows in all
+    (sqrt(N) from the sums, p from the eigensolver), and the cap rule
+    divides that by c_lim - 1.  With e = (p + sqrt(N)) * eps * (c_lim + 1)
+    / (c_lim - 1), the two fits agree as follows:
+
+    - theta to a relative norm of e * kappa_after;
+    - rho is 0 in both when the cap does not bind, else within
+      e * lambda_max: a relative ~(p + sqrt(N)) * eps * c_lim at a large
+      c_lim, the accuracy ``select_rho`` states;
+    - dof exactly.
     """
     if not records:
         raise DataError("need at least one record")
     inputs = tuple(inputs)
-    rows = [lag_rows(ts.n_samples, order) for ts in records]
-    phi = np.empty((sum(rows), len(inputs) * (order + 1)), order=lag_layout(len(inputs)))
-    at = 0
-    for ts, n in zip(records, rows):
-        lag_matrix(ts.channels(inputs), order, out=phi[at : at + n])
-        at += n
-    stacked = RegressionMatrices(
-        phi=phi,
-        y=np.concatenate([ts.channel(output)[order:] for ts in records]),
-        order=order,
-        input_dim=len(inputs),
-    )
-    return _fit_model(stacked, inputs, output, c_lim)
+
+    def regressions():
+        for ts in records:
+            yield build_regressor(ts.channels(inputs), ts.channel(output), order)
+
+    rows = sum(lag_rows(ts.n_samples, order) for ts in records)
+    sol = ridge_fit_pooled(regressions, rows, len(inputs) * (order + 1), c_lim)
+    return _fir_model(sol, order, inputs, output)
 
 
 def _model_record(m: FirModel) -> dict:

@@ -170,9 +170,10 @@ def test_estimate_section_reaches_evaluate(tmp_path):
     ini = "[estimate]\nwindow = 40\npooled = true\npriors = 2, 1\nstore = e.json\n"
     cfg = _resolve(tmp_path, ["evaluate"], ini)
     assert (cfg.window, cfg.pooled, cfg.priors) == (40, True, [2.0, 1.0])
-    # [estimate] store is estimate's own: evaluate keeps the default store
-    assert cfg.store == os.path.join("out", "store.json")
-    assert _resolve(tmp_path, ["evaluate"], ini + "[train]\nstore = t.json\n").store == "t.json"
+    # store follows the same rule: [estimate] over [train], [evaluate] over both
+    assert cfg.store == "e.json"
+    assert _resolve(tmp_path, ["evaluate"], ini + "[train]\nstore = t.json\n").store == "e.json"
+    assert _resolve(tmp_path, ["evaluate"], ini + "[evaluate]\nstore = v.json\n").store == "v.json"
 
 
 @pytest.mark.parametrize("command", ["train", "estimate"])

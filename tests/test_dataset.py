@@ -307,17 +307,6 @@ def test_lag_matrix_keeps_the_layout_of_hstack(n_i, order):
         ref.flags.c_contiguous, ref.flags.f_contiguous)
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_lag_matrix_fills_a_row_slice(layout):
-    rng = np.random.default_rng(3)
-    y_i = rng.normal(size=(2, 30))
-    stacked = np.full((40, 6), np.nan, order=layout)
-    returned = lag_matrix(y_i, 2, out=stacked[5:33])
-    assert np.shares_memory(returned, stacked)
-    np.testing.assert_array_equal(stacked[5:33], lag_matrix(y_i, 2))
-    assert np.isnan(stacked[:5]).all() and np.isnan(stacked[33:]).all()
-
-
 def test_lag_matrix_rejects_negative_order():
     with pytest.raises(DataError, match="order must be non-negative"):
         lag_matrix([1.0, 2.0], -1)

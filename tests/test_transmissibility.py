@@ -17,7 +17,7 @@ from transched.dataset import (
     TimeSeriesSet,
     build_regressor,
 )
-from transched.errors import DataError
+from transched.errors import ConfigError, DataError
 from transched.evaluation import fit_metric
 from transched.regression import ridge_fit
 from transched.transmissibility import (
@@ -265,10 +265,16 @@ def test_auxiliary_family_never_uses_its_own_output(clean_training_pair):
 
 
 def test_fit_average_single_condition_reduces_to_fit_fir(clean_c1_pair):
+    # the Gram matrix, right-hand side and residual come from the same
+    # lag-matrix products as fit_fir's, so one record gives its fit exactly
     train, _ = clean_c1_pair
-    single = fit_fir(train, train.pseudo_input_names, "y_O", order=8)
-    avg = fit_average([train], train.pseudo_input_names, "y_O", order=8)
-    np.testing.assert_allclose(avg.theta, single.theta, atol=1e-12)
+    for c_lim in (1.0e6, 1.1):
+        single = fit_fir(train, train.pseudo_input_names, "y_O", 8, c_lim)
+        avg = fit_average([train], train.pseudo_input_names, "y_O", 8, c_lim)
+        np.testing.assert_array_equal(avg.theta, single.theta)
+        assert (avg.sigma2, avg.rho, avg.kappa_after, avg.dof) == (
+            single.sigma2, single.rho, single.kappa_after, single.dof)
+    assert avg.rho > 0.0  # the cap binds at c_lim 1.1
 
 
 def test_fit_average_duplicate_records_match_single():
@@ -293,6 +299,8 @@ def test_fit_average_loses_to_matched_models(quarter_car_systems, clean_training
 @pytest.mark.parametrize("inputs", [("a",), ("a", "b")])
 @pytest.mark.parametrize("c_lim", [1.0e6, 1.1])
 def test_fit_average_equals_fit_of_vstacked_regressions(inputs, c_lim):
+    # equal within the bound fit_average states: the summed normal equations
+    # round the stacked Gram matrix's sums in another order
     rng = np.random.default_rng(len(inputs))
     order = 6
     records = [_random_record(rng, m_len, label=f"C{i}")
@@ -306,22 +314,45 @@ def test_fit_average_equals_fit_of_vstacked_regressions(inputs, c_lim):
     )
     sol = ridge_fit(stacked, c_lim)
     avg = fit_average(records, inputs, "f", order, c_lim)
-    np.testing.assert_array_equal(avg.theta, sol.theta)
-    assert avg.sigma2 == sol.sigma2
-    assert avg.rho == sol.rho
-    assert avg.kappa_after == sol.kappa_after
-    assert avg.dof == stacked.n_rows - stacked.n_params
+    e = ((stacked.n_params + np.sqrt(stacked.n_rows)) * np.finfo(float).eps
+         * (c_lim + 1.0) / (c_lim - 1.0))
+    tol = e * sol.kappa_after
+    assert np.linalg.norm(avg.theta - sol.theta) <= tol * np.linalg.norm(sol.theta)
+    assert avg.sigma2 == pytest.approx(sol.sigma2, rel=tol)
+    assert avg.kappa_after == pytest.approx(sol.kappa_after, rel=tol)
+    lambda_max = np.linalg.eigvalsh(stacked.phi.T @ stacked.phi)[-1]
+    assert abs(avg.rho - sol.rho) <= e * lambda_max
+    assert (avg.rho == 0.0) == (sol.rho == 0.0)  # rho is exactly 0 unless the cap binds
+    assert avg.dof == sol.dof == stacked.n_rows - stacked.n_params
     if c_lim == 1.1:
         assert avg.rho > 0.0  # the cap binds
 
 
-def test_fit_average_memory_stays_near_the_stacked_regression():
+def test_fit_average_fails_hopeless_fit_before_building_any_regression(monkeypatch):
+    # 3 records of 6 samples at order 4 give 6 rows for 10 parameters
+    def no_build(*args):
+        raise AssertionError("a hopeless fit must fail before any lag matrix or Gram")
+
+    monkeypatch.setattr("transched.transmissibility.build_regressor", no_build)
+    monkeypatch.setattr("transched.regression._eigh", no_build)
+    rng = np.random.default_rng(2)
+    records = [_random_record(rng, 6, label=f"C{i}") for i in range(3)]
+    with pytest.raises(ConfigError, match="c_lim"):  # a config error comes first
+        fit_average(records, ("a", "b"), "f", 4, c_lim=1.0)
+    with pytest.raises(DataError, match="insufficient data for variance estimate: 6 rows, 10"):
+        fit_average(records, ("a", "b"), "f", 4)
+
+
+def test_fit_average_memory_stays_flat_as_records_are_added():
     rng = np.random.default_rng(6)
-    order = 30
-    records = [_random_record(rng, 5000, label=f"C{i}") for i in range(4)]
-    rows = sum(ts.n_samples - order for ts in records)
-    stacked = rows * 2 * (order + 1) * 8 + rows * 8  # design matrix and targets
-    assert _peak_bytes(fit_average, records, ("a", "b"), "f", order) < 1.1 * stacked
+    order, m_len = 30, 5000
+    records = [_random_record(rng, m_len, label=f"C{i}") for i in range(8)]
+    rows = m_len - order
+    one = rows * 2 * (order + 1) * 8 + rows * 8  # one record's lag matrix and targets
+    two = _peak_bytes(fit_average, records[:2], ("a", "b"), "f", order)
+    eight = _peak_bytes(fit_average, records, ("a", "b"), "f", order)
+    assert eight == pytest.approx(two, rel=0.05)
+    assert max(two, eight) < 1.25 * one
 
 
 # -------------------------------------------------------------- model store
