@@ -33,14 +33,6 @@ _CELL_BYTES = bytes(c for c in range(0x21, 0x7F) if c not in b'",')
 # and chunk keeps their memory flat whatever the record length.
 WRITE_CHUNK_ROWS = 1024
 
-# Lag-matrix rows per block of the online stage: prediction and window
-# classification build one block's lag matrix at a time, so their memory
-# stays flat whatever the record length.  Prediction blocks start at
-# multiples of 8192 rows, where a BLAS kernel's unrolled row loops restart,
-# which keeps blockwise prediction bit-identical to one whole-record product
-# at one BLAS thread.
-BLOCK_ROWS = 8192
-
 
 @dataclass(frozen=True)
 class TimeSeriesSet:

@@ -10,6 +10,7 @@ on the samples the scheduled estimator covers.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -34,10 +35,14 @@ def fit_metric(y: np.ndarray, y_hat: np.ndarray) -> float:
         raise DataError(f"length mismatch: {y.shape[0]} measured vs {y_hat.shape[0]} estimated")
     if y.shape[0] < 2:
         raise DataError("FIT needs at least 2 samples")
-    denom = float(np.linalg.norm(y - y.mean()))
+    # norms from numpy's pairwise sum, not a BLAS dot product, so the FIT
+    # does not depend on the BLAS kernel
+    d = y - y.mean()
+    denom = math.sqrt(float(np.sum(d * d)))
     if denom == 0.0:
         raise DataError("FIT is undefined for a constant measured signal")
-    return 100.0 * (1.0 - float(np.linalg.norm(y - y_hat)) / denom)
+    e = y - y_hat
+    return 100.0 * (1.0 - math.sqrt(float(np.sum(e * e))) / denom)
 
 
 def ideal_fit(fits: Sequence[float]) -> float:

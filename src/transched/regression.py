@@ -126,7 +126,9 @@ def select_rho(lambda_max: float, lambda_min: float, c_lim: float) -> float:
     at the rank tolerance first, which keeps the cap safe when the
     eigensolver reports a tiny value for a singular matrix.  ``c_lim`` must
     lie in (1, MAX_C_LIM]: the eigenvalues carry an absolute error of about
-    eps * lambda_max, so rho is only good to about eps * c_lim.
+    eps * lambda_max, and the rule divides it by c_lim - 1, so rho is only
+    good to about eps * (c_lim + 1) / (c_lim - 1) * lambda_max.  That grows
+    without bound as c_lim approaches 1.
     """
     _check_c_lim(c_lim)
     if _kappa(lambda_max, lambda_min) <= c_lim:

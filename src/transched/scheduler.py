@@ -9,7 +9,8 @@ with N the number of regression rows the window yields.  The winning
 condition's primary model then estimates the target over that window.
 Classification uses in-window rows only, so windows stay independent.
 ``classify`` scores one window; ``schedule_estimate`` scores all windows
-of a record at once with array code and agrees with ``classify`` to
+of a record at once from each auxiliary model's whole-record
+``predict``, with no BLAS call, and agrees with ``classify`` to
 |dL| <= 1e-12 * max(1, |L|) and |d posterior| <= 1e-12, with the same
 choice and ambiguity flag unless the deciding gap is within that bound.
 A scheduled sample's estimate is the chosen primary model's whole-record
@@ -27,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataset
-from .dataset import WRITE_CHUNK_ROWS, TimeSeriesSet, build_regressor, lag_matrix
+from .dataset import WRITE_CHUNK_ROWS, TimeSeriesSet, build_regressor
 from .errors import ConfigError, DataError, NumericalError
-from .transmissibility import FirModel, TransmissibilityFamily, predict_record
+from .transmissibility import FirModel, TransmissibilityFamily, predict, predict_record
 
 # Windows whose two best log-evidences are closer than this are flagged
 # ambiguous in the trace; they typically straddle a dynamics switch.
@@ -229,10 +229,9 @@ def schedule_estimate(
 
     The record is cut into consecutive windows of ``window_len`` samples;
     a trailing remainder is its own window.  All windows are classified
-    at once: per block of whole windows, one lag matrix of the driver
-    channels times the stacked auxiliary thetas gives every model's
-    residuals, summed per window over its in-window rows.  The result
-    agrees with ``classify`` on each window to |dL| <= 1e-12 * max(1, |L|)
+    at once: each auxiliary model's whole-record ``predict`` gives its
+    residuals, and each window sums the squares of its in-window rows.  The
+    result agrees with ``classify`` on each window to |dL| <= 1e-12 * max(1, |L|)
     in log evidence and 1e-12 in posterior; the choice and the ambiguity
     flag are the same unless ``classify``'s deciding gap is within that
     bound.
@@ -327,27 +326,23 @@ def _window_log_evidence(
     """(windows, members) log evidences, by the rules of ``log_evidence``,
     of the record's first ``n_windows`` windows of ``window_len`` samples;
     the last one may be a shorter trailing window."""
+    if n_windows == 0:
+        return np.zeros((0, len(h)))
     order = h.order
     m = online.n_samples
     drivers = online.channels(h.input_channel_names)
     aux = online.channel(h.output_channel_name)
-    thetas = np.stack([mod.theta for mod in h.models], axis=1)  # p x Q
-    n_full = min(n_windows, m // window_len)
-    # a block of whole windows spans at most dataset.BLOCK_ROWS rows (or one
-    # window, if longer)
-    per_block = max(1, dataset.BLOCK_ROWS // window_len)
-    blocks = [
-        (first * window_len, min(per_block, n_full - first), window_len)
-        for first in range(0, n_full, per_block)
-    ]
-    if n_windows > n_full:
-        blocks.append((n_full * window_len, 1, m - n_full * window_len))
-    rss = np.zeros((0, len(h)))
-    if blocks:
-        rss = np.concatenate(
-            [_window_rss(drivers, aux, thetas, order, *block) for block in blocks]
-        )
-    n_rows = np.minimum(window_len, m - window_len * np.arange(n_windows)) - order
+    starts = window_len * np.arange(n_windows)
+    covered = min(n_windows * window_len, m)
+    # a window's first order rows have lags outside it and do not count
+    burn_in = np.arange(covered) % window_len < order
+    rss = np.zeros((n_windows, len(h)))
+    for k, mod in enumerate(h.models):
+        sq = np.zeros(covered)
+        sq[order:] = (aux[order:covered] - predict(mod, drivers[:, :covered])) ** 2
+        sq[burn_in] = 0.0
+        rss[:, k] = np.add.reduceat(sq, starts)
+    n_rows = np.minimum(window_len, m - starts) - order
 
     if pooled:
         s2 = np.full(len(h), pooled_sigma2(h))
@@ -375,24 +370,6 @@ def _window_log_evidence(
             degenerate, np.where(exact, math.inf, -math.inf), levidence
         )
     return levidence
-
-
-def _window_rss(
-    drivers: np.ndarray,
-    aux: np.ndarray,
-    thetas: np.ndarray,
-    order: int,
-    start: int,
-    count: int,
-    window_len: int,
-) -> np.ndarray:
-    """(count, members) residual sums of squares of ``count`` back-to-back
-    windows from ``start``, each over its own rows t in [start+order, stop)."""
-    stop = start + count * window_len
-    phi = lag_matrix(drivers[:, start:stop], order)
-    sq = np.zeros((count * window_len, thetas.shape[1]))
-    sq[order:] = (aux[start + order : stop, None] - phi @ thetas) ** 2
-    return sq.reshape(count, window_len, -1)[:, order:].sum(axis=1)
 
 
 def _posterior_rows(levidence: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ per condition, used for estimation), and the auxiliary family maps the
 remaining pseudo-inputs to a designated one (used online to recognize
 the active condition).  A pooled-data "average" model, fitted to all
 records at once for comparison studies, is solved from the summed normal
-equations, so it holds one record's lag matrix at a time.  Families
+equations, so it holds one record's lag matrix at a time.  Prediction
+sums shifted, scaled channels in a fixed order and makes no BLAS call,
+so it gives the same bits under every BLAS kernel.  Families
 persist to a JSON store with floats written as the shortest ``repr`` that
 round-trips, so a reload is bit-exact.
 """
@@ -21,14 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dataset
-from .dataset import (
-    Decomposition,
-    TimeSeriesSet,
-    build_regressor,
-    lag_matrix,
-    lag_rows,
-)
+from .dataset import Decomposition, TimeSeriesSet, build_regressor, lag_rows
 from .errors import DataError
 from .regression import DEFAULT_C_LIM, RidgeSolution, ridge_fit, ridge_fit_pooled
 
@@ -160,9 +155,12 @@ def predict(model: FirModel, y_i: np.ndarray) -> np.ndarray:
     """Apply a fitted model to pseudo-input data.
 
     Returns estimates for t = order..M-1 (length M - order); the first
-    ``order`` samples only seed the lags.  The output is filled in blocks
-    of ``dataset.BLOCK_ROWS`` rows, one block's lag matrix at a time; at one
-    BLAS thread it is bit-identical to the whole-record ``lag_matrix @ theta``.
+    ``order`` samples only seed the lags.  Estimate t is the sum, in theta
+    order, of theta[j] * y_i[c, t - k] with k, c = divmod(j, input_dim).
+    Each term is an elementwise, correctly rounded product added in that
+    fixed order, so the result does not depend on the BLAS kernel or thread
+    count.  No lag matrix is built: the working set is two output-length
+    arrays, whatever the order.
     """
     y_i = np.atleast_2d(np.asarray(y_i, dtype=float))
     if y_i.shape[0] != model.input_dim:
@@ -170,12 +168,14 @@ def predict(model: FirModel, y_i: np.ndarray) -> np.ndarray:
             f"model expects {model.input_dim} input channels, got {y_i.shape[0]}"
         )
     order = model.order
-    n = lag_rows(y_i.shape[1], order)
-    out = np.empty(n)
-    step = dataset.BLOCK_ROWS
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        out[a:b] = lag_matrix(y_i[:, a : b + order], order) @ model.theta
+    m = y_i.shape[1]
+    n = lag_rows(m, order)
+    out = np.zeros(n)
+    term = np.empty(n)
+    for j, coef in enumerate(model.theta.tolist()):
+        k, c = divmod(j, model.input_dim)
+        np.multiply(y_i[c, order - k : m - k], coef, out=term)
+        out += term
     return out
 
 

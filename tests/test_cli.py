@@ -1,10 +1,14 @@
+import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import transched
 from transched.cli import STOCK_CONDITIONS, main
 from transched.errors import DataError
 from transched.simulator import (
@@ -95,6 +99,53 @@ def test_pipeline_deterministic(tmp_path):
     assert names == sorted(os.listdir(outs[1]))
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+# estimate, then evaluate, in one child interpreter
+_ONLINE_COMMANDS = """
+import sys
+from transched.cli import main
+sys.exit(main(["estimate", *sys.argv[1:]]) or main(["evaluate", *sys.argv[1:]]))
+"""
+
+
+def test_online_artifacts_identical_on_every_openblas_kernel_and_thread_count(tmp_path):
+    # The online stage makes no BLAS call, so from one store and the same
+    # CSVs its traces and reports must not depend on the kernel OpenBLAS
+    # picks or on how many threads it runs (those round GEMV differently).
+    shared = tmp_path / "shared"
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[common]\norder = 10\n[simulate]\nschedule = C1:10000, C2:10000\n"
+                   f"[train]\nstore = {shared / 'store.json'}\n"
+                   f"[estimate]\ndata = {shared / 'validation.csv'}\n")
+    for command in ("simulate", "train"):
+        assert _run([command, "--config", str(ini), "--out", str(shared)]) == 0
+    src = os.path.dirname(os.path.dirname(transched.__file__))
+    children = {}
+    for kernel in (None, "Prescott", "Haswell"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel is not None:
+                env["OPENBLAS_CORETYPE"] = kernel
+            out = tmp_path / f"{kernel}-{threads}"
+            children[out] = subprocess.Popen(
+                [sys.executable, "-c", _ONLINE_COMMANDS, "--config", str(ini),
+                 "--out", str(out)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+    digests = {}
+    for out, child in children.items():
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        digests[out.name] = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+        }
+    first = digests["None-1"]
+    assert len(first) == 5  # two traces, three reports
+    for setting, files in digests.items():
+        assert files == first, setting
 
 
 def test_seed_changes_data(tmp_path):

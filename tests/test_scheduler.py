@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transched import dataset
 from transched.dataset import Decomposition, PSEUDO_INPUT, TimeSeriesSet
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
@@ -390,13 +389,12 @@ def _deciding_gaps(levidence):
     extra=st.integers(1, 12),
     n_full=st.integers(0, 9),
     tail=st.integers(0, 16),
-    block=st.sampled_from([1, 7, 40, 8192]),
     pooled=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=120, deadline=None)
 def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
-                                              n_full, tail, block, pooled, data):
+                                              n_full, tail, pooled, data):
     window_len = order + extra
     tail %= window_len  # 0, a skipped tail (<= order) or a classified one
     m = n_full * window_len + tail
@@ -416,11 +414,8 @@ def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
     v = np.convolve(u[0], truth[::n_drivers])[:m] + rng.normal(0.0, 0.3, m)
     online = _window(u, v)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset, "BLOCK_ROWS", block)
-        trace = schedule_estimate(g, h, online, prior, window_len, pooled=pooled)
-        # predictions run in blocks of the same size
-        member_preds = [predict_record(mod, online) for mod in g.models] if m > order else []
+    trace = schedule_estimate(g, h, online, prior, window_len, pooled=pooled)
+    member_preds = [predict_record(mod, online) for mod in g.models] if m > order else []
 
     # the windows partition the record; a tail of <= order samples is skipped
     edges = list(range(0, m, window_len)) + [m]
