@@ -526,7 +526,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         write_report_csv,
         write_summary_csv,
     )
-    from .scheduler import schedule_estimate
+    from .scheduler import schedule_estimate, window_rss
     from .transmissibility import load_store, predict_record
 
     g, h, avg = load_store(cfg.store)
@@ -552,9 +552,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         for k, model in enumerate(g.models):
             preds[k] = predict_record(model, ts)
         predictions[ts.condition_label] = preds
+        rss = window_rss(h, ts, cfg.window)  # only sigma2 differs between variants
         for variant, pooled in (("full", False), ("pooled", True)):
             variant_traces[variant][ts.condition_label] = schedule_estimate(
-                g, h, ts, prior, cfg.window, pooled=pooled, predictions=preds
+                g, h, ts, prior, cfg.window, pooled=pooled, predictions=preds, rss=rss
             )
     report = compare_report(
         g, avg, records, variant_traces,

@@ -150,10 +150,9 @@ def compare_report(
             member_preds = predictions[label]
         member_fits = tuple(fit_metric(measured, p[covered[order:]]) for p in member_preds)
         fit_avg = fit_metric(measured, predict_record(average, ts)[covered[order:]])
-        for variant, traces in variant_traces.items():
-            idx = g.labels.index(traces[label].majority_label())
-            indicators[variant].append(indicator(idx, member_fits))
-        chosen_label = trace.majority_label()
+        majority = {v: traces[label].majority_label() for v, traces in variant_traces.items()}
+        for variant, chosen in majority.items():
+            indicators[variant].append(indicator(g.labels.index(chosen), member_fits))
         rows.append(
             ReportRow(
                 condition=label,
@@ -161,7 +160,7 @@ def compare_report(
                 fit_average=fit_avg,
                 fit_scheduled=fit_metric(measured, trace.estimates[covered]),
                 fit_ideal=ideal_fit(member_fits),
-                chosen=chosen_label,
+                chosen=majority[scheduled_variant],
                 indicator=indicators[scheduled_variant][-1],
             )
         )

@@ -96,26 +96,35 @@ class PosteriorResult:
 
 @dataclass(frozen=True)
 class ScheduleTrace:
-    """Full online-stage output: window decisions plus per-sample estimates."""
+    """Online-stage output: per-window arrays, per-sample member and estimate."""
 
     labels: tuple[str, ...]
-    windows: tuple[PosteriorResult, ...]
-    bounds: tuple[tuple[int, int], ...]  # (start, stop) 0-based per classified window
+    log_evidence: np.ndarray  # (windows, members)
+    posterior: np.ndarray  # (windows, members)
+    chosen: np.ndarray  # member index per classified window
+    ambiguous: np.ndarray  # bool per classified window
+    starts: np.ndarray  # 0-based first sample per classified window
+    stops: np.ndarray  # 0-based end (exclusive) per classified window
     skipped: tuple[tuple[int, int, int], ...]  # (window_id, start, stop) too short
-    sample_labels: tuple[str | None, ...]
+    member: np.ndarray  # chosen member per sample, -1 where no window covers it
     estimates: np.ndarray  # NaN where no estimate exists
 
+    @property
+    def windows(self) -> tuple[PosteriorResult, ...]:
+        """Per-window results as ``classify`` gives them, derived on access."""
+        return tuple(
+            PosteriorResult(i + 1, self.log_evidence[i], self.posterior[i], c, a)
+            for i, (c, a) in enumerate(zip(self.chosen.tolist(), self.ambiguous.tolist()))
+        )
+
     def chosen_labels(self) -> list[str]:
-        return [self.labels[w.chosen] for w in self.windows]
+        return [self.labels[k] for k in self.chosen.tolist()]
 
     def majority_label(self) -> str:
         """Most frequent window choice; ties go to the earliest family label."""
-        if not self.windows:
+        if not self.chosen.size:
             raise DataError("trace has no classified windows")
-        counts = [0] * len(self.labels)
-        for w in self.windows:
-            counts[w.chosen] += 1
-        return self.labels[counts.index(max(counts))]
+        return self.labels[int(np.bincount(self.chosen, minlength=len(self.labels)).argmax())]
 
 
 def pooled_sigma2(h: TransmissibilityFamily) -> float:
@@ -224,17 +233,16 @@ def schedule_estimate(
     window_len: int,
     pooled: bool = False,
     predictions: np.ndarray | None = None,
+    rss: np.ndarray | None = None,
 ) -> ScheduleTrace:
     """Classify every window and estimate the target with the chosen model.
 
     The record is cut into consecutive windows of ``window_len`` samples;
     a trailing remainder is its own window.  All windows are classified
-    at once: each auxiliary model's whole-record ``predict`` gives its
-    residuals, and each window sums the squares of its in-window rows.  The
-    result agrees with ``classify`` on each window to |dL| <= 1e-12 * max(1, |L|)
-    in log evidence and 1e-12 in posterior; the choice and the ambiguity
-    flag are the same unless ``classify``'s deciding gap is within that
-    bound.
+    at once from ``window_rss``.  The result agrees with ``classify`` on
+    each window to |dL| <= 1e-12 * max(1, |L|) in log evidence and 1e-12
+    in posterior; the choice and the ambiguity flag are the same unless
+    ``classify``'s deciding gap is within that bound.
 
     Each chosen primary model predicts the whole record once, through
     ``predict_record``; a classified window copies that prediction over its
@@ -243,8 +251,9 @@ def schedule_estimate(
     sample, with lags that reach back across window boundaries.
 
     ``predictions`` may supply those whole-record predictions, one row per
-    member of ``g``, as ``predict_record`` gives them; a caller that
-    schedules the same record more than once then predicts it only once.
+    member of ``g``, as ``predict_record`` gives them, and ``rss`` the
+    record's ``window_rss``; a caller that schedules the same record more
+    than once then predicts it only once.
 
     A trailing window of order samples or fewer cannot be classified; it
     is recorded under ``skipped`` and contributes no estimates.
@@ -258,18 +267,51 @@ def schedule_estimate(
             f"prior has {prior.weights.size} weights for {len(h)} family members"
         )
     order = g.order
-    if window_len <= order:
-        raise ConfigError(
-            f"window length {window_len} must exceed the FIR order {order}"
-        )
+    m = online.n_samples
+    starts, stops, skipped = _cut_windows(m, window_len, order)
     for name in g.input_channel_names:
         if name not in online.names:
             raise DataError(f"online record is missing channel {name!r}")
-    m = online.n_samples
-    if predictions is not None and predictions.shape != (len(g), m - order):
-        raise DataError(
-            f"predictions have shape {predictions.shape}; expected "
-            f"{(len(g), m - order)} for {len(g)} members over {m} samples"
+    for name, given_, shape in (
+        ("predictions", predictions, (len(g), m - order)),
+        ("rss", rss, (starts.size, len(h))),
+    ):
+        if given_ is not None and given_.shape != shape:
+            raise DataError(
+                f"{name} have shape {given_.shape}; expected {shape} for "
+                f"{len(g)} members over {m} samples"
+            )
+    if rss is None:
+        rss = window_rss(h, online, window_len)
+    levidence = _window_log_evidence(h, prior, pooled, rss, stops - starts - order)
+    chosen = np.argmax(levidence, axis=1)  # first index wins ties
+    member = np.full(m, -1)
+    member[: stops[-1] if stops.size else 0] = np.repeat(chosen, stops - starts)
+    estimates = np.full(m, math.nan)
+    for k in sorted(set(chosen.tolist())):
+        preds = predict_record(g.models[k], online) if predictions is None else predictions[k]
+        pick = member[order:] == k
+        estimates[order:][pick] = preds[pick]
+    return ScheduleTrace(
+        labels=g.labels,
+        log_evidence=levidence,
+        posterior=_posterior_rows(levidence),
+        chosen=chosen,
+        ambiguous=_ambiguous_rows(levidence),
+        starts=starts,
+        stops=stops,
+        skipped=skipped,
+        member=member,
+        estimates=estimates,
+    )
+
+
+def _cut_windows(m: int, window_len: int, order: int):
+    """0-based starts and stops of a record's classifiable windows, and the
+    trailing window of ``order`` samples or fewer that is skipped, if any."""
+    if window_len <= order:
+        raise ConfigError(
+            f"window length {window_len} must exceed the FIR order {order}"
         )
     n_windows = -(-m // window_len)
     skipped: tuple[tuple[int, int, int], ...] = ()
@@ -277,73 +319,38 @@ def schedule_estimate(
         n_windows -= 1
         skipped = ((n_windows + 1, n_windows * window_len, m),)
     starts = window_len * np.arange(n_windows)
-    stops = np.minimum(starts + window_len, m)
-    levidence = _window_log_evidence(h, online, prior, pooled, window_len, n_windows)
-    posterior = _posterior_rows(levidence)
-    chosen = np.argmax(levidence, axis=1)  # first index wins ties
-    ambiguous = _ambiguous_rows(levidence)
-    windows = tuple(
-        PosteriorResult(
-            window_id=i + 1,
-            log_evidence=levidence[i],
-            posterior=posterior[i],
-            chosen=int(chosen[i]),
-            ambiguous=bool(ambiguous[i]),
-        )
-        for i in range(n_windows)
-    )
-    bounds = tuple(zip(starts.tolist(), stops.tolist()))
+    return starts, np.minimum(starts + window_len, m), skipped
 
-    member = np.repeat(chosen, stops - starts)  # chosen member per covered sample
-    covered = member.size
-    sample_labels = [g.labels[k] for k in member.tolist()] + [None] * (m - covered)
-    estimates = np.full(m, math.nan)
-    for k in sorted(set(chosen.tolist())):
-        if predictions is None:
-            preds = predict_record(g.models[k], online)
-        else:
-            preds = predictions[k]
-        pick = member[order:] == k
-        estimates[order:covered][pick] = preds[: covered - order][pick]
-    return ScheduleTrace(
-        labels=g.labels,
-        windows=windows,
-        bounds=bounds,
-        skipped=skipped,
-        sample_labels=tuple(sample_labels),
-        estimates=estimates,
-    )
+
+def window_rss(
+    h: TransmissibilityFamily, online: TimeSeriesSet, window_len: int
+) -> np.ndarray:
+    """(windows, members) in-window residual sums of squares over the windows
+    ``schedule_estimate`` classifies, from one whole-record ``predict`` per
+    member; they serve both variance variants."""
+    order = h.order
+    starts, stops, _ = _cut_windows(online.n_samples, window_len, order)
+    rss = np.zeros((starts.size, len(h)))
+    if not starts.size:
+        return rss
+    covered = int(stops[-1])
+    drivers = online.channels(h.input_channel_names)[:, :covered]
+    aux = online.channel(h.output_channel_name)
+    # a window's first order rows have lags outside it and do not count
+    burn_in = np.arange(covered) % window_len < order
+    for k, mod in enumerate(h.models):
+        sq = np.zeros(covered)
+        sq[order:] = (aux[order:covered] - predict(mod, drivers)) ** 2
+        sq[burn_in] = 0.0
+        rss[:, k] = np.add.reduceat(sq, starts)
+    return rss
 
 
 def _window_log_evidence(
-    h: TransmissibilityFamily,
-    online: TimeSeriesSet,
-    prior: Prior,
-    pooled: bool,
-    window_len: int,
-    n_windows: int,
+    h: TransmissibilityFamily, prior: Prior, pooled: bool, rss: np.ndarray, n_rows: np.ndarray
 ) -> np.ndarray:
     """(windows, members) log evidences, by the rules of ``log_evidence``,
-    of the record's first ``n_windows`` windows of ``window_len`` samples;
-    the last one may be a shorter trailing window."""
-    if n_windows == 0:
-        return np.zeros((0, len(h)))
-    order = h.order
-    m = online.n_samples
-    drivers = online.channels(h.input_channel_names)
-    aux = online.channel(h.output_channel_name)
-    starts = window_len * np.arange(n_windows)
-    covered = min(n_windows * window_len, m)
-    # a window's first order rows have lags outside it and do not count
-    burn_in = np.arange(covered) % window_len < order
-    rss = np.zeros((n_windows, len(h)))
-    for k, mod in enumerate(h.models):
-        sq = np.zeros(covered)
-        sq[order:] = (aux[order:covered] - predict(mod, drivers[:, :covered])) ** 2
-        sq[burn_in] = 0.0
-        rss[:, k] = np.add.reduceat(sq, starts)
-    n_rows = np.minimum(window_len, m - starts) - order
-
+    from each window's residual sums ``rss`` over its ``n_rows`` rows."""
     if pooled:
         s2 = np.full(len(h), pooled_sigma2(h))
     else:
@@ -407,20 +414,19 @@ def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
         + [f"posterior_{k + 1}" for k in range(q)]
         + ["ambiguous"]
     )
+    columns = [
+        map(str, range(1, trace.chosen.size + 1)),
+        map(str, (trace.starts + 1).tolist()),
+        map(str, trace.stops.tolist()),
+        trace.chosen_labels(),
+        *(map(repr, col) for col in trace.log_evidence.T.tolist()),
+        *(map(repr, col) for col in trace.posterior.T.tolist()),
+        map(str, trace.ambiguous.astype(int).tolist()),
+    ]
     with open(path, "w", newline="") as f:
         f.write(f"# format: {WINDOW_TRACE_FORMAT}\n")
         f.write(",".join(header) + "\n")
-        for res, (start, stop) in zip(trace.windows, trace.bounds):
-            cells = [
-                str(res.window_id),
-                str(start + 1),
-                str(stop),
-                trace.labels[res.chosen],
-            ]
-            cells += map(repr, res.log_evidence.tolist())
-            cells += map(repr, res.posterior.tolist())
-            cells.append("1" if res.ambiguous else "0")
-            f.write(",".join(cells) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def write_sample_trace(
@@ -430,6 +436,7 @@ def write_sample_trace(
     target = None
     if online.target_name is not None:
         target = online.target()
+    names = [*trace.labels, ""]  # member -1, no window, gets the empty label
     with open(path, "w", newline="") as f:
         f.write(f"# format: {SAMPLE_TRACE_FORMAT}\n")
         f.write("sample_index,y_O_measured,y_O_estimated,chosen_label\n")
@@ -439,10 +446,11 @@ def write_sample_trace(
                 measured = [""] * (hi - lo)
             else:
                 measured = map(repr, target[lo:hi].tolist())
-            estimated = (
-                "" if math.isnan(e) else repr(e) for e in trace.estimates[lo:hi].tolist()
-            )
-            labels = (label or "" for label in trace.sample_labels[lo:hi])
+            chunk = trace.estimates[lo:hi]
+            estimated = list(map(repr, chunk.tolist()))
+            for i in np.flatnonzero(np.isnan(chunk)).tolist():
+                estimated[i] = ""
+            labels = map(names.__getitem__, trace.member[lo:hi].tolist())
             f.writelines(
                 f"{t},{m},{e},{label}\n"
                 for t, m, e, label in zip(range(lo + 1, hi + 1), measured, estimated, labels)

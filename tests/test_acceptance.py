@@ -71,11 +71,12 @@ def quartercar_reproduction(quarter_car_systems):
             trace = schedule_estimate(g, h, online, Prior.uniform(2), WINDOW)
             if trace.chosen_labels() != ["C1"] * 4 + ["C2"] * 4:
                 sequences_ok = False
-            for k, res in enumerate(trace.windows):
-                true_idx = 0 if k < 4 else 1
-                min_posterior = min(min_posterior, float(res.posterior[true_idx]))
-                max_norm_dev = max(max_norm_dev, abs(float(res.posterior.sum()) - 1.0))
-                n_windows += 1
+            np.testing.assert_array_equal(trace.starts, WINDOW * np.arange(8))
+            np.testing.assert_array_equal(trace.member, np.repeat(trace.chosen, WINDOW))
+            true_idx = [0] * 4 + [1] * 4
+            min_posterior = min(min_posterior, float(trace.posterior[range(8), true_idx].min()))
+            max_norm_dev = max(max_norm_dev, float(np.abs(trace.posterior.sum(axis=1) - 1.0).max()))
+            n_windows += trace.chosen.size
     return {
         "elapsed": time.time() - t0,
         "sequences_ok": sequences_ok,

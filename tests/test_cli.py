@@ -88,6 +88,30 @@ def test_evaluate_report(pipeline_dir):
     assert {l.split(",")[0] for l in accuracy_lines[2:]} == {"full", "pooled"}
 
 
+def test_evaluate_predicts_each_member_once_per_record(pipeline_dir, tmp_path, monkeypatch):
+    # both classifier variants score the windows from one residual pass: per
+    # record, Q primaries, Q auxiliaries and the average model predict once
+    import transched.scheduler
+    import transched.transmissibility
+
+    calls = []
+    real = transched.transmissibility.predict
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return real(model, *args, **kwargs)
+
+    for module in (transched.transmissibility, transched.scheduler):
+        monkeypatch.setattr(module, "predict", counting)
+    for name in ("store.json", "validation.csv"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    assert _run(["evaluate", "--out", str(tmp_path)]) == 0
+    store = json.loads((tmp_path / "store.json").read_text())
+    q = len(store["conditions"])
+    assert len(calls) == 2 * q + 1
+    assert len({id(m) for m in calls}) == len(calls)
+
+
 def test_pipeline_deterministic(tmp_path):
     outs = []
     for name in ("a", "b"):

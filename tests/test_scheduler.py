@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transched.dataset import Decomposition, PSEUDO_INPUT, TimeSeriesSet
+from transched.dataset import Decomposition, PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
 from transched.scheduler import (
@@ -15,7 +16,9 @@ from transched.scheduler import (
     classify,
     log_evidence,
     pooled_sigma2,
+    ScheduleTrace,
     schedule_estimate,
+    window_rss,
     write_sample_trace,
     write_window_trace,
 )
@@ -266,13 +269,11 @@ def test_schedule_quarter_car_switching(quarter_car_systems, trained_families):
     )
     trace = schedule_estimate(g, h, online, Prior.uniform(2), window_len=20)
     assert trace.chosen_labels() == ["C1"] * 4 + ["C2"] * 4
-    for k, res in enumerate(trace.windows):
-        true_idx = 0 if k < 4 else 1
-        assert res.posterior[true_idx] > 0.99
+    assert np.all(trace.posterior[np.arange(8), [0] * 4 + [1] * 4] > 0.99)
     # burn-in carry: every sample after the global first n has an estimate
     assert np.all(np.isnan(trace.estimates[:10]))
     assert np.all(np.isfinite(trace.estimates[10:]))
-    assert trace.majority_label() in ("C1", "C2")
+    assert trace.majority_label() == "C1"  # the 4-4 tie goes to the first label
 
 
 def test_schedule_stationary_record_beats_wrong_model(quarter_car_systems,
@@ -292,10 +293,11 @@ def test_schedule_skips_short_remainder(quarter_car_systems, trained_families):
     g, h = trained_families
     online = make_training_record(quarter_car_systems, "C1", 165, seed=99, snr=50.0)
     trace = schedule_estimate(g, h, online, Prior.uniform(2), window_len=20)
-    assert len(trace.windows) == 8
+    assert trace.chosen.size == 8
     assert trace.skipped == ((9, 160, 165),)
     assert np.all(np.isnan(trace.estimates[160:]))
-    assert trace.sample_labels[160:] == (None,) * 5
+    np.testing.assert_array_equal(trace.member[160:], [-1] * 5)
+    assert np.all(trace.member[:160] >= 0)
     assert np.all(np.isfinite(trace.estimates[10:160]))
 
 
@@ -306,14 +308,19 @@ def test_schedule_with_given_predictions_is_identical(quarter_car_systems,
         quarter_car_systems, (("C1", 80), ("C2", 85)), seed=78, snr=50.0
     )
     preds = np.array([predict_record(m, online) for m in g.models])
+    rss = window_rss(h, online, 20)
+    assert rss.shape == (8, 2)
     for pooled in (False, True):
         own = schedule_estimate(g, h, online, Prior.uniform(2), 20, pooled=pooled)
         given_ = schedule_estimate(g, h, online, Prior.uniform(2), 20, pooled=pooled,
-                                   predictions=preds)
+                                   predictions=preds, rss=rss)
         assert given_.estimates.tobytes() == own.estimates.tobytes()
-        assert given_.sample_labels == own.sample_labels
+        assert given_.log_evidence.tobytes() == own.log_evidence.tobytes()
+        np.testing.assert_array_equal(given_.member, own.member)
     with pytest.raises(DataError, match="predictions have shape"):
         schedule_estimate(g, h, online, Prior.uniform(2), 20, predictions=preds[:, 1:])
+    with pytest.raises(DataError, match=r"rss have shape \(7, 2\); expected \(8, 2\)"):
+        schedule_estimate(g, h, online, Prior.uniform(2), 20, rss=rss[1:])
 
 
 def test_schedule_record_shorter_than_one_window(quarter_car_systems,
@@ -322,6 +329,8 @@ def test_schedule_record_shorter_than_one_window(quarter_car_systems,
     online = make_training_record(quarter_car_systems, "C1", 8, seed=14, snr=50.0)
     trace = schedule_estimate(g, h, online, Prior.uniform(2), window_len=20)
     assert trace.windows == () and trace.skipped == ((1, 0, 8),)
+    assert trace.log_evidence.shape == trace.posterior.shape == (0, 2)
+    np.testing.assert_array_equal(trace.member, [-1] * 8)
     assert np.all(np.isnan(trace.estimates))
     with pytest.raises(DataError, match="no classified windows"):
         trace.majority_label()
@@ -425,12 +434,12 @@ def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
         expected.pop()
     else:
         assert trace.skipped == ()
-    assert list(trace.bounds) == expected
-    assert [w.window_id for w in trace.windows] == list(range(1, len(expected) + 1))
+    assert list(zip(trace.starts.tolist(), trace.stops.tolist())) == expected
+    assert trace.log_evidence.shape == trace.posterior.shape == (len(expected), q)
 
     estimates = np.full(m, math.nan)
-    labels = [None] * m
-    for res, (start, stop) in zip(trace.windows, trace.bounds):
+    member = np.full(m, -1)
+    for res, (start, stop) in zip(trace.windows, expected):
         ref = classify(h, _window(u[:, start:stop], v[start:stop]), prior,
                        pooled=pooled, window_id=res.window_id)
         inf = ~np.isfinite(ref.log_evidence)
@@ -449,9 +458,9 @@ def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
         preds = member_preds[res.chosen]
         lo = max(start, order)
         estimates[lo:stop] = preds[lo - order : stop - order]
-        labels[start:stop] = [g.labels[res.chosen]] * (stop - start)
+        member[start:stop] = res.chosen
     np.testing.assert_array_equal(trace.estimates, estimates)
-    assert trace.sample_labels == tuple(labels)
+    np.testing.assert_array_equal(trace.member, member)
 
 
 def test_schedule_zero_variance_paths():
@@ -462,19 +471,18 @@ def test_schedule_zero_variance_paths():
     v[6:] *= 2.0  # second window misses Q1
     with pytest.warns(RuntimeWarning, match="zero residual variance"):
         trace = schedule_estimate(g, h, _window(u, v), Prior.uniform(2), window_len=6)
-    first, second = trace.windows
-    assert first.log_evidence[0] == math.inf and math.isfinite(first.log_evidence[1])
-    np.testing.assert_array_equal(first.posterior, [1.0, 0.0])
-    assert (first.chosen, first.ambiguous) == (0, False)
-    assert second.log_evidence[0] == -math.inf
-    np.testing.assert_array_equal(second.posterior, [0.0, 1.0])
-    assert second.chosen == 1
+    first, second = trace.log_evidence
+    assert first[0] == math.inf and math.isfinite(first[1])
+    assert second[0] == -math.inf
+    np.testing.assert_array_equal(trace.posterior, [[1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(trace.chosen, [0, 1])
+    assert not trace.ambiguous[0]
     # a zero prior excludes the member before its variance is looked at
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = schedule_estimate(g, h, _window(u, v), Prior.from_weights([0.0, 1.0]),
                                   window_len=6)
-    assert [w.log_evidence[0] for w in trace.windows] == [-math.inf] * 2
+    np.testing.assert_array_equal(trace.log_evidence[:, 0], [-math.inf] * 2)
     assert trace.chosen_labels() == ["Q2", "Q2"]
 
 
@@ -519,6 +527,103 @@ def test_trace_csvs(tmp_path, quarter_car_systems, trained_families):
     # byte-identical rewrite
     write_window_trace(trace, tmp_path / "w2.csv")
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+# A hand-made case whose trace text was written by the per-window object
+# writers the column writers replace: order 1, window 4 over 9 samples (the
+# 1-sample tail is skipped), Q1 excluded by a zero prior, Q3 exact on the
+# first window and Q2/Q3 tied on the second.  Every evidence difference is 0,
+# or large enough that exp underflows, so the posteriors are exact.
+TINY_WINDOWS = """\
+# format: transched-window-trace v1
+window_id,start_sample,end_sample,chosen_label,L_1,L_2,L_3,posterior_1,posterior_2,posterior_3,ambiguous
+1,1,4,Q3,-inf,-60151.34939718056,-0.6931471805599453,0.0,0.0,1.0,0
+2,5,8,Q2,-inf,-3125025.1931471806,-3125025.1931471806,0.0,0.5,0.5,1
+"""
+
+TINY_SAMPLES = """\
+# format: transched-sample-trace v1
+sample_index,y_O_measured,y_O_estimated,chosen_label
+1,0.1,,Q3
+2,-2.5,201.0,Q3
+3,1e+20,-199.5,Q3
+4,3.0,200.25,Q3
+5,-0.0,-290.2125,Q2
+6,7.25,-3.47,Q2
+7,0.3333333333333333,-0.699995,Q2
+8,2.0,1250.000001,Q2
+9,-1e-07,,
+"""
+
+TINY_SAMPLES_NO_TARGET = """\
+# format: transched-sample-trace v1
+sample_index,y_O_measured,y_O_estimated,chosen_label
+1,,,Q3
+2,,201.0,Q3
+3,,-199.5,Q3
+4,,200.25,Q3
+5,,-290.2125,Q2
+6,,-3.47,Q2
+7,,-0.699995,Q2
+8,,1250.000001,Q2
+9,,,
+"""
+
+
+def _tiny_case():
+    labels = ("Q1", "Q2", "Q3")
+    h = _aux_family([_aux_model(t, 1.0, order=1, dof=10)
+                     for t in ([0.5, 0.5], [1.0, 0.0], [-1.0, 0.0])], labels)
+    g = TransmissibilityFamily(kind="primary", labels=labels, models=tuple(
+        FirModel(order=1, input_dim=2, theta=np.array(t), sigma2=1.0, dof=10,
+                 input_channel_names=("u0", "v"), output_channel_name="y")
+        for t in ([1.0, 1.0, 1.0, 1.0], [0.5, -0.25, 0.1, 3.0], [2.0, 0.0, 0.0, 0.0])
+    ))
+    u = [100.0, 100.5, -99.75, 100.125, 0.3, -7.0, 1e-05, 2.5e3, 42.0]
+    v = [-x for x in u[:4]] + [0.0] * 5
+    y = [0.1, -2.5, 1e20, 3.0, -0.0, 7.25, 1.0 / 3.0, 2.0, -1e-7]
+    online = TimeSeriesSet(sample_rate=1.0, names=("u0", "v", "y"),
+                           roles=(PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT),
+                           data=np.array([u, v, y]))
+    return g, h, online, Prior.from_weights([0.0, 1.0, 1.0])
+
+
+def test_trace_writers_reproduce_pinned_text(tmp_path):
+    g, h, online, prior = _tiny_case()
+    no_target = TimeSeriesSet(sample_rate=1.0, names=("u0", "v"),
+                              roles=(PSEUDO_INPUT,) * 2, data=online.data[:2])
+    for record, samples in ((online, TINY_SAMPLES), (no_target, TINY_SAMPLES_NO_TARGET)):
+        trace = schedule_estimate(g, h, record, prior, window_len=4)
+        assert trace.skipped == ((3, 8, 9),)
+        write_window_trace(trace, tmp_path / "w.csv")
+        write_sample_trace(trace, record, tmp_path / "s.csv")
+        assert (tmp_path / "w.csv").read_text() == TINY_WINDOWS
+        assert (tmp_path / "s.csv").read_text() == samples
+
+
+def test_trace_contract():
+    g, h, online, prior = _tiny_case()
+    trace = schedule_estimate(g, h, online, prior, window_len=4)
+    np.testing.assert_array_equal(trace.starts, [0, 4])
+    np.testing.assert_array_equal(trace.stops, [4, 8])
+    np.testing.assert_array_equal(trace.chosen, [2, 1])
+    np.testing.assert_array_equal(trace.ambiguous, [False, True])
+    np.testing.assert_array_equal(trace.member, [2] * 4 + [1] * 4 + [-1])
+    assert trace.chosen_labels() == ["Q3", "Q2"]
+    # the derived per-window view agrees with the arrays
+    windows = trace.windows
+    assert len(windows) == trace.chosen.size
+    assert [w.window_id for w in windows] == [1, 2]
+    assert [w.chosen for w in windows] == trace.chosen.tolist()
+    assert [w.ambiguous for w in windows] == trace.ambiguous.tolist()
+    for i, w in enumerate(windows):
+        assert w.log_evidence.tobytes() == trace.log_evidence[i].tobytes()
+        assert w.posterior.tobytes() == trace.posterior[i].tobytes()
+    # the most frequent choice wins; an even split goes to the earliest label
+    assert trace.majority_label() == "Q2"
+    for chosen, majority in (([2, 1, 2], "Q3"), ([2, 1, 2, 1], "Q2"), ([0, 2], "Q1")):
+        split = dataclasses.replace(trace, chosen=np.array(chosen))
+        assert split.majority_label() == majority
 
 
 # -------------------------------------------------------------------- prior
