@@ -32,11 +32,8 @@ _EXPORTS = {
     "errors": ("ConfigError", "DataError", "NumericalError", "TranschedError"),
     "evaluation": (
         "ComparisonReport",
-        "accuracy",
         "compare_report",
         "fit_metric",
-        "ideal_fit",
-        "indicator",
     ),
     "regression": (
         "DEFAULT_C_LIM",

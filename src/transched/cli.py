@@ -276,7 +276,7 @@ def _validate(cfg: RunConfig) -> None:
             f"aux_output {cfg.aux_output!r} is not a pseudo_input channel {pseudo}"
         )
     if cfg.command == "simulate":
-        from .simulator import NoiseSpec, SwitchSchedule
+        from .simulator import CHANNEL_NAMES, NoiseSpec, SwitchSchedule
 
         if cfg.train_samples <= cfg.order:
             raise ConfigError(
@@ -292,6 +292,11 @@ def _validate(cfg: RunConfig) -> None:
                 raise ConfigError(f"schedule references unknown condition {label!r}")
         schedule = SwitchSchedule(steps=tuple(cfg.schedule))
         total = schedule.total_samples
+        # numpy rejects an array larger than the address space before allocating
+        max_samples = sys.maxsize // (8 * len(CHANNEL_NAMES))
+        for name, n in (("train_samples", cfg.train_samples), ("schedule total", total)):
+            if n > max_samples:
+                raise ConfigError(f"{name} {n} exceeds the {max_samples} samples a record holds")
         if cfg.validation_samples is not None and cfg.validation_samples != total:
             raise ConfigError(
                 f"schedule durations sum to {total}, not the requested "
@@ -557,11 +562,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             variant_traces[variant][ts.condition_label] = schedule_estimate(
                 g, h, ts, prior, cfg.window, pooled=pooled, predictions=preds, rss=rss
             )
-    report = compare_report(
-        g, avg, records, variant_traces,
-        scheduled_variant="pooled" if cfg.pooled else "full",
-        predictions=predictions,
-    )
+    scheduled = "pooled" if cfg.pooled else "full"
+    report = compare_report(g, avg, records, variant_traces, predictions, scheduled)
     writers = {
         "report.csv": write_report_csv,
         "report_summary.csv": write_summary_csv,

@@ -29,8 +29,8 @@ GUARD_BLOCK_BYTES = 64 * 1024
 # that needs no quoting, CR or whitespace handling is made of.
 _CELL_BYTES = bytes(c for c in range(0x21, 0x7F) if c not in b'",')
 
-# Rows formatted per chunk by the CSV writers: one ``tolist`` per column
-# and chunk keeps their memory flat whatever the record length.
+# Rows formatted per chunk by ``write_table``: one ``tolist`` per column
+# and chunk keeps its memory flat whatever the table length.
 WRITE_CHUNK_ROWS = 1024
 
 
@@ -110,9 +110,6 @@ class TimeSeriesSet:
     def channels(self, names: tuple[str, ...] | list[str]) -> np.ndarray:
         """Stack the requested channels into a (len(names), M) array."""
         return np.vstack([self.channel(n) for n in names])
-
-    def pseudo_inputs(self) -> np.ndarray:
-        return self.channels(self.pseudo_input_names)
 
     def target(self) -> np.ndarray:
         name = self.target_name
@@ -332,25 +329,51 @@ def _data_line(path: str | os.PathLike, index: int) -> int:
     return lines[index + 1]  # lines[0] is the header
 
 
+def write_table(
+    path: str | os.PathLike, header: list[str], columns: list, format_line: str | None = None
+) -> None:
+    """Write equal-length columns as CSV rows under a header line, after a
+    ``# format: <format_line>`` line when one is given.  Every CSV artifact
+    is written here: a float array's values as their shortest round-trip
+    ``repr`` and a NaN as an empty cell, the cells of any other array or
+    sequence with ``str``, WRITE_CHUNK_ROWS rows at a time.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    with open(path, "w", newline="") as f:
+        if format_line is not None:
+            f.write(f"# format: {format_line}\n")
+        f.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, WRITE_CHUNK_ROWS):
+            cells = [_cells(col[lo : lo + WRITE_CHUNK_ROWS]) for col in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _cells(chunk):
+    """One column chunk's text cells, by ``write_table``'s rules."""
+    if not isinstance(chunk, np.ndarray):
+        return map(str, chunk)
+    if chunk.dtype.kind != "f":
+        return map(str, chunk.tolist())
+    missing = np.isnan(chunk)
+    if not missing.any():
+        return map(repr, chunk.tolist())
+    values = chunk.tolist()
+    cells = [""] * len(values)  # a list only for a chunk with a missing value
+    for i in np.flatnonzero(~missing).tolist():
+        cells[i] = repr(values[i])
+    return cells
+
+
 def write_csv(ts: TimeSeriesSet, path: str | os.PathLike) -> None:
     """Write a record as CSV: one column per channel, in ``names`` order,
     then a ``true_label`` column when the record has ``sample_labels``.
-
-    Floats are rendered with ``repr`` (shortest exact round trip), so
-    rewriting the same record is byte-identical.
+    Rewriting the same record is byte-identical.
     """
-    header = list(ts.names)
-    labels = ts.sample_labels
-    if labels is not None:
+    header, columns = list(ts.names), list(ts.data)
+    if ts.sample_labels is not None:
         header.append("true_label")
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for lo in range(0, ts.n_samples, WRITE_CHUNK_ROWS):
-            hi = lo + WRITE_CHUNK_ROWS
-            cells = [map(repr, col.tolist()) for col in ts.data[:, lo:hi]]
-            if labels is not None:
-                cells.append(labels[lo:hi])
-            f.writelines(",".join(row) + "\n" for row in zip(*cells))
+        columns.append(ts.sample_labels)
+    write_table(path, header, columns)
 
 
 def detrend_mean(ts: TimeSeriesSet) -> TimeSeriesSet:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import TimeSeriesSet
+from .dataset import TimeSeriesSet, write_table
 from .errors import DataError
 from .scheduler import ScheduleTrace
 from .transmissibility import FirModel, TransmissibilityFamily, predict_record
@@ -45,61 +45,29 @@ def fit_metric(y: np.ndarray, y_hat: np.ndarray) -> float:
     return 100.0 * (1.0 - math.sqrt(float(np.sum(e * e))) / denom)
 
 
-def ideal_fit(fits: Sequence[float]) -> float:
-    """Best single-model FIT for one condition."""
-    if len(fits) == 0:
-        raise DataError("ideal FIT needs at least one estimator")
-    return max(fits)
-
-
-def indicator(chosen: int, fits: Sequence[float]) -> int:
-    """1 when the chosen index attains the best FIT (ties count as correct)."""
-    if not 0 <= chosen < len(fits):
-        raise DataError(f"chosen index {chosen} out of range for {len(fits)} estimators")
-    return 1 if fits[chosen] == max(fits) else 0
-
-
-def accuracy(indicators: Sequence[int]) -> float:
-    """Fraction of conditions where the classifier chose a best estimator."""
-    if len(indicators) == 0:
-        raise DataError("accuracy needs at least one indicator")
-    return float(np.mean(indicators))
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    condition: str
-    member_fits: tuple[float, ...]
-    fit_average: float
-    fit_scheduled: float
-    fit_ideal: float
-    chosen: str
-    indicator: int
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
+    """FIT of every estimator on every online record."""
+
+    conditions: tuple[str, ...]  # one per record
     member_labels: tuple[str, ...]
-    rows: tuple[ReportRow, ...]
+    fits: np.ndarray  # (records, members + 3): members, then average, scheduled, ideal
+    chosen: tuple[str, ...]  # the scheduled variant's majority label per record
     accuracies: dict[str, float]  # per classifier variant
 
     def column(self, name: str) -> np.ndarray:
         """FIT values across conditions for one estimator column."""
-        if name in self.member_labels:
-            k = self.member_labels.index(name)
-            return np.array([r.member_fits[k] for r in self.rows])
-        attr = {"average": "fit_average", "scheduled": "fit_scheduled", "ideal": "fit_ideal"}
-        return np.array([getattr(r, attr[name]) for r in self.rows])
+        keys = [*self.member_labels, "average", "scheduled", "ideal"]
+        return self.fits[:, keys.index(name)].copy()
 
     def summary(self) -> list[tuple[str, float, float]]:
         """(estimator, mean FIT, std FIT) rows, members first."""
         names = [f"G_{lab}" for lab in self.member_labels] + ["average", "scheduled", "ideal"]
-        keys = list(self.member_labels) + ["average", "scheduled", "ideal"]
-        out = []
-        for name, key in zip(names, keys):
-            col = self.column(key)
-            out.append((name, float(col.mean()), float(col.std())))
-        return out
+        # each column contiguous, so its mean and std sum as a 1-d array's do
+        return [
+            (name, float(col.mean()), float(col.std()))
+            for name, col in zip(names, self.fits.T.copy())
+        ]
 
 
 def compare_report(
@@ -107,8 +75,8 @@ def compare_report(
     average: FirModel,
     records: Sequence[TimeSeriesSet],
     variant_traces: Mapping[str, Mapping[str, ScheduleTrace]],
+    predictions: Mapping[str, np.ndarray],
     scheduled_variant: str = "full",
-    predictions: Mapping[str, np.ndarray] | None = None,
 ) -> ComparisonReport:
     """Score every estimator on every online record.
 
@@ -116,21 +84,25 @@ def compare_report(
     ``condition_label``.  ``variant_traces`` maps classifier-variant name
     (e.g. "full", "pooled") to per-condition schedule traces; every
     variant yields an accuracy, and ``scheduled_variant`` selects the one
-    reported in the scheduled-FIT column and the chosen/indicator fields.
+    reported in the scheduled-FIT column and in ``chosen``.
     Every estimator of a record is scored on the samples that variant's
     trace covers, so a trailing window too short to classify drops out of
     all FITs alike and the ideal FIT bounds the scheduled one.
 
-    ``predictions`` optionally maps every condition label to the
-    whole-record predictions of ``g``'s members on that record, one row
-    per member, as ``predict_record`` gives them.
+    ``predictions`` maps every condition label to the whole-record
+    predictions of ``g``'s members on that record, one row per member, as
+    ``predict_record`` gives them.
     """
     if scheduled_variant not in variant_traces:
         raise DataError(f"no traces for scheduled variant {scheduled_variant!r}")
-    rows = []
-    indicators: dict[str, list[int]] = {v: [] for v in variant_traces}
+    if not records:
+        raise DataError("the comparison report needs at least one record")
+    q = len(g)
+    fits = np.empty((len(records), q + 3))
+    hits = dict.fromkeys(variant_traces, 0)
+    chosen = []
     order = g.order
-    for ts in records:
+    for i, ts in enumerate(records):
         label = ts.condition_label
         if label is None:
             raise DataError("every online record needs a condition_label")
@@ -144,66 +116,46 @@ def compare_report(
         if not np.any(covered):
             raise DataError(f"trace for {label!r} contains no estimates")
         measured = ts.target()[covered]
-        if predictions is None:
-            member_preds = (predict_record(m, ts) for m in g.models)
-        else:
-            member_preds = predictions[label]
-        member_fits = tuple(fit_metric(measured, p[covered[order:]]) for p in member_preds)
-        fit_avg = fit_metric(measured, predict_record(average, ts)[covered[order:]])
-        majority = {v: traces[label].majority_label() for v, traces in variant_traces.items()}
-        for variant, chosen in majority.items():
-            indicators[variant].append(indicator(g.labels.index(chosen), member_fits))
-        rows.append(
-            ReportRow(
-                condition=label,
-                member_fits=member_fits,
-                fit_average=fit_avg,
-                fit_scheduled=fit_metric(measured, trace.estimates[covered]),
-                fit_ideal=ideal_fit(member_fits),
-                chosen=majority[scheduled_variant],
-                indicator=indicators[scheduled_variant][-1],
-            )
-        )
-    accuracies = {v: accuracy(inds) for v, inds in indicators.items()}
+        row = fits[i]
+        for k, p in enumerate(predictions[label]):
+            row[k] = fit_metric(measured, p[covered[order:]])
+        row[q] = fit_metric(measured, predict_record(average, ts)[covered[order:]])
+        row[q + 1] = fit_metric(measured, trace.estimates[covered])
+        row[q + 2] = row[:q].max()
+        for variant, traces in variant_traces.items():
+            majority = g.labels.index(traces[label].majority_label())
+            hits[variant] += bool(row[majority] == row[q + 2])  # a tie is a hit
+        chosen.append(trace.majority_label())
     return ComparisonReport(
-        member_labels=g.labels, rows=tuple(rows), accuracies=accuracies
+        conditions=tuple(ts.condition_label for ts in records),
+        member_labels=g.labels,
+        fits=fits,
+        chosen=tuple(chosen),
+        accuracies={v: n / len(records) for v, n in hits.items()},
     )
 
 
 def write_report_csv(report: ComparisonReport, path: str | os.PathLike) -> None:
     q = len(report.member_labels)
+    chosen = [report.member_labels.index(lab) for lab in report.chosen]
+    # the indicator: the chosen member has the ideal FIT (a tie counts)
+    hit = report.fits[np.arange(len(chosen)), chosen] == report.fits[:, q + 2]
     header = (
         ["condition"]
         + [f"FIT_G{k + 1}" for k in range(q)]
         + ["FIT_avg", "FIT_scheduled", "FIT_ideal", "chosen_q", "indicator"]
     )
-    with open(path, "w", newline="") as f:
-        f.write(f"# format: {REPORT_FORMAT}\n")
-        f.write(",".join(header) + "\n")
-        for r in report.rows:
-            cells = [r.condition]
-            cells += [repr(float(v)) for v in r.member_fits]
-            cells += [
-                repr(float(r.fit_average)),
-                repr(float(r.fit_scheduled)),
-                repr(float(r.fit_ideal)),
-                r.chosen,
-                str(r.indicator),
-            ]
-            f.write(",".join(cells) + "\n")
+    columns = [report.conditions, *report.fits.T, report.chosen, hit.astype(int)]
+    write_table(path, header, columns, REPORT_FORMAT)
 
 
 def write_summary_csv(report: ComparisonReport, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# format: {SUMMARY_FORMAT}\n")
-        f.write("estimator,mean_fit,std_fit\n")
-        for name, mean, std in report.summary():
-            f.write(f"{name},{repr(mean)},{repr(std)}\n")
+    names, means, stds = zip(*report.summary())
+    columns = [names, np.array(means), np.array(stds)]
+    write_table(path, ["estimator", "mean_fit", "std_fit"], columns, SUMMARY_FORMAT)
 
 
 def write_accuracy_csv(report: ComparisonReport, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# format: {ACCURACY_FORMAT}\n")
-        f.write("classifier,accuracy\n")
-        for variant in sorted(report.accuracies):
-            f.write(f"{variant},{repr(float(report.accuracies[variant]))}\n")
+    variants = sorted(report.accuracies)
+    accuracies = np.array([report.accuracies[v] for v in variants])
+    write_table(path, ["classifier", "accuracy"], [variants, accuracies], ACCURACY_FORMAT)

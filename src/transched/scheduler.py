@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import WRITE_CHUNK_ROWS, TimeSeriesSet, build_regressor
+from .dataset import TimeSeriesSet, build_regressor, write_table
 from .errors import ConfigError, DataError, NumericalError
 from .transmissibility import FirModel, TransmissibilityFamily, predict, predict_record
 
@@ -59,7 +59,7 @@ class Prior:
         if np.any(w < 0):
             raise ConfigError(f"prior weights must be non-negative, got {w}")
         if abs(float(w.sum()) - 1.0) > 1.0e-12:
-            raise ConfigError(f"prior weights must sum to 1, got {w.sum()!r}")
+            raise ConfigError(f"prior weights must sum to 1, got {float(w.sum())!r}")
         w.flags.writeable = False
 
     @staticmethod
@@ -77,9 +77,10 @@ class Prior:
             raise ConfigError(f"prior weights must be finite, got {weights}")
         if np.any(w < 0):
             raise ConfigError(f"prior weights must be non-negative, got {weights}")
-        total = float(w.sum())
-        if total <= 0:
-            raise ConfigError("prior weights must have a positive sum")
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            total = float(w.sum())
+        if not 0 < total < math.inf:
+            raise ConfigError(f"prior weights must have a finite positive sum, got {weights}")
         return Prior(weights=w / total)
 
 
@@ -415,43 +416,25 @@ def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
         + ["ambiguous"]
     )
     columns = [
-        map(str, range(1, trace.chosen.size + 1)),
-        map(str, (trace.starts + 1).tolist()),
-        map(str, trace.stops.tolist()),
-        trace.chosen_labels(),
-        *(map(repr, col) for col in trace.log_evidence.T.tolist()),
-        *(map(repr, col) for col in trace.posterior.T.tolist()),
-        map(str, trace.ambiguous.astype(int).tolist()),
+        np.arange(1, trace.chosen.size + 1),
+        trace.starts + 1,
+        trace.stops,
+        np.array(trace.labels, dtype=object)[trace.chosen],
+        *trace.log_evidence.T,
+        *trace.posterior.T,
+        trace.ambiguous.astype(int),
     ]
-    with open(path, "w", newline="") as f:
-        f.write(f"# format: {WINDOW_TRACE_FORMAT}\n")
-        f.write(",".join(header) + "\n")
-        f.writelines(",".join(row) + "\n" for row in zip(*columns))
+    write_table(path, header, columns, WINDOW_TRACE_FORMAT)
 
 
 def write_sample_trace(
     trace: ScheduleTrace, online: TimeSeriesSet, path: str | os.PathLike
 ) -> None:
-    """Per-sample CSV: measured target (when present), estimate, chosen label."""
-    target = None
-    if online.target_name is not None:
-        target = online.target()
-    names = [*trace.labels, ""]  # member -1, no window, gets the empty label
-    with open(path, "w", newline="") as f:
-        f.write(f"# format: {SAMPLE_TRACE_FORMAT}\n")
-        f.write("sample_index,y_O_measured,y_O_estimated,chosen_label\n")
-        for lo in range(0, online.n_samples, WRITE_CHUNK_ROWS):
-            hi = min(lo + WRITE_CHUNK_ROWS, online.n_samples)
-            if target is None:
-                measured = [""] * (hi - lo)
-            else:
-                measured = map(repr, target[lo:hi].tolist())
-            chunk = trace.estimates[lo:hi]
-            estimated = list(map(repr, chunk.tolist()))
-            for i in np.flatnonzero(np.isnan(chunk)).tolist():
-                estimated[i] = ""
-            labels = map(names.__getitem__, trace.member[lo:hi].tolist())
-            f.writelines(
-                f"{t},{m},{e},{label}\n"
-                for t, m, e, label in zip(range(lo + 1, hi + 1), measured, estimated, labels)
-            )
+    """Per-sample CSV: measured target (empty if absent), estimate, chosen label."""
+    m = online.n_samples
+    measured = np.full(m, math.nan) if online.target_name is None else online.target()
+    # member -1, no window, gets the empty label
+    labels = np.array([*trace.labels, ""], dtype=object)[trace.member]
+    header = ["sample_index", "y_O_measured", "y_O_estimated", "chosen_label"]
+    columns = [np.arange(1, m + 1), measured, trace.estimates, labels]
+    write_table(path, header, columns, SAMPLE_TRACE_FORMAT)

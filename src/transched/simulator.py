@@ -21,8 +21,6 @@ import numpy as np
 from .dataset import PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
 from .errors import ConfigError, DataError
 
-DEFAULT_SAMPLE_TIME = 0.1
-
 # Channel order matches the output matrix rows.
 CHANNEL_NAMES = ("y_I1_a", "y_I2", "y_O")
 CHANNEL_ROLES = (PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT)

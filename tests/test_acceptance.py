@@ -22,7 +22,7 @@ from transched.simulator import (
     build_continuous,
     c2d_zoh,
 )
-from transched.transmissibility import fit_average, train_families
+from transched.transmissibility import fit_average, predict_record, train_families
 
 from conftest import (
     CONDITION_PARAMS,
@@ -246,7 +246,11 @@ def test_criterion_6_comparative_study(quarter_car_systems):
             variant_traces[variant][ts.condition_label] = schedule_estimate(
                 g, h, ts, prior, 50, pooled=pooled
             )
-    report = compare_report(g, avg, online_records, variant_traces)
+    predictions = {
+        ts.condition_label: np.array([predict_record(m, ts) for m in g.models])
+        for ts in online_records
+    }
+    report = compare_report(g, avg, online_records, variant_traces, predictions)
     elapsed = time.time() - t0
 
     sched_mean = float(report.column("scheduled").mean())
@@ -254,11 +258,10 @@ def test_criterion_6_comparative_study(quarter_car_systems):
     member_means = {lab: float(report.column(lab).mean()) for lab in g.labels}
     beats_average = sched_mean >= avg_mean
     beats_members = all(sched_mean >= m for m in member_means.values())
-    near_ideal = all(
-        abs(row.fit_scheduled - row.fit_ideal) <= 2.0
-        for row in report.rows[:5]  # O1..O5 coincide with offline conditions
-    )
-    ideal_dominates = all(row.fit_ideal >= row.fit_scheduled for row in report.rows)
+    scheduled, ideal = report.column("scheduled"), report.column("ideal")
+    # O1..O5 coincide with offline conditions
+    near_ideal = bool(np.all(np.abs(scheduled[:5] - ideal[:5]) <= 2.0))
+    ideal_dominates = bool(np.all(ideal >= scheduled))
     acc_ordering = report.accuracies["full"] >= report.accuracies["pooled"]
     ok = (beats_average and beats_members and near_ideal and ideal_dominates
           and acc_ordering and elapsed < 60.0)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +597,37 @@ def test_exit_code_non_finite_priors(pipeline_dir, tmp_path, capsys):
     assert _run(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
     _assert_one_line_error(capsys, "config error", "prior weights must be finite")
     assert not (out / "trace_windows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "evaluate"])
+def test_exit_code_prior_sum_overflows(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[estimate]\npriors = 1e308, 1e308\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise
+        assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "config error", "finite positive sum, got [1e+308, 1e+308]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, fragment",
+    [
+        ("train_samples = 100000000000000000000", "train_samples 100000000000000000000"),
+        ("schedule = C1:100000000000000000000", "schedule total 1000000000000"),
+    ],
+)
+def test_exit_code_sample_count_past_address_space(tmp_path, capsys, setting, fragment):
+    # numpy rejects 10**20 samples before it allocates anything
+    out = tmp_path / "o"
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[simulate]\n{setting}\n")
+    capsys.readouterr()
+    assert _run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "config error", fragment)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,29 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
 
 
+# Text written by the writer before the shared table writer, which must
+# keep it: shortest round-trip floats, and labels cut across chunks.
+PINNED_CSV = """\
+a,b,f,true_label
+0.1,0.3333333333333333,3.0,C1
+-2.5,5e-324,123456.789,C1
+1e+20,-1e-07,-7.25,C2
+-0.0,2.0,1.7976931348623157e+308,C10
+42.0,1e+16,0.0,C2
+"""
+
+
+@pytest.mark.parametrize("chunk_rows", [dataset.WRITE_CHUNK_ROWS, 3])
+def test_write_csv_reproduces_pinned_text(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", chunk_rows)
+    ts = _ts([[0.1, -2.5, 1e20, -0.0, 42.0], [1.0 / 3.0, 5e-324, -1e-07, 2.0, 1e16],
+              [3.0, 123456.789, -7.25, 1.7976931348623157e308, 0.0]],
+             names=("a", "b", "f"), roles=(PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT),
+             sample_labels=("C1", "C1", "C2", "C10", "C2"))
+    write_csv(ts, tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_text() == PINNED_CSV
+
+
 def test_load_csv_duplicate_schema_channel(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,a,f\n1,2,3,4\n")

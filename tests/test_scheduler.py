@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transched import dataset
 from transched.dataset import Decomposition, PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
@@ -588,17 +589,19 @@ def _tiny_case():
     return g, h, online, Prior.from_weights([0.0, 1.0, 1.0])
 
 
-def test_trace_writers_reproduce_pinned_text(tmp_path):
+def test_trace_writers_reproduce_pinned_text(tmp_path, monkeypatch):
     g, h, online, prior = _tiny_case()
     no_target = TimeSeriesSet(sample_rate=1.0, names=("u0", "v"),
                               roles=(PSEUDO_INPUT,) * 2, data=online.data[:2])
-    for record, samples in ((online, TINY_SAMPLES), (no_target, TINY_SAMPLES_NO_TARGET)):
-        trace = schedule_estimate(g, h, record, prior, window_len=4)
-        assert trace.skipped == ((3, 8, 9),)
-        write_window_trace(trace, tmp_path / "w.csv")
-        write_sample_trace(trace, record, tmp_path / "s.csv")
-        assert (tmp_path / "w.csv").read_text() == TINY_WINDOWS
-        assert (tmp_path / "s.csv").read_text() == samples
+    for chunk_rows in (dataset.WRITE_CHUNK_ROWS, 4):  # one chunk, then three
+        monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", chunk_rows)
+        for record, samples in ((online, TINY_SAMPLES), (no_target, TINY_SAMPLES_NO_TARGET)):
+            trace = schedule_estimate(g, h, record, prior, window_len=4)
+            assert trace.skipped == ((3, 8, 9),)
+            write_window_trace(trace, tmp_path / "w.csv")
+            write_sample_trace(trace, record, tmp_path / "s.csv")
+            assert (tmp_path / "w.csv").read_text() == TINY_WINDOWS
+            assert (tmp_path / "s.csv").read_text() == samples
 
 
 def test_trace_contract():
@@ -632,7 +635,7 @@ def test_trace_contract():
 def test_prior_validation():
     with pytest.raises(ConfigError, match="non-negative"):
         Prior(weights=np.array([0.5, -0.5, 1.0]))
-    with pytest.raises(ConfigError, match="sum to 1"):
+    with pytest.raises(ConfigError, match=r"sum to 1, got 0\.9$"):  # a plain float
         Prior(weights=np.array([0.5, 0.4]))
     with pytest.raises(ConfigError, match="positive sum"):
         Prior.from_weights([0.0, 0.0])
