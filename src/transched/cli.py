@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 # Only what config resolution needs; each command imports its own layers,
 # so e.g. `simulate` never loads the scheduler.
 from . import __version__
-from .dataset import PSEUDO_INPUT, TARGET_OUTPUT
+from .dataset import PSEUDO_INPUT, TARGET_OUTPUT, ParseCache
 from .errors import ConfigError, DataError, NumericalError, TranschedError
 from .regression import MAX_C_LIM
 
@@ -326,16 +326,18 @@ def _resolve_prior(cfg: RunConfig, q: int):
 
 def _load_record(
     cfg: RunConfig,
+    cache: ParseCache,
     path: str,
     condition_label: str | None,
     require_target: bool,
     order: int,
     n_params: int = 0,
 ):
-    """Load a CSV with the configured schema; the target column is optional
-    for online data unless the caller needs ground truth.  The record must
-    have more samples than the FIR ``order``, and a training record must
-    give more regression rows than its model's ``n_params``."""
+    """Load a CSV with the configured schema through the command's parse
+    ``cache``; the target column is optional for online data unless the
+    caller needs ground truth.  The record must have more samples than the
+    FIR ``order``, and a training record must give more regression rows than
+    its model's ``n_params``."""
     from .dataset import detrend_mean, load_csv, read_csv_header
 
     header = read_csv_header(path)
@@ -346,7 +348,8 @@ def _load_record(
             raise DataError(f"{path}: ground-truth channel {target!r} missing")
         del schema[target]
     ts = load_csv(
-        path, schema, sample_rate=1.0 / cfg.sample_time, condition_label=condition_label
+        path, schema, sample_rate=1.0 / cfg.sample_time, condition_label=condition_label,
+        cache=cache,
     )
     if ts.n_samples <= order:
         raise DataError(
@@ -389,7 +392,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     snr = math.inf if cfg.clean else cfg.snr
     csv_names = [f"train_{label}.csv" for label in cfg.params] + ["validation.csv"]
     manifest_name = "simulate_manifest.json"
-    with _staged_outputs(cfg.out, [*csv_names, manifest_name]) as staged:
+    cache = ParseCache(cfg.out)
+    with _staged_outputs(cfg.out, [*csv_names, manifest_name], cache) as staged:
         for k, label in enumerate(cfg.params):
             z = gen_excitation(cfg.train_samples, cfg.excitation_variance, int(state[2 * k]))
             clean_ts = simulate(
@@ -400,7 +404,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 replace(clean_ts, sample_labels=None),  # no true_label column
                 NoiseSpec(snr=snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale),
             )
-            write_csv(noisy_ts, staged[f"train_{label}.csv"])
+            name = f"train_{label}.csv"
+            write_csv(noisy_ts, staged[name])
+            cache.add_written(os.path.join(cfg.out, name), staged[name], noisy_ts, cfg.channels)
         schedule = SwitchSchedule(steps=tuple(cfg.schedule))
         z = gen_excitation(
             schedule.total_samples, cfg.excitation_variance, int(state[2 * n_records - 2])
@@ -411,6 +417,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
             NoiseSpec(snr=snr, seed=int(state[2 * n_records - 1]), scale=cfg.snr_scale),
         )
         write_csv(noisy_val, staged["validation.csv"])
+        cache.add_written(
+            os.path.join(cfg.out, "validation.csv"), staged["validation.csv"], noisy_val,
+            cfg.channels,
+        )
         manifest = {
             "format": "transched-simulate-manifest v1",
             "seed": cfg.seed,
@@ -433,11 +443,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 @contextmanager
-def _staged_outputs(out: str, names: list[str]):
+def _staged_outputs(out: str, names: list[str], cache: ParseCache | None = None):
     """Yield a temporary path in ``out`` for each file name; after the body
-    succeeds, move every file into place.  If the body fails, the temporary
-    files are removed and ``out`` is left as it was.  An ``out`` that is not
-    a directory, or a destination that is one, is a ConfigError."""
+    succeeds, move every file into place, then commit the parse ``cache``.
+    If the body fails, the temporary files and the cache's staged entries
+    are removed and ``out`` is left as it was.  An ``out`` that is not a
+    directory, or a destination that is one, is a ConfigError."""
     if os.path.exists(out) and not os.path.isdir(out):
         raise ConfigError(f"output directory {out} exists and is not a directory")
     finals = {name: os.path.join(out, name) for name in names}
@@ -454,10 +465,14 @@ def _staged_outputs(out: str, names: list[str]):
         yield staged
         for name in names:
             os.replace(staged[name], finals[name])
+        if cache is not None:
+            cache.commit()
     except BaseException as e:
         for path in staged.values():
             if os.path.exists(path):
                 os.remove(path)
+        if cache is not None:
+            cache.discard()
         if created and not os.listdir(out):
             os.rmdir(out)
         if isinstance(e, OSError):
@@ -471,8 +486,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
     # the primary models take every pseudo-input, so they have the most parameters
     n_pseudo = list(cfg.channels.values()).count(PSEUDO_INPUT)
+    cache = ParseCache(cfg.out)
     records = [
-        _load_record(cfg, path, label, require_target=True, order=cfg.order,
+        _load_record(cfg, cache, path, label, require_target=True, order=cfg.order,
                      n_params=n_pseudo * (cfg.order + 1))
         for label, path in cfg.train_data.items()
     ]
@@ -482,7 +498,7 @@ def cmd_train(cfg: RunConfig) -> int:
     g, h = train_families(records, d, cfg.order, cfg.c_lim)
     avg = fit_average(records, pseudo, target, cfg.order, cfg.c_lim)
     store_dir, store_name = os.path.split(cfg.store)
-    with _staged_outputs(store_dir or os.curdir, [store_name]) as staged:
+    with _staged_outputs(store_dir or os.curdir, [store_name], cache) as staged:
         save_store(staged[store_name], g, h, average=avg, c_lim=cfg.c_lim)
     print(f"wrote {cfg.store} ({len(g)} conditions, order {cfg.order})")
     print("condition  model  sigma2        rho           kappa")
@@ -507,11 +523,12 @@ def cmd_estimate(cfg: RunConfig) -> int:
         raise ConfigError(
             f"window {cfg.window} must exceed the stored FIR order {g.order}"
         )
-    online = _load_record(cfg, cfg.data, None, require_target=False, order=g.order)
+    cache = ParseCache(cfg.out)
+    online = _load_record(cfg, cache, cfg.data, None, require_target=False, order=g.order)
     prior = _resolve_prior(cfg, len(g))
     trace = schedule_estimate(g, h, online, prior, cfg.window, pooled=cfg.pooled)
     names = ["trace_windows.csv", "trace_samples.csv"]
-    with _staged_outputs(cfg.out, names) as staged:
+    with _staged_outputs(cfg.out, names, cache) as staged:
         write_window_trace(trace, staged[names[0]])
         write_sample_trace(trace, online, staged[names[1]])
     for name in names:
@@ -544,8 +561,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             f"window {cfg.window} must exceed the stored FIR order {g.order}"
         )
     prior = _resolve_prior(cfg, len(g))
+    cache = ParseCache(cfg.out)
     records = [
-        _load_record(cfg, path, label, require_target=True, order=g.order)
+        _load_record(cfg, cache, path, label, require_target=True, order=g.order)
         for label, path in cfg.evaluate_data.items()
     ]
     predictions = {}
@@ -569,7 +587,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         "report_summary.csv": write_summary_csv,
         "report_accuracy.csv": write_accuracy_csv,
     }
-    with _staged_outputs(cfg.out, list(writers)) as staged:
+    with _staged_outputs(cfg.out, list(writers), cache) as staged:
         for name, write in writers.items():
             write(report, staged[name])
     for name in writers:

@@ -4,13 +4,15 @@ A record keeps named channels of equal length together with a role per
 channel: ``pseudo_input`` channels drive the FIR models, the single
 ``target_output`` channel is what the primary models estimate.  The
 functions here cover CSV I/O, mean removal, lag-matrix construction
-and pseudo-input decomposition.
+and pseudo-input decomposition, and the parse cache that lets a
+command skip parsing a CSV it or ``simulate`` already read or wrote.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +30,10 @@ GUARD_BLOCK_BYTES = 64 * 1024
 # Printable ASCII other than space, '"' and ',': the bytes a cell of a file
 # that needs no quoting, CR or whitespace handling is made of.
 _CELL_BYTES = bytes(c for c in range(0x21, 0x7F) if c not in b'",')
+
+# Format of a parse-cache entry, a part of its key: an entry of any other
+# format is a miss.
+PARSE_CACHE_VERSION = 1
 
 # Rows formatted per chunk by ``write_table``: one ``tolist`` per column
 # and chunk keeps its memory flat whatever the table length.
@@ -194,6 +200,7 @@ def load_csv(
     schema: dict[str, str],
     sample_rate: float = 1.0,
     condition_label: str | None = None,
+    cache: ParseCache | None = None,
 ) -> TimeSeriesSet:
     """Read a comma-separated file into a record.
 
@@ -206,7 +213,8 @@ def load_csv(
     any other file, or one that reader rejects, goes through the csv
     module, which also words every error.  Both give the same array.  A
     file that cannot be read or decoded, or that the csv module rejects, is
-    a ``DataError`` naming it.
+    a ``DataError`` naming it.  With a ``cache``, a file whose entry is
+    there is not parsed at all (see ``ParseCache``).
     """
     header = read_csv_header(path)
     for name in schema:
@@ -217,7 +225,8 @@ def load_csv(
                 f"{path}: channel {name!r} appears {header.count(name)} times in the header"
             )
     cols = [header.index(name) for name in schema]
-    try:
+
+    def parse() -> np.ndarray:
         data = None
         # an empty schema: loadtxt gives (0, samples), the csv loop a (0,) array
         if cols and _plain_table(path, len(header)):
@@ -231,6 +240,10 @@ def load_csv(
                 f"{path}: line {_data_line(path, t)}: non-finite value "
                 f"{float(data[k, t])!r} in channel {list(schema)[k]!r}"
             )
+        return data
+
+    try:
+        data = cache.load(path, cols, parse) if cache is not None and cols else parse()
     except _READ_ERRORS as e:
         raise _unreadable(path, e) from None
     return TimeSeriesSet(
@@ -327,6 +340,123 @@ def _data_line(path: str | os.PathLike, index: int) -> int:
     with open(path, newline="") as f:
         lines = [lineno for lineno, row in enumerate(csv.reader(f), start=1) if row]
     return lines[index + 1]  # lines[0] is the header
+
+
+class ParseCache:
+    """Arrays of parsed CSV files, kept as entry files in one directory.
+
+    An entry is two ``.npy`` records in one file.  The first is an int64
+    array: the key [PARSE_CACHE_VERSION, CSV byte length, CSV ``zlib.crc32``,
+    selected column indices...], then the sample count.  The second is the
+    (channels, samples) float64 array the parse gave.  An entry's name
+    depends only on the CSV's base name and the column selection, so each
+    pair has one entry and a new parse replaces a stale one.  An entry that
+    is missing, unreadable, of another key, shape or dtype, or not finite
+    is a miss, and the CSV is parsed.
+
+    A command's new entries are written beside their places and moved into
+    them by ``commit``, or removed by ``discard``.  An entry that cannot be
+    written or moved is dropped; it never fails the command.
+    """
+
+    def __init__(self, directory: str | os.PathLike):
+        self.directory = directory
+        self._parsed: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # entry -> (key, data)
+        self._staged: dict[str, str] = {}  # entry -> its temporary file
+
+    def _entry(self, path: str | os.PathLike, cols: list[int]) -> str:
+        name = os.fsencode(os.path.basename(path)) + b":" + ",".join(map(str, cols)).encode()
+        return os.path.join(self.directory, f".parse-cache-{zlib.crc32(name):08x}.npy")
+
+    def load(self, path: str | os.PathLike, cols: list[int], parse) -> np.ndarray:
+        """The columns ``cols`` of the CSV at ``path``: from its entry when
+        that holds the key of the file's bytes, else ``parse()``, which is
+        kept for ``commit``."""
+        key = _content_key(path, cols)
+        entry = self._entry(path, cols)
+        try:
+            with open(entry, "rb") as f:
+                stored = np.load(f, allow_pickle=False)
+                data = np.load(f, allow_pickle=False)
+            hit = (
+                stored.dtype == key.dtype and np.array_equal(stored[:-1], key)
+                and data.dtype == np.float64 and data.flags.c_contiguous
+                and data.shape == (len(cols), stored[-1]) and data.size > 0
+                and bool(np.isfinite(data).all())
+            )
+        except Exception:  # an entry is only a hint: whatever fails reading it is a miss
+            hit = False
+        if hit:
+            return data
+        data = parse()
+        self._parsed.setdefault(entry, (key, data))
+        return data
+
+    def add_written(
+        self, path: str | os.PathLike, written: str | os.PathLike,
+        ts: TimeSeriesSet, schema: dict[str, str],
+    ) -> None:
+        """Stage the entry ``load_csv(path, schema)`` will look for, for a
+        record ``write_csv`` just wrote to ``written`` (moved to ``path``
+        later), without parsing it: each value is written as its ``repr``,
+        which parses back to the same double."""
+        if not schema or not set(schema) <= set(ts.names):
+            return  # such a load fails before it looks for an entry
+        cols = [ts.names.index(name) for name in schema]
+        if cols == list(range(cols[0], cols[-1] + 1)):
+            data = ts.data[cols[0] : cols[-1] + 1]  # a view: the record is not copied
+        else:
+            data = ts.data[cols]
+        self._stage(self._entry(path, cols), _content_key(written, cols), data)
+
+    def _stage(self, entry: str, key: np.ndarray, data: np.ndarray) -> None:
+        temp = os.path.join(self.directory, f".{os.path.basename(entry)}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "wb") as f:
+                np.save(f, np.append(key, data.shape[1]))
+                np.save(f, data)
+        except OSError:
+            _remove(temp)
+            return
+        self._staged[entry] = temp
+
+    def commit(self) -> None:
+        """Write the entries of this command's parses, and move every staged
+        entry into its place."""
+        for entry, (key, data) in self._parsed.items():
+            self._stage(entry, key, data)
+        self._parsed.clear()
+        for entry, temp in self._staged.items():
+            try:
+                os.replace(temp, entry)
+            except OSError:  # e.g. a directory in the entry's place
+                _remove(temp)
+        self._staged.clear()
+
+    def discard(self) -> None:
+        """Forget this command's parses and remove its staged entries."""
+        for temp in self._staged.values():
+            _remove(temp)
+        self._parsed.clear()
+        self._staged.clear()
+
+
+def _content_key(path: str | os.PathLike, cols: list[int]) -> np.ndarray:
+    """A parse-cache key: format, byte length and CRC-32 of the file at
+    ``path``, read in blocks of GUARD_BLOCK_BYTES, and the column indices."""
+    size = crc = 0
+    with open(path, "rb") as f:
+        while block := f.read(GUARD_BLOCK_BYTES):
+            size += len(block)
+            crc = zlib.crc32(block, crc)
+    return np.array([PARSE_CACHE_VERSION, size, crc, *cols], dtype=np.int64)
+
+
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 def write_table(

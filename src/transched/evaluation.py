@@ -45,7 +45,8 @@ def fit_metric(y: np.ndarray, y_hat: np.ndarray) -> float:
     return 100.0 * (1.0 - math.sqrt(float(np.sum(e * e))) / denom)
 
 
-@dataclass(frozen=True)
+# eq=False: == is identity, as a generated __eq__ cannot compare the ndarray field
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """FIT of every estimator on every online record."""
 

@@ -95,7 +95,8 @@ class PosteriorResult:
     ambiguous: bool = False
 
 
-@dataclass(frozen=True)
+# eq=False: == is identity, as a generated __eq__ cannot compare the ndarray fields
+@dataclass(frozen=True, eq=False)
 class ScheduleTrace:
     """Online-stage output: per-window arrays, per-sample member and estimate."""
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -168,7 +170,7 @@ def test_online_artifacts_identical_on_every_openblas_kernel_and_thread_count(tm
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
         }
     first = digests["None-1"]
-    assert len(first) == 5  # two traces, three reports
+    assert len(first) == 6  # two traces, three reports, validation.csv's parse-cache entry
     for setting, files in digests.items():
         assert files == first, setting
 
@@ -788,6 +790,160 @@ def test_write_failure_leaves_no_partial_output(
     assert _run([command, "--out", str(out)]) == 3
     _assert_one_line_error(capsys, "data error: injected failure")
     assert _tree(out) == before
+
+
+# ------------------------------------------------------------- parse cache
+
+_CHAIN = ("simulate", "train", "estimate", "evaluate")
+
+
+def _entries(out):
+    return sorted(out.glob(".parse-cache-*.npy"))
+
+
+def _run_from(root, commands, prepare=None):
+    """Run ``commands`` with ``--out o`` from ``root``, after ``prepare(root / "o")``;
+    return (exit codes, stdout, output tree)."""
+    if prepare is not None:
+        prepare(root / "o")
+    cwd, buf = os.getcwd(), io.StringIO()
+    try:
+        os.chdir(root)
+        with contextlib.redirect_stdout(buf):
+            codes = [_run([command, "--out", "o"]) for command in commands]
+    finally:
+        os.chdir(cwd)
+    return codes, buf.getvalue(), _tree(root / "o")
+
+
+def test_second_chain_reads_every_csv_from_the_cache(tmp_path, monkeypatch):
+    from transched import dataset
+
+    fresh, twice = tmp_path / "fresh", tmp_path / "twice"
+    fresh.mkdir(), twice.mkdir()
+    reference = _run_from(fresh, _CHAIN)
+    assert reference[0] == [0] * 4 and len(_entries(fresh / "o")) == 3  # one per CSV
+    assert _run_from(twice, _CHAIN) == reference
+
+    def no_parse(*args):
+        raise AssertionError("parsed, not read from the cache")
+
+    monkeypatch.setattr(dataset, "_plain_table", no_parse)
+    monkeypatch.setattr(dataset, "_load_rows", no_parse)
+    assert _run_from(twice, _CHAIN) == reference
+
+
+def _each_entry(damage):
+    return lambda out: [damage(entry) for entry in _entries(out)]
+
+
+def _rewrite_entries(transform):
+    def damage(entry):
+        with entry.open("rb") as f:
+            head, data = np.load(f), np.load(f)
+        with entry.open("wb") as f:
+            np.save(f, head)
+            np.save(f, transform(data))
+
+    return _each_entry(damage)
+
+
+def _swap_entries(out):
+    entries = _entries(out)
+    contents = [e.read_bytes() for e in entries]
+    for entry, text in zip(entries, contents[1:] + contents[:1]):
+        entry.write_bytes(text)  # each holds another CSV's key
+
+
+def _edit_validation_digit(out):
+    path = out / "validation.csv"
+    text = path.read_text()
+    i = text.index("\n") + 3  # a digit of the first sample's first cell
+    path.write_text(text[:i] + ("1" if text[i] != "1" else "2") + text[i + 1:])
+
+
+_DELETE_ENTRIES = _each_entry(lambda e: e.unlink())
+
+
+@pytest.fixture(scope="module")
+def uncached_rerun(pipeline_dir, tmp_path_factory):
+    """train, estimate and evaluate re-run on the stock chain's outputs with
+    every parse-cache entry deleted, from an otherwise empty directory."""
+    root = tmp_path_factory.mktemp("uncached")
+    shutil.copytree(pipeline_dir, root / "o")
+    return _run_from(root, _CHAIN[1:], _DELETE_ENTRIES)
+
+
+def test_rerun_without_entries_recreates_them(pipeline_dir, uncached_rerun):
+    # the entries a parse keeps are the bytes simulate staged without parsing
+    codes, _, tree = uncached_rerun
+    assert codes == [0, 0, 0] and len(_entries(pipeline_dir)) == 3
+    assert tree == _tree(pipeline_dir)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _each_entry(lambda e: e.write_bytes(e.read_bytes()[: e.stat().st_size // 2])),
+        _each_entry(lambda e: e.write_bytes(b"")),
+        _rewrite_entries(lambda d: d[:, :-1]),
+        _rewrite_entries(lambda d: d[:2]),
+        _rewrite_entries(lambda d: d.astype(np.float32)),
+        _swap_entries,
+        _each_entry(lambda e: (e.unlink(), e.mkdir())),
+    ],
+    ids=["truncated", "empty", "fewer-samples", "fewer-channels", "float32", "swapped",
+         "directory"],
+)
+def test_damaged_entries_give_the_uncached_run(pipeline_dir, tmp_path, uncached_rerun, damage):
+    shutil.copytree(pipeline_dir, tmp_path / "o")
+    codes, stdout, tree = _run_from(tmp_path, _CHAIN[1:], damage)
+    assert (codes, stdout) == uncached_rerun[:2]
+    expected = uncached_rerun[2]
+    if (tmp_path / "o" / _entries(pipeline_dir)[0].name).is_dir():  # stays in the way
+        expected = {**expected, **{e.name: None for e in _entries(pipeline_dir)}}
+    assert tree == expected
+
+
+def test_csv_edit_of_the_same_length_is_read_afresh(pipeline_dir, tmp_path):
+    trees = {}
+    for case, prepare in (("cached", _edit_validation_digit),
+                          ("uncached", lambda out: (_DELETE_ENTRIES(out),
+                                                    _edit_validation_digit(out)))):
+        (tmp_path / case).mkdir()
+        shutil.copytree(pipeline_dir, tmp_path / case / "o")
+        trees[case] = _run_from(tmp_path / case, _CHAIN[1:], prepare)
+    assert trees["cached"] == trees["uncached"]
+    assert trees["cached"][2] != _tree(pipeline_dir)
+    assert len(_entries(tmp_path / "cached" / "o")) == 3  # the stale entry was replaced
+
+
+@pytest.mark.parametrize(
+    "command, name, line",
+    [("train", "train_C1.csv", 5), ("estimate", "validation.csv", 40),
+     ("evaluate", "validation.csv", 40)],
+)
+def test_bad_csv_beside_its_entry_keeps_its_error(pipeline_dir, tmp_path, capsys,
+                                                  command, name, line):
+    out = tmp_path / "o"
+    shutil.copytree(pipeline_dir, out)
+    _corrupt_cell(out / name, line, 1, "nan")
+    before = _tree(out)
+    capsys.readouterr()
+    assert _run([command, "--out", str(out)]) == 3
+    _assert_one_line_error(capsys, "data error: ", f"{name}: line {line}: non-finite value nan",
+                           "'y_I2'")
+    assert _tree(out) == before
+
+
+def test_simulate_with_a_directory_in_an_entry_place(pipeline_dir, tmp_path):
+    out = tmp_path / "o"
+    shutil.copytree(pipeline_dir, out)
+    blocked = _entries(out)[0]
+    blocked.unlink()
+    blocked.mkdir()
+    assert _run(["simulate", "--out", str(out)]) == 0
+    assert _tree(out) == {**_tree(pipeline_dir), blocked.name: None}
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "estimate", "evaluate"])

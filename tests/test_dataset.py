@@ -250,6 +250,182 @@ def test_load_csv_fast_path_matches_csv_module(tmp_path_factory, text):
     assert _outcome(p) == reference
 
 
+# ------------------------------------------------------------- parse cache
+
+_ROLES3 = (PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT)
+# -0.0, subnormals, the smallest normal and values near the largest double
+_EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                 1.7976931348623157e308]
+_DOUBLES = st.one_of(st.sampled_from(_EDGE_DOUBLES),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _no_parse():
+    """Fail any parse of a CSV: a load under this is served by the cache."""
+    fail = mock.Mock(side_effect=AssertionError("parsed, not read from the cache"))
+    return mock.patch.multiple(dataset, _plain_table=fail, _load_rows=fail)
+
+
+def _entries(directory):
+    return {p.name: p.read_bytes() for p in directory.glob(".parse-cache-*.npy")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.integers(1, 20).flatmap(lambda n: st.lists(_DOUBLES, min_size=3 * n,
+                                                         max_size=3 * n)),
+    plain=st.booleans(),
+)
+def test_parse_cache_hit_equals_parse_bit_for_bit(tmp_path_factory, values, plain):
+    data = np.array(values).reshape(3, -1)
+    label = "C1" if plain else "C 1"  # a space takes the file to the csv module
+    ts = _ts(data, names=("a", "b", "f"), roles=_ROLES3,
+             sample_labels=(label,) * data.shape[1])
+    root = tmp_path_factory.mktemp("cache")
+    p = root / "d.csv"
+    write_csv(ts, p)
+    assert dataset._plain_table(p, 4) is plain
+    parsed = load_csv(p, SCHEMA3).data
+    assert parsed.tobytes() == data.tobytes()
+    # one entry staged from the record as simulate writes it, one kept by a parse
+    seeded, kept = root / "seeded", root / "kept"
+    seeded.mkdir(), kept.mkdir()
+    cache = dataset.ParseCache(seeded)
+    cache.add_written(p, p, ts, SCHEMA3)
+    cache.commit()
+    cache = dataset.ParseCache(kept)
+    assert load_csv(p, SCHEMA3, cache=cache).data.tobytes() == parsed.tobytes()
+    cache.commit()
+    assert _entries(seeded) == _entries(kept) and len(_entries(kept)) == 1
+    with _no_parse():
+        hit = load_csv(p, SCHEMA3, cache=dataset.ParseCache(kept)).data
+    assert hit.tobytes() == parsed.tobytes() and hit.flags.c_contiguous
+
+
+def _cached_csv(tmp_path):
+    """A CSV with its committed entry: (csv path, entry path, parsed data)."""
+    rng = np.random.default_rng(8)
+    p = tmp_path / "d.csv"
+    write_csv(_ts(rng.normal(size=(3, 50)), names=("a", "b", "f"), roles=_ROLES3), p)
+    cache = dataset.ParseCache(tmp_path)
+    data = load_csv(p, SCHEMA3, cache=cache).data
+    cache.commit()
+    (entry,) = tmp_path.glob(".parse-cache-*.npy")
+    return p, entry, data
+
+
+def _rewrite_entry(transform):
+    """Damage an entry by rewriting its array record through ``transform``,
+    or by dropping it when ``transform`` is None."""
+
+    def damage(entry):
+        with entry.open("rb") as f:
+            head, data = np.load(f), np.load(f)
+        with entry.open("wb") as f:
+            np.save(f, head)
+            if transform is not None:
+                np.save(f, transform(data))
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda e: e.write_bytes(e.read_bytes()[: e.stat().st_size // 2]),
+        lambda e: e.write_bytes(b""),
+        _rewrite_entry(None),
+        _rewrite_entry(lambda d: d[:2]),
+        _rewrite_entry(lambda d: d[:, :-1]),
+        _rewrite_entry(lambda d: d.ravel()),
+        _rewrite_entry(lambda d: d.astype(np.float32)),
+        _rewrite_entry(lambda d: np.asfortranarray(d)),
+        _rewrite_entry(lambda d: np.where(np.arange(d.shape[1]) == 7, np.nan, d)),
+        lambda e: np.save(e, np.array([{"pickled": 1}], dtype=object), allow_pickle=True),
+        lambda e: (e.unlink(), e.mkdir()),
+    ],
+    ids=["truncated", "empty", "key-only", "fewer-channels", "fewer-samples", "flat",
+         "float32", "fortran-order", "non-finite", "pickled-object", "directory"],
+)
+def test_parse_cache_bad_entry_is_a_miss(tmp_path, damage):
+    p, entry, data = _cached_csv(tmp_path)
+    good = entry.read_bytes()
+    damage(entry)
+    cache = dataset.ParseCache(tmp_path)
+    with mock.patch.object(dataset, "_plain_table", wraps=dataset._plain_table) as parse:
+        again = load_csv(p, SCHEMA3, cache=cache).data
+    assert parse.call_count == 1 and again.tobytes() == data.tobytes()
+    cache.commit()  # the new parse replaces the bad entry; a directory stays
+    if entry.is_dir():
+        assert sorted(p.name for p in tmp_path.iterdir()) == [entry.name, "d.csv"]
+    else:
+        assert entry.read_bytes() == good
+
+
+def test_parse_cache_misses_an_edit_of_the_same_length(tmp_path):
+    p, entry, data = _cached_csv(tmp_path)
+    text = p.read_text()
+    i = text.index("\n") + 3  # a digit of the first data row's first cell
+    edited = text[:i] + ("1" if text[i] != "1" else "2") + text[i + 1:]
+    p.write_text(edited)
+    assert len(edited) == len(text)
+    cache = dataset.ParseCache(tmp_path)
+    got = load_csv(p, SCHEMA3, cache=cache).data
+    assert got.tobytes() == load_csv(p, SCHEMA3).data.tobytes() != data.tobytes()
+    cache.commit()
+    assert list(_entries(tmp_path)) == [entry.name]  # replaced, not added
+    with _no_parse():
+        assert load_csv(p, SCHEMA3, cache=dataset.ParseCache(tmp_path)).data.tobytes() \
+            == got.tobytes()
+
+
+def test_parse_cache_entry_per_column_selection(tmp_path):
+    p, entry, data = _cached_csv(tmp_path)
+    two = {"f": TARGET_OUTPUT, "a": PSEUDO_INPUT}
+    cache = dataset.ParseCache(tmp_path)
+    assert load_csv(p, two, cache=cache).data.tobytes() == data[[2, 0]].tobytes()
+    cache.commit()
+    assert len(_entries(tmp_path)) == 2
+    with _no_parse():
+        assert load_csv(p, two, cache=dataset.ParseCache(tmp_path)).data.tobytes() \
+            == data[[2, 0]].tobytes()
+        assert load_csv(p, SCHEMA3, cache=dataset.ParseCache(tmp_path)).data.tobytes() \
+            == data.tobytes()
+
+
+def test_parse_cache_add_written_selects_the_schema_columns(tmp_path):
+    rng = np.random.default_rng(9)
+    ts = _ts(rng.normal(size=(3, 20)), names=("a", "b", "f"), roles=_ROLES3)
+    p = tmp_path / "d.csv"
+    write_csv(ts, p)
+    cache = dataset.ParseCache(tmp_path)
+    cache.add_written(p, p, ts, {"f": TARGET_OUTPUT, "a": PSEUDO_INPUT})
+    cache.add_written(p, p, ts, {"b": PSEUDO_INPUT, "f": TARGET_OUTPUT})
+    cache.add_written(p, p, ts, {"a": PSEUDO_INPUT, "x": TARGET_OUTPUT})  # no such column
+    cache.commit()
+    assert len(_entries(tmp_path)) == 2
+    with _no_parse():
+        for schema in ({"f": TARGET_OUTPUT, "a": PSEUDO_INPUT},
+                       {"b": PSEUDO_INPUT, "f": TARGET_OUTPUT}):
+            hit = load_csv(p, schema, cache=dataset.ParseCache(tmp_path)).data
+            assert hit.tobytes() == ts.data[[list(ts.names).index(n) for n in schema]].tobytes()
+
+
+def test_parse_cache_discard_and_missing_directory(tmp_path):
+    p, entry, data = _cached_csv(tmp_path)
+    entry.unlink()
+    cache = dataset.ParseCache(tmp_path)
+    cache.add_written(p, p, load_csv(p, SCHEMA3), SCHEMA3)  # staged beside its place
+    assert len(list(tmp_path.glob(".*.tmp"))) == 1
+    cache.discard()
+    cache.commit()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+    cache = dataset.ParseCache(tmp_path / "absent")  # entries cannot be written: dropped
+    load_csv(p, SCHEMA3, cache=cache)
+    cache.commit()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
 # ------------------------------------------------------------ detrend_mean
 
 

@@ -114,6 +114,18 @@ def test_report_row_per_condition(study):
     assert report.fits.shape == (len(online), len(g) + 3)
 
 
+def test_reports_compare_by_identity(quarter_car_systems):
+    # ndarray field: a generated __eq__ would raise "truth value ... is ambiguous"
+    g, avg, online, traces = _scheduled_study(quarter_car_systems, 200)
+    preds = {
+        ts.condition_label: np.array([predict_record(m, ts) for m in g.models])
+        for ts in online
+    }
+    a, b = (compare_report(g, avg, online, {"full": traces}, preds) for _ in range(2))
+    assert a == a and a != b
+    np.testing.assert_array_equal(a.fits, b.fits)
+
+
 def test_report_scheduled_matches_member_on_clean_matched_data(study):
     g, _, _, report = study
     # online O1 is condition C1 exactly and every window picks C1, so the

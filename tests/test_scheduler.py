@@ -277,6 +277,15 @@ def test_schedule_quarter_car_switching(quarter_car_systems, trained_families):
     assert trace.majority_label() == "C1"  # the 4-4 tie goes to the first label
 
 
+def test_traces_compare_by_identity(quarter_car_systems, trained_families):
+    # ndarray fields: a generated __eq__ would raise "truth value ... is ambiguous"
+    g, h = trained_families
+    online = make_training_record(quarter_car_systems, "C1", 200, seed=56, snr=50.0)
+    a, b = (schedule_estimate(g, h, online, Prior.uniform(2), window_len=20) for _ in range(2))
+    assert a == a and a != b
+    np.testing.assert_array_equal(a.posterior, b.posterior)
+
+
 def test_schedule_stationary_record_beats_wrong_model(quarter_car_systems,
                                                       trained_families):
     g, h = trained_families

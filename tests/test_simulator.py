@@ -331,7 +331,8 @@ def test_simulated_csvs_identical_on_every_openblas_kernel(tmp_path):
         digests[kernel] = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
         }
-    assert len(digests["Prescott"]) == 4  # two training CSVs, validation, manifest
+    # two training CSVs, validation, manifest, and each CSV's parse-cache entry
+    assert len(digests["Prescott"]) == 7
     assert digests["Prescott"] == digests["Haswell"]
 
 
