@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 # so e.g. `simulate` never loads the scheduler.
 from . import __version__
 from .dataset import PSEUDO_INPUT, TARGET_OUTPUT, ParseCache
-from .errors import ConfigError, DataError, NumericalError, TranschedError
+from .errors import ConfigError, DataError, TranschedError
 from .regression import MAX_C_LIM
 
 # Stock two-condition scenario: a softly and a stiffly sprung quarter car.
@@ -30,6 +30,9 @@ STOCK_CONDITIONS = {
     "C1": {"m_s": 300.0, "m_u": 40.0, "k_s": 2.0e4, "k_r": 1.8e5, "c_s": 1.5e3},
     "C2": {"m_s": 300.0, "m_u": 40.0, "k_s": 4.0e4, "k_r": 2.0e5, "c_s": 2.5e3},
 }
+
+# The keys of a [params.<label>] section, the QuarterCarParams fields.
+PARAM_KEYS = ("m_s", "m_u", "k_s", "k_r", "c_s")
 
 DEFAULT_CHANNELS = {"y_I1_a": PSEUDO_INPUT, "y_I2": PSEUDO_INPUT, "y_O": TARGET_OUTPUT}
 
@@ -113,8 +116,10 @@ def _setting(default, *sections: str, key: str | None = None, parse=None):
 class RunConfig:
     """Fully resolved settings for one command invocation.
 
-    Each INI setting is declared once, here; a flag sets the attribute named
-    by its argparse ``dest``.
+    Each INI setting is declared once, here, and the INI may hold no other
+    key, apart from the channel names of ``[channels]`` and the PARAM_KEYS
+    of each ``[params.<label>]``; a flag sets the attribute named by its
+    argparse ``dest``.
     """
 
     command: str
@@ -132,9 +137,7 @@ class RunConfig:
     excitation_variance: float = _setting(0.01, "simulate")
     snr: float = _setting(50.0, "simulate")
     snr_scale: str = _setting("linear", "simulate")
-    clean: bool = _setting(False, "simulate")
     schedule: list = _setting([("C1", 80), ("C2", 80)], "simulate", parse=_parse_schedule)
-    validation_samples: int | None = _setting(None, "simulate", parse=_typed(int))
     # train
     train_data: dict = _setting({}, "train", key="data", parse=_parse_pairs)  # label -> path
     store: str = _setting("", "train", "estimate", "evaluate")
@@ -174,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--snr-db", action="store_const", const="db", dest="snr_scale",
                        help="interpret --snr in decibels instead of a linear power ratio")
         p.add_argument("--out", help="output directory")
-        if name == "simulate":
-            p.add_argument("--clean", action="store_const", const=True,
-                           help="emit noise-free measurements")
         if name in ("train", "estimate", "evaluate"):
             p.add_argument("--store", help="model store path")
         if name == "estimate":
@@ -185,6 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
+    """The INI file at ``path``.  A section or key that no setting reads is
+    a ConfigError naming it, so a misspelling never falls back silently."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -198,6 +200,18 @@ def _read_ini(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"{path}: byte 0x{e.object[e.start]:02x} is not valid UTF-8") from None
     except OSError as e:
         raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from None
+    known: dict[str, set[str]] = {}
+    for f in fields(RunConfig):
+        for section in f.metadata.get("sections", ()):
+            known.setdefault(section, set()).add(f.metadata["key"] or f.name)
+    for section, keys in cp.items():  # [DEFAULT] first: every section would get its keys
+        if section == "channels":
+            continue  # its keys are channel names
+        allowed = PARAM_KEYS if section.startswith("params.") else known.get(section, ())
+        for key in keys:
+            if key not in allowed:
+                what = "key" if allowed else "section"
+                raise ConfigError(f"{path}: [{section}] {key}: unknown {what}")
     return cp
 
 
@@ -220,7 +234,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     }
     for label, values in (raw_params or STOCK_CONDITIONS).items():
         params = {}
-        for key in ("m_s", "m_u", "k_s", "k_r", "c_s"):
+        for key in PARAM_KEYS:
             if key not in values:
                 raise ConfigError(f"[params.{label}] missing parameter {key}")
             params[key] = _typed(float)(f"[params.{label}] {key}", str(values[key]))
@@ -297,11 +311,6 @@ def _validate(cfg: RunConfig) -> None:
         for name, n in (("train_samples", cfg.train_samples), ("schedule total", total)):
             if n > max_samples:
                 raise ConfigError(f"{name} {n} exceeds the {max_samples} samples a record holds")
-        if cfg.validation_samples is not None and cfg.validation_samples != total:
-            raise ConfigError(
-                f"schedule durations sum to {total}, not the requested "
-                f"validation_samples {cfg.validation_samples}"
-            )
     if cfg.command in ("estimate", "evaluate"):
         if cfg.window <= 0:
             raise ConfigError(f"window must be positive, got {cfg.window}")
@@ -386,41 +395,27 @@ def cmd_simulate(cfg: RunConfig) -> int:
         label: c2d_zoh(build_continuous(QuarterCarParams(**p)), cfg.sample_time)
         for label, p in cfg.params.items()
     }
-    # one independent (excitation, noise) seed pair per record, then validation
-    n_records = len(cfg.params) + 1
-    state = np.random.SeedSequence(cfg.seed).generate_state(2 * n_records)
-    snr = math.inf if cfg.clean else cfg.snr
-    csv_names = [f"train_{label}.csv" for label in cfg.params] + ["validation.csv"]
+    # (file, schedule steps, condition label) per record, validation last
+    records = [
+        (f"train_{label}.csv", ((label, cfg.train_samples),), label) for label in cfg.params
+    ] + [("validation.csv", tuple(cfg.schedule), "validation")]
+    # one independent (excitation, noise) seed pair per record
+    state = np.random.SeedSequence(cfg.seed).generate_state(2 * len(records))
+    csv_names = [name for name, _, _ in records]
     manifest_name = "simulate_manifest.json"
     cache = ParseCache(cfg.out)
     with _staged_outputs(cfg.out, [*csv_names, manifest_name], cache) as staged:
-        for k, label in enumerate(cfg.params):
-            z = gen_excitation(cfg.train_samples, cfg.excitation_variance, int(state[2 * k]))
-            clean_ts = simulate(
-                systems, SwitchSchedule(steps=((label, cfg.train_samples),)), z,
-                condition_label=label,
+        for k, (name, steps, label) in enumerate(records):
+            schedule = SwitchSchedule(steps=steps)
+            z = gen_excitation(schedule.total_samples, cfg.excitation_variance, int(state[2 * k]))
+            ts = simulate(systems, schedule, z, condition_label=label)
+            if name != "validation.csv":
+                ts = replace(ts, sample_labels=None)  # no true_label column
+            ts = add_noise(
+                ts, NoiseSpec(snr=cfg.snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale)
             )
-            noisy_ts = add_noise(
-                replace(clean_ts, sample_labels=None),  # no true_label column
-                NoiseSpec(snr=snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale),
-            )
-            name = f"train_{label}.csv"
-            write_csv(noisy_ts, staged[name])
-            cache.add_written(os.path.join(cfg.out, name), staged[name], noisy_ts, cfg.channels)
-        schedule = SwitchSchedule(steps=tuple(cfg.schedule))
-        z = gen_excitation(
-            schedule.total_samples, cfg.excitation_variance, int(state[2 * n_records - 2])
-        )
-        clean_val = simulate(systems, schedule, z, condition_label="validation")
-        noisy_val = add_noise(
-            clean_val,
-            NoiseSpec(snr=snr, seed=int(state[2 * n_records - 1]), scale=cfg.snr_scale),
-        )
-        write_csv(noisy_val, staged["validation.csv"])
-        cache.add_written(
-            os.path.join(cfg.out, "validation.csv"), staged["validation.csv"], noisy_val,
-            cfg.channels,
-        )
+            written = write_csv(ts, staged[name])
+            cache.add_written(os.path.join(cfg.out, name), written, ts, cfg.channels)
         manifest = {
             "format": "transched-simulate-manifest v1",
             "seed": cfg.seed,
@@ -428,7 +423,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "order_default": cfg.order,
             "train_samples": cfg.train_samples,
             "excitation_variance": cfg.excitation_variance,
-            "snr": "clean" if cfg.clean else cfg.snr,
+            "snr": "clean" if cfg.snr == math.inf else cfg.snr,  # JSON has no infinity
             "snr_scale": cfg.snr_scale,
             "schedule": [[label, n] for label, n in cfg.schedule],
             "conditions": cfg.params,
@@ -613,18 +608,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 4
-    except TranschedError as e:  # pragma: no cover - defensive catch-all
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except TranschedError as e:
+        print(f"{e.prefix}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -393,13 +393,14 @@ class ParseCache:
         return data
 
     def add_written(
-        self, path: str | os.PathLike, written: str | os.PathLike,
+        self, path: str | os.PathLike, written: tuple[int, int],
         ts: TimeSeriesSet, schema: dict[str, str],
     ) -> None:
         """Stage the entry ``load_csv(path, schema)`` will look for, for a
-        record ``write_csv`` just wrote to ``written`` (moved to ``path``
-        later), without parsing it: each value is written as its ``repr``,
-        which parses back to the same double."""
+        record whose CSV ``write_csv`` just wrote (moved to ``path`` later),
+        keyed by the (byte length, CRC-32) pair ``written`` that it returned,
+        without reading or parsing the file: each value is written as its
+        ``repr``, which parses back to the same double."""
         if not schema or not set(schema) <= set(ts.names):
             return  # such a load fails before it looks for an entry
         cols = [ts.names.index(name) for name in schema]
@@ -407,7 +408,7 @@ class ParseCache:
             data = ts.data[cols[0] : cols[-1] + 1]  # a view: the record is not copied
         else:
             data = ts.data[cols]
-        self._stage(self._entry(path, cols), _content_key(written, cols), data)
+        self._stage(self._entry(path, cols), _key(*written, cols), data)
 
     def _stage(self, entry: str, key: np.ndarray, data: np.ndarray) -> None:
         temp = os.path.join(self.directory, f".{os.path.basename(entry)}.{os.getpid()}.tmp")
@@ -442,13 +443,19 @@ class ParseCache:
 
 
 def _content_key(path: str | os.PathLike, cols: list[int]) -> np.ndarray:
-    """A parse-cache key: format, byte length and CRC-32 of the file at
-    ``path``, read in blocks of GUARD_BLOCK_BYTES, and the column indices."""
+    """The parse-cache key of the file at ``path``, read in blocks of
+    GUARD_BLOCK_BYTES."""
     size = crc = 0
     with open(path, "rb") as f:
         while block := f.read(GUARD_BLOCK_BYTES):
             size += len(block)
             crc = zlib.crc32(block, crc)
+    return _key(size, crc, cols)
+
+
+def _key(size: int, crc: int, cols: list[int]) -> np.ndarray:
+    """A parse-cache key: format, a CSV's byte length and CRC-32, and the
+    column indices."""
     return np.array([PARSE_CACHE_VERSION, size, crc, *cols], dtype=np.int64)
 
 
@@ -461,21 +468,33 @@ def _remove(path: str) -> None:
 
 def write_table(
     path: str | os.PathLike, header: list[str], columns: list, format_line: str | None = None
-) -> None:
+) -> tuple[int, int]:
     """Write equal-length columns as CSV rows under a header line, after a
-    ``# format: <format_line>`` line when one is given.  Every CSV artifact
-    is written here: a float array's values as their shortest round-trip
-    ``repr`` and a NaN as an empty cell, the cells of any other array or
-    sequence with ``str``, WRITE_CHUNK_ROWS rows at a time.
+    ``# format: <format_line>`` line when one is given, and return the byte
+    length and ``zlib.crc32`` of what was written.  Every CSV artifact is
+    written here, as UTF-8: a float array's values as their shortest
+    round-trip ``repr`` and a NaN as an empty cell, the cells of any other
+    array or sequence with ``str``, WRITE_CHUNK_ROWS rows at a time.
     """
+    size = crc = 0
+    with open(path, "wb") as f:
+        for text in _table_text(header, columns, format_line):
+            data = text.encode()
+            f.write(data)
+            size += len(data)
+            crc = zlib.crc32(data, crc)
+    return size, crc
+
+
+def _table_text(header: list[str], columns: list, format_line: str | None):
+    """``write_table``'s text: the head lines, then one chunk of rows at a time."""
+    if format_line is not None:
+        yield f"# format: {format_line}\n"
+    yield ",".join(header) + "\n"
     n_rows = len(columns[0]) if columns else 0
-    with open(path, "w", newline="") as f:
-        if format_line is not None:
-            f.write(f"# format: {format_line}\n")
-        f.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, WRITE_CHUNK_ROWS):
-            cells = [_cells(col[lo : lo + WRITE_CHUNK_ROWS]) for col in columns]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    for lo in range(0, n_rows, WRITE_CHUNK_ROWS):
+        cells = [_cells(col[lo : lo + WRITE_CHUNK_ROWS]) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _cells(chunk):
@@ -494,16 +513,17 @@ def _cells(chunk):
     return cells
 
 
-def write_csv(ts: TimeSeriesSet, path: str | os.PathLike) -> None:
+def write_csv(ts: TimeSeriesSet, path: str | os.PathLike) -> tuple[int, int]:
     """Write a record as CSV: one column per channel, in ``names`` order,
     then a ``true_label`` column when the record has ``sample_labels``.
-    Rewriting the same record is byte-identical.
+    Rewriting the same record is byte-identical.  Returns ``write_table``'s
+    (byte length, CRC-32) pair.
     """
     header, columns = list(ts.names), list(ts.data)
     if ts.sample_labels is not None:
         header.append("true_label")
         columns.append(ts.sample_labels)
-    write_table(path, header, columns)
+    return write_table(path, header, columns)
 
 
 def detrend_mean(ts: TimeSeriesSet) -> TimeSeriesSet:

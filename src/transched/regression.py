@@ -161,37 +161,11 @@ def _rss(m: RegressionMatrices, theta: np.ndarray) -> float:
     return float(r @ r)
 
 
-def _solve_normal(
-    gram: np.ndarray, rhs: np.ndarray, c_lim: float
-) -> tuple[np.ndarray, float, float, float]:
-    """theta, rho, kappa before and after, from the normal equations
-    ``gram theta = rhs`` with rho chosen by the condition-number rule."""
-    eig = _eigh(gram)
-    ext = _psd_extremes(eig[0])
-    l_max = ext.lambda_max
-    l_min = 0.0 if ext.lambda_min <= _RANK_TOL * l_max else ext.lambda_min
-    rho = select_rho(l_max, l_min, c_lim)
-    # a zero Gram matrix gets rho 0, which _filter_solve rejects
-    theta = _filter_solve(gram, eig, rhs, rho)
-    return theta, rho, _kappa(l_max, l_min), (l_max + rho) / (l_min + rho)
-
-
 def ridge_fit(m: RegressionMatrices, c_lim: float = DEFAULT_C_LIM) -> RidgeSolution:
-    """Ridge estimate with rho chosen by the condition-number rule.  A
-    regression with no more rows than parameters fails before its Gram
-    matrix is formed."""
-    _check_c_lim(c_lim)  # a config error is reported before a data error
-    dof = _dof(m.n_rows, m.n_params)
-    theta, rho, kappa_before, kappa_after = _solve_normal(m.phi.T @ m.phi, m.phi.T @ m.y, c_lim)
-    return RidgeSolution(
-        theta=theta,
-        sigma2=estimate_variance(m, theta),
-        dof=dof,
-        rho=rho,
-        kappa_before=kappa_before,
-        kappa_after=kappa_after,
-        c_lim=c_lim,
-    )
+    """Ridge estimate with rho chosen by the condition-number rule: the
+    one-part ``ridge_fit_pooled``.  A regression with no more rows than
+    parameters fails before its Gram matrix is formed."""
+    return ridge_fit_pooled(lambda: (m,), m.n_rows, m.n_params, c_lim)
 
 
 def ridge_fit_pooled(
@@ -207,8 +181,8 @@ def ridge_fit_pooled(
     right-hand sides (the stacked normal equations), then to sum their
     squared residuals, never as y'y - 2 theta'b + theta'G theta, which
     cancels below zero on an exact fit.  ``n_rows`` (all parts together) and
-    ``n_params`` are checked before any part is built.  One part gives
-    exactly ``ridge_fit``'s solution.
+    ``n_params`` are checked before any part is built, ``c_lim`` first, so a
+    config error is reported before a data error.
     """
     _check_c_lim(c_lim)
     dof = _dof(n_rows, n_params)
@@ -218,7 +192,13 @@ def ridge_fit_pooled(
         gram += m.phi.T @ m.phi
         rhs += m.phi.T @ m.y
         del m  # else it is still held while the next part is built
-    theta, rho, kappa_before, kappa_after = _solve_normal(gram, rhs, c_lim)
+    eig = _eigh(gram)
+    ext = _psd_extremes(eig[0])
+    l_max = ext.lambda_max
+    l_min = 0.0 if ext.lambda_min <= _RANK_TOL * l_max else ext.lambda_min
+    rho = select_rho(l_max, l_min, c_lim)
+    # a zero Gram matrix gets rho 0, which _filter_solve rejects
+    theta = _filter_solve(gram, eig, rhs, rho)
     rss = 0.0
     for m in parts():
         rss += _rss(m, theta)
@@ -228,7 +208,7 @@ def ridge_fit_pooled(
         sigma2=rss / dof,
         dof=dof,
         rho=rho,
-        kappa_before=kappa_before,
-        kappa_after=kappa_after,
+        kappa_before=_kappa(l_max, l_min),
+        kappa_after=(l_max + rho) / (l_min + rho),
         c_lim=c_lim,
     )

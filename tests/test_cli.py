@@ -182,9 +182,9 @@ def test_seed_changes_data(tmp_path):
     assert (a / "validation.csv").read_bytes() != (b / "validation.csv").read_bytes()
 
 
-def test_clean_flag(tmp_path):
+def test_snr_inf_is_noise_free(tmp_path):
     out = tmp_path / "clean"
-    assert _run(["simulate", "--out", str(out), "--clean"]) == 0
+    assert _run(["simulate", "--out", str(out), "--snr", "inf"]) == 0
     lines = (out / "train_C1.csv").read_text().splitlines()
     assert lines[0] == "y_I1_a,y_I2,y_O"
     written = np.array([[float(c) for c in line.split(",")] for line in lines[1:]]).T
@@ -202,6 +202,27 @@ def test_snr_db_flag(tmp_path):
     assert _run(["simulate", "--out", str(out), "--snr", "50", "--snr-db"]) == 0
     manifest = json.loads((out / "simulate_manifest.json").read_text())
     assert manifest["snr_scale"] == "db"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "flags, snr, scale",
+    [
+        ([], 50.0, "linear"),
+        (["--snr", "inf"], "clean", "linear"),
+        (["--snr", "inf", "--snr-db"], "clean", "db"),
+        (["--snr", "4000", "--snr-db"], 4000.0, "db"),  # a power ratio beyond float range
+    ],
+)
+def test_manifest_is_strict_json(tmp_path, flags, snr, scale):
+    out = tmp_path / "o"
+    assert _run(["simulate", "--out", str(out), *flags]) == 0
+    manifest = json.loads((out / "simulate_manifest.json").read_text(),
+                          parse_constant=_no_constant)
+    assert (manifest["snr"], manifest["snr_scale"]) == (snr, scale)
 
 
 def test_pooled_flag(tmp_path):
@@ -372,10 +393,50 @@ def test_exit_code_config_error(tmp_path):
     assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
-def test_exit_code_schedule_total_mismatch(tmp_path):
+def test_exit_code_schedule_total_mismatch(tmp_path, capsys):
+    # each duration alone is a valid int, but their sum is more samples than
+    # one record can hold: rejected before anything is allocated or written
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[simulate]\nschedule = C1:80, C2:80\nvalidation_samples = 200\n")
-    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    step = sys.maxsize // 4
+    cfg.write_text(f"[simulate]\nschedule = C1:{step}, C2:{step}\n")
+    capsys.readouterr()
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys, f"config error: schedule total {2 * step} exceeds")
+    assert not (tmp_path / "o").exists()
+
+
+_STOCK_PARAMS = "".join(
+    f"[params.{label}]\n" + "".join(f"{key} = {value!r}\n" for key, value in params.items())
+    for label, params in STOCK_CONDITIONS.items()
+)
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "estimate", "evaluate"])
+@pytest.mark.parametrize(
+    "ini, named",
+    [
+        ("[estimate]\nwidnow = 30\n", "[estimate] widnow"),
+        ("[simulat]\ntrain_samples = 300\n", "[simulat] train_samples"),
+        ("[common]\nstore = s.json\n", "[common] store"),  # [common] has no store
+        (f"{_STOCK_PARAMS}k_t = 1\n", "[params.C2] k_t"),
+        ("[DEFAULT]\norder = 4\n", "[DEFAULT] order"),
+        ("[simulate]\nclean = yes\n", "[simulate] clean"),  # noise-free data is snr = inf
+        ("[simulate]\nvalidation_samples = 160\n", "[simulate] validation_samples"),
+    ],
+    ids=["key", "section", "common-store", "params-key", "default", "clean",
+         "validation-samples"],
+)
+def test_unread_ini_key_is_a_config_error(pipeline_dir, tmp_path, capsys, command, ini, named):
+    # without the key each command would succeed and write into out
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dir, out)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, f"config error: {cfg}: {named}: unknown ")
+    assert _tree(tmp_path) == before
 
 
 def test_exit_code_unknown_schedule_label(tmp_path):

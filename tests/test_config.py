@@ -2,6 +2,7 @@
 and SNR settings that used to escape as tracebacks or wrong output."""
 
 import argparse
+import math
 import os
 from dataclasses import fields
 
@@ -47,9 +48,7 @@ train_samples = 300
 excitation_variance = 0.5
 snr = 30
 snr_scale = db
-clean = yes
 schedule = X:10, Y:20
-validation_samples = 30
 
 [params.X]
 {PARAMS}
@@ -86,9 +85,7 @@ FULL_EXPECTED = {
     "excitation_variance": 0.5,
     "snr": 30.0,
     "snr_scale": "db",
-    "clean": True,
     "schedule": [("X", 10), ("Y", 20)],
-    "validation_samples": 30,
     "train_data": {"X": "x.csv", "Y": "y.csv"},
     "store": "s/train.json",
     "data": "online.csv",
@@ -212,7 +209,7 @@ def test_evaluate_data_and_estimate_data(tmp_path):
         ("evaluate", "[evaluate]\npooled = false\n", ["--pooled"], "pooled", True),
         ("simulate", "[simulate]\nsnr = 30\n", ["--snr", "70"], "snr", 70.0),
         ("simulate", "[simulate]\nsnr_scale = linear\n", ["--snr-db"], "snr_scale", "db"),
-        ("simulate", "[simulate]\nclean = false\n", ["--clean"], "clean", True),
+        ("simulate", "[simulate]\nsnr = 30\n", ["--snr", "inf"], "snr", math.inf),
         ("train", "[train]\nstore = a.json\n", ["--store", "b.json"], "store", "b.json"),
         ("estimate", "[estimate]\nstore = a.json\n", ["--store", "b.json"], "store", "b.json"),
         ("evaluate", "[evaluate]\nstore = a.json\n", ["--store", "b.json"], "store", "b.json"),
@@ -225,8 +222,8 @@ def test_flag_overrides_ini(tmp_path, command, ini, flags, attr, value):
 
 
 def test_flags_without_ini(tmp_path):
-    cfg = _resolve(tmp_path, ["simulate", "--snr", "20", "--snr-db", "--clean", "--pooled"])
-    assert (cfg.snr, cfg.snr_scale, cfg.clean, cfg.pooled) == (20.0, "db", True, True)
+    cfg = _resolve(tmp_path, ["simulate", "--snr", "20", "--snr-db", "--seed", "3", "--pooled"])
+    assert (cfg.snr, cfg.snr_scale, cfg.seed, cfg.pooled) == (20.0, "db", 3, True)
 
 
 # ------------------------------------------------------------- option sets
@@ -244,7 +241,7 @@ def _subparser(command):
 
 @pytest.mark.parametrize(
     "command, extra",
-    [("simulate", {"--clean"}), ("train", {"--store"}), ("estimate", {"--store", "--data"}),
+    [("simulate", set()), ("train", {"--store"}), ("estimate", {"--store", "--data"}),
      ("evaluate", {"--store"})],
 )
 def test_option_set_of_each_subcommand(command, extra):
@@ -286,7 +283,7 @@ def test_snr_without_finite_noise_is_a_config_error(tmp_path, capsys, flags, fra
 
 def test_snr_beyond_float_range_is_clean(tmp_path):
     assert main(["simulate", "--out", str(tmp_path / "db"), "--snr", "4000", "--snr-db"]) == 0
-    assert main(["simulate", "--out", str(tmp_path / "clean"), "--clean"]) == 0
+    assert main(["simulate", "--out", str(tmp_path / "clean"), "--snr", "inf"]) == 0
     for name in ("train_C1.csv", "train_C2.csv", "validation.csv"):
         assert (tmp_path / "db" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 

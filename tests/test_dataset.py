@@ -1,3 +1,4 @@
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,21 @@ def test_write_csv_reproduces_pinned_text(tmp_path, monkeypatch, chunk_rows):
              sample_labels=("C1", "C1", "C2", "C10", "C2"))
     write_csv(ts, tmp_path / "d.csv")
     assert (tmp_path / "d.csv").read_text() == PINNED_CSV
+
+
+def test_write_table_returns_size_and_crc_of_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", 4)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=11)
+    values[[0, 5, 10]] = np.nan  # empty cells, in the first, a middle and the last chunk
+    p = tmp_path / "t.csv"
+    written = dataset.write_table(
+        p, ["sample", "y_Ö", "Kraft µN"], [np.arange(11), values, ["ä"] * 11],
+        format_line="test-table v1",
+    )
+    data = p.read_bytes()
+    assert data.decode("utf-8").splitlines()[1] == "sample,y_Ö,Kraft µN"
+    assert written == (len(data), zlib.crc32(data))
 
 
 def test_load_csv_duplicate_schema_channel(tmp_path):
@@ -283,7 +299,7 @@ def test_parse_cache_hit_equals_parse_bit_for_bit(tmp_path_factory, values, plai
              sample_labels=(label,) * data.shape[1])
     root = tmp_path_factory.mktemp("cache")
     p = root / "d.csv"
-    write_csv(ts, p)
+    written = write_csv(ts, p)
     assert dataset._plain_table(p, 4) is plain
     parsed = load_csv(p, SCHEMA3).data
     assert parsed.tobytes() == data.tobytes()
@@ -291,7 +307,7 @@ def test_parse_cache_hit_equals_parse_bit_for_bit(tmp_path_factory, values, plai
     seeded, kept = root / "seeded", root / "kept"
     seeded.mkdir(), kept.mkdir()
     cache = dataset.ParseCache(seeded)
-    cache.add_written(p, p, ts, SCHEMA3)
+    cache.add_written(p, written, ts, SCHEMA3)
     cache.commit()
     cache = dataset.ParseCache(kept)
     assert load_csv(p, SCHEMA3, cache=cache).data.tobytes() == parsed.tobytes()
@@ -397,11 +413,11 @@ def test_parse_cache_add_written_selects_the_schema_columns(tmp_path):
     rng = np.random.default_rng(9)
     ts = _ts(rng.normal(size=(3, 20)), names=("a", "b", "f"), roles=_ROLES3)
     p = tmp_path / "d.csv"
-    write_csv(ts, p)
+    written = write_csv(ts, p)
     cache = dataset.ParseCache(tmp_path)
-    cache.add_written(p, p, ts, {"f": TARGET_OUTPUT, "a": PSEUDO_INPUT})
-    cache.add_written(p, p, ts, {"b": PSEUDO_INPUT, "f": TARGET_OUTPUT})
-    cache.add_written(p, p, ts, {"a": PSEUDO_INPUT, "x": TARGET_OUTPUT})  # no such column
+    cache.add_written(p, written, ts, {"f": TARGET_OUTPUT, "a": PSEUDO_INPUT})
+    cache.add_written(p, written, ts, {"b": PSEUDO_INPUT, "f": TARGET_OUTPUT})
+    cache.add_written(p, written, ts, {"a": PSEUDO_INPUT, "x": TARGET_OUTPUT})  # no such column
     cache.commit()
     assert len(_entries(tmp_path)) == 2
     with _no_parse():
@@ -415,7 +431,8 @@ def test_parse_cache_discard_and_missing_directory(tmp_path):
     p, entry, data = _cached_csv(tmp_path)
     entry.unlink()
     cache = dataset.ParseCache(tmp_path)
-    cache.add_written(p, p, load_csv(p, SCHEMA3), SCHEMA3)  # staged beside its place
+    written = (p.stat().st_size, zlib.crc32(p.read_bytes()))
+    cache.add_written(p, written, load_csv(p, SCHEMA3), SCHEMA3)  # staged beside its place
     assert len(list(tmp_path.glob(".*.tmp"))) == 1
     cache.discard()
     cache.commit()
