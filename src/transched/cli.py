@@ -525,7 +525,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     names = ["trace_windows.csv", "trace_samples.csv"]
     with _staged_outputs(cfg.out, names, cache) as staged:
         write_window_trace(trace, staged[names[0]])
-        write_sample_trace(trace, online, staged[names[1]])
+        write_sample_trace(trace, staged[names[1]])
     for name in names:
         print(f"wrote {os.path.join(cfg.out, name)}")
     print(f"chosen sequence: {' '.join(trace.chosen_labels())}")

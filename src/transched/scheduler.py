@@ -37,7 +37,7 @@ from .transmissibility import FirModel, TransmissibilityFamily, predict, predict
 AMBIGUITY_NATS = 2.0
 
 WINDOW_TRACE_FORMAT = "transched-window-trace v1"
-SAMPLE_TRACE_FORMAT = "transched-sample-trace v1"
+SAMPLE_TRACE_FORMAT = "transched-sample-trace v2"
 
 
 @dataclass(frozen=True)
@@ -428,14 +428,12 @@ def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
     write_table(path, header, columns, WINDOW_TRACE_FORMAT)
 
 
-def write_sample_trace(
-    trace: ScheduleTrace, online: TimeSeriesSet, path: str | os.PathLike
-) -> None:
-    """Per-sample CSV: measured target (empty if absent), estimate, chosen label."""
-    m = online.n_samples
-    measured = np.full(m, math.nan) if online.target_name is None else online.target()
+def write_sample_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
+    """Per-sample CSV: chosen label and estimate (empty where no window covers
+    the sample).  The measured target is the input's own row, so it is not
+    written again."""
     # member -1, no window, gets the empty label
     labels = np.array([*trace.labels, ""], dtype=object)[trace.member]
-    header = ["sample_index", "y_O_measured", "y_O_estimated", "chosen_label"]
-    columns = [np.arange(1, m + 1), measured, trace.estimates, labels]
+    header = ["sample_index", "chosen_label", "y_O_estimated"]
+    columns = [np.arange(1, trace.member.size + 1), labels, trace.estimates]
     write_table(path, header, columns, SAMPLE_TRACE_FORMAT)

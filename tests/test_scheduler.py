@@ -515,7 +515,7 @@ def test_trace_csvs(tmp_path, quarter_car_systems, trained_families):
     trace = schedule_estimate(g, h, online, Prior.uniform(2), window_len=20)
     wpath, spath = tmp_path / "w.csv", tmp_path / "s.csv"
     write_window_trace(trace, wpath)
-    write_sample_trace(trace, online, spath)
+    write_sample_trace(trace, spath)
 
     wlines = wpath.read_text().splitlines()
     assert wlines[0].startswith("# format:")
@@ -528,11 +528,12 @@ def test_trace_csvs(tmp_path, quarter_car_systems, trained_families):
     assert abs(sum(post) - 1.0) <= 1e-12
 
     slines = spath.read_text().splitlines()
+    assert slines[0] == "# format: transched-sample-trace v2"
+    assert slines[1] == "sample_index,chosen_label,y_O_estimated"
     assert len(slines) == 2 + 160
-    r1 = slines[2].split(",")  # first sample: measured, no estimate, labeled
-    assert r1[0] == "1" and r1[2] == "" and r1[3] == "C1"
+    assert slines[2] == "1,C1,"  # first sample: labeled, no estimate
     r11 = slines[12].split(",")
-    assert r11[0] == "11" and float(r11[2]) == trace.estimates[10]
+    assert r11[:2] == ["11", "C1"] and float(r11[2]) == trace.estimates[10]
 
     # byte-identical rewrite
     write_window_trace(trace, tmp_path / "w2.csv")
@@ -544,6 +545,8 @@ def test_trace_csvs(tmp_path, quarter_car_systems, trained_families):
 # 1-sample tail is skipped), Q1 excluded by a zero prior, Q3 exact on the
 # first window and Q2/Q3 tied on the second.  Every evidence difference is 0,
 # or large enough that exp underflows, so the posteriors are exact.
+# TINY_SAMPLES is those writers' v1 sample text with its y_O_measured column
+# cut and the label moved before the estimate; no cell was rewritten.
 TINY_WINDOWS = """\
 # format: transched-window-trace v1
 window_id,start_sample,end_sample,chosen_label,L_1,L_2,L_3,posterior_1,posterior_2,posterior_3,ambiguous
@@ -552,31 +555,17 @@ window_id,start_sample,end_sample,chosen_label,L_1,L_2,L_3,posterior_1,posterior
 """
 
 TINY_SAMPLES = """\
-# format: transched-sample-trace v1
-sample_index,y_O_measured,y_O_estimated,chosen_label
-1,0.1,,Q3
-2,-2.5,201.0,Q3
-3,1e+20,-199.5,Q3
-4,3.0,200.25,Q3
-5,-0.0,-290.2125,Q2
-6,7.25,-3.47,Q2
-7,0.3333333333333333,-0.699995,Q2
-8,2.0,1250.000001,Q2
-9,-1e-07,,
-"""
-
-TINY_SAMPLES_NO_TARGET = """\
-# format: transched-sample-trace v1
-sample_index,y_O_measured,y_O_estimated,chosen_label
-1,,,Q3
-2,,201.0,Q3
-3,,-199.5,Q3
-4,,200.25,Q3
-5,,-290.2125,Q2
-6,,-3.47,Q2
-7,,-0.699995,Q2
-8,,1250.000001,Q2
-9,,,
+# format: transched-sample-trace v2
+sample_index,chosen_label,y_O_estimated
+1,Q3,
+2,Q3,201.0
+3,Q3,-199.5
+4,Q3,200.25
+5,Q2,-290.2125
+6,Q2,-3.47
+7,Q2,-0.699995
+8,Q2,1250.000001
+9,,
 """
 
 
@@ -604,13 +593,14 @@ def test_trace_writers_reproduce_pinned_text(tmp_path, monkeypatch):
                               roles=(PSEUDO_INPUT,) * 2, data=online.data[:2])
     for chunk_rows in (dataset.WRITE_CHUNK_ROWS, 4):  # one chunk, then three
         monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", chunk_rows)
-        for record, samples in ((online, TINY_SAMPLES), (no_target, TINY_SAMPLES_NO_TARGET)):
+        # the traces hold nothing of the target: with and without it, one text
+        for record in (online, no_target):
             trace = schedule_estimate(g, h, record, prior, window_len=4)
             assert trace.skipped == ((3, 8, 9),)
             write_window_trace(trace, tmp_path / "w.csv")
-            write_sample_trace(trace, record, tmp_path / "s.csv")
+            write_sample_trace(trace, tmp_path / "s.csv")
             assert (tmp_path / "w.csv").read_text() == TINY_WINDOWS
-            assert (tmp_path / "s.csv").read_text() == samples
+            assert (tmp_path / "s.csv").read_text() == TINY_SAMPLES
 
 
 def test_trace_contract():
