@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, fields, replace
 # Only what config resolution needs; each command imports its own layers,
 # so e.g. `simulate` never loads the scheduler.
 from . import __version__
-from .dataset import PSEUDO_INPUT, TARGET_OUTPUT, ParseCache
+from .dataset import DEFAULT_C_LIM, MAX_C_LIM, PSEUDO_INPUT, TARGET_OUTPUT, ParseCache
 from .errors import ConfigError, DataError, TranschedError
-from .regression import MAX_C_LIM
 
 # Stock two-condition scenario: a softly and a stiffly sprung quarter car.
 STOCK_CONDITIONS = {
@@ -125,7 +124,7 @@ class RunConfig:
     command: str
     out: str = _setting("out", "common")
     order: int = _setting(10, "common")
-    c_lim: float = _setting(1.0e6, "common")
+    c_lim: float = _setting(DEFAULT_C_LIM, "common")
     seed: int = _setting(20260808, "common")
     sample_time: float = _setting(0.1, "common")
     detrend: bool = _setting(False, "common")

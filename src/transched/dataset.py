@@ -40,7 +40,7 @@ PARSE_CACHE_VERSION = 1
 WRITE_CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesSet:
     """Uniformly sampled multichannel record.
 
@@ -149,7 +149,14 @@ class Decomposition:
         return rest, items[self.aux_output_index]
 
 
-@dataclass(frozen=True)
+# Default condition-number cap of the ridge rule, and the largest accepted
+# (see regression.select_rho).  They live here, not in ``regression``, so
+# every command can check c_lim without loading the trainer.
+DEFAULT_C_LIM = 1.0e6
+MAX_C_LIM = 1.0e12
+
+
+@dataclass(frozen=True, eq=False)
 class RegressionMatrices:
     """Design matrix and target vector for one FIR regression."""
 

@@ -23,12 +23,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .dataset import RegressionMatrices
+from .dataset import DEFAULT_C_LIM, MAX_C_LIM, RegressionMatrices
 from .errors import ConfigError, DataError, NumericalError
-
-DEFAULT_C_LIM = 1.0e6
-
-MAX_C_LIM = 1.0e12  # largest accepted c_lim; see select_rho
 
 # Relative floor below which a Gram eigenvalue is treated as exactly zero
 # (rank deficiency).  Treating a tiny positive estimate as zero can only
@@ -44,7 +40,7 @@ class EigenExtremes:
     lambda_min: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RidgeSolution:
     """Ridge estimate with the regularization bookkeeping that produced it."""
 

@@ -36,11 +36,11 @@ from .transmissibility import FirModel, TransmissibilityFamily, predict, predict
 # ambiguous in the trace; they typically straddle a dynamics switch.
 AMBIGUITY_NATS = 2.0
 
-WINDOW_TRACE_FORMAT = "transched-window-trace v1"
+WINDOW_TRACE_FORMAT = "transched-window-trace v2"
 SAMPLE_TRACE_FORMAT = "transched-sample-trace v2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prior:
     """Prior probabilities over the family members, in label order.
 
@@ -84,7 +84,7 @@ class Prior:
         return Prior(weights=w / total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorResult:
     """Per-window classification outcome."""
 
@@ -408,12 +408,12 @@ def _ambiguous_rows(levidence: np.ndarray) -> np.ndarray:
 
 
 def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
-    """Per-window CSV: id, 1-based sample range, choice, evidences, posteriors."""
-    q = len(trace.labels)
+    """Per-window CSV: id, 1-based sample range, choice, log evidences and
+    ambiguity flag.  The posteriors are not written: ``_posterior_rows`` of
+    the evidences, which round-trip exactly, gives them back bit for bit."""
     header = (
         ["window_id", "start_sample", "end_sample", "chosen_label"]
-        + [f"L_{k + 1}" for k in range(q)]
-        + [f"posterior_{k + 1}" for k in range(q)]
+        + [f"L_{k + 1}" for k in range(len(trace.labels))]
         + ["ambiguous"]
     )
     columns = [
@@ -422,7 +422,6 @@ def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
         trace.stops,
         np.array(trace.labels, dtype=object)[trace.chosen],
         *trace.log_evidence.T,
-        *trace.posterior.T,
         trace.ambiguous.astype(int),
     ]
     write_table(path, header, columns, WINDOW_TRACE_FORMAT)

@@ -48,7 +48,7 @@ class QuarterCarParams:
                 raise ConfigError(f"quarter-car parameter {name} must be positive, got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuousStateSpace:
     a: np.ndarray  # (n, n)
     b: np.ndarray  # (n,)
@@ -56,7 +56,7 @@ class ContinuousStateSpace:
     d: np.ndarray  # (p,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteStateSpace:
     a: np.ndarray
     b: np.ndarray

@@ -19,13 +19,15 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import Decomposition, TimeSeriesSet, build_regressor, lag_rows
+from .dataset import DEFAULT_C_LIM, Decomposition, TimeSeriesSet, build_regressor, lag_rows
 from .errors import DataError
-from .regression import DEFAULT_C_LIM, RidgeSolution, ridge_fit, ridge_fit_pooled
+
+if TYPE_CHECKING:
+    from .regression import RidgeSolution
 
 PRIMARY = "primary"
 AUXILIARY = "auxiliary"
@@ -33,7 +35,7 @@ AUXILIARY = "auxiliary"
 STORE_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirModel:
     """One fitted FIR map with its residual variance and fit metadata.
 
@@ -71,7 +73,7 @@ class FirModel:
         theta.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransmissibilityFamily:
     """Condition-indexed collection of structurally identical FIR models."""
 
@@ -131,6 +133,8 @@ def fit_fir(
     c_lim: float = DEFAULT_C_LIM,
 ) -> FirModel:
     """Fit one FIR map between named channels of a record."""
+    from .regression import ridge_fit  # only training loads the ridge solver
+
     m = build_regressor(ts.channels(tuple(inputs)), ts.channel(output), order)
     return _fir_model(ridge_fit(m, c_lim), order, inputs, output)
 
@@ -257,6 +261,8 @@ def fit_average(
       c_lim, the accuracy ``select_rho`` states;
     - dof exactly.
     """
+    from .regression import ridge_fit_pooled
+
     if not records:
         raise DataError("need at least one record")
     inputs = tuple(inputs)

@@ -632,7 +632,7 @@ def test_train_with_more_parameters_than_rows_fails_before_fitting(
     def no_fit(*args):
         raise AssertionError("a hopeless fit must fail before its Gram matrix is formed")
 
-    monkeypatch.setattr("transched.transmissibility.ridge_fit", no_fit)
+    monkeypatch.setattr("transched.regression.ridge_fit", no_fit)
     out = _copy_outputs(pipeline_dir, tmp_path / "o", _TRAIN_FILES)
     capsys.readouterr()
     assert _run(["train", "--out", str(out), "--order", "900"]) == 3

@@ -13,10 +13,10 @@ SRC = os.path.dirname(os.path.dirname(transched.__file__))
 LAYERS = {"simulator", "dataset", "regression", "transmissibility", "scheduler", "evaluation"}
 
 NOT_LOADED = {
-    "simulate": {"transmissibility", "scheduler", "evaluation"},
+    "simulate": {"regression", "transmissibility", "scheduler", "evaluation"},
     "train": {"simulator", "scheduler", "evaluation"},
-    "estimate": {"simulator", "evaluation"},
-    "evaluate": {"simulator"},
+    "estimate": {"simulator", "regression", "evaluation"},
+    "evaluate": {"simulator", "regression"},
 }
 
 REPORT = """
@@ -60,7 +60,7 @@ def test_every_command_loads_what_it_runs(footprints):
     assert "simulator" in footprints["simulate"]
     assert {"regression", "transmissibility"} <= footprints["train"]
     assert "scheduler" in footprints["estimate"]
-    assert LAYERS - {"simulator"} <= footprints["evaluate"]
+    assert LAYERS - {"simulator", "regression"} <= footprints["evaluate"]
 
 
 def test_bare_import_loads_no_submodule(tmp_path):

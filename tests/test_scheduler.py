@@ -13,6 +13,7 @@ from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
 from transched.scheduler import (
     AMBIGUITY_NATS,
+    _posterior_rows,
     Prior,
     classify,
     log_evidence,
@@ -518,14 +519,15 @@ def test_trace_csvs(tmp_path, quarter_car_systems, trained_families):
     write_sample_trace(trace, spath)
 
     wlines = wpath.read_text().splitlines()
-    assert wlines[0].startswith("# format:")
-    assert wlines[1] == ("window_id,start_sample,end_sample,chosen_label,"
-                         "L_1,L_2,posterior_1,posterior_2,ambiguous")
+    assert wlines[0] == "# format: transched-window-trace v2"
+    assert wlines[1] == "window_id,start_sample,end_sample,chosen_label,L_1,L_2,ambiguous"
     assert len(wlines) == 2 + 8
     first = wlines[2].split(",")
     assert first[:4] == ["1", "1", "20", "C1"]
-    post = [float(first[6]), float(first[7])]
-    assert abs(sum(post) - 1.0) <= 1e-12
+    # the posteriors are not written: the evidences give them back exactly
+    levidence = np.array([[float(c) for c in line.split(",")[4:6]] for line in wlines[2:]])
+    assert levidence.tobytes() == trace.log_evidence.tobytes()
+    assert _posterior_rows(levidence).tobytes() == trace.posterior.tobytes()
 
     slines = spath.read_text().splitlines()
     assert slines[0] == "# format: transched-sample-trace v2"
@@ -545,13 +547,14 @@ def test_trace_csvs(tmp_path, quarter_car_systems, trained_families):
 # 1-sample tail is skipped), Q1 excluded by a zero prior, Q3 exact on the
 # first window and Q2/Q3 tied on the second.  Every evidence difference is 0,
 # or large enough that exp underflows, so the posteriors are exact.
-# TINY_SAMPLES is those writers' v1 sample text with its y_O_measured column
+# TINY_WINDOWS is those writers' v1 window text with its posterior columns
+# cut, and TINY_SAMPLES their v1 sample text with its y_O_measured column
 # cut and the label moved before the estimate; no cell was rewritten.
 TINY_WINDOWS = """\
-# format: transched-window-trace v1
-window_id,start_sample,end_sample,chosen_label,L_1,L_2,L_3,posterior_1,posterior_2,posterior_3,ambiguous
-1,1,4,Q3,-inf,-60151.34939718056,-0.6931471805599453,0.0,0.0,1.0,0
-2,5,8,Q2,-inf,-3125025.1931471806,-3125025.1931471806,0.0,0.5,0.5,1
+# format: transched-window-trace v2
+window_id,start_sample,end_sample,chosen_label,L_1,L_2,L_3,ambiguous
+1,1,4,Q3,-inf,-60151.34939718056,-0.6931471805599453,0
+2,5,8,Q2,-inf,-3125025.1931471806,-3125025.1931471806,1
 """
 
 TINY_SAMPLES = """\
@@ -601,6 +604,11 @@ def test_trace_writers_reproduce_pinned_text(tmp_path, monkeypatch):
             write_sample_trace(trace, tmp_path / "s.csv")
             assert (tmp_path / "w.csv").read_text() == TINY_WINDOWS
             assert (tmp_path / "s.csv").read_text() == TINY_SAMPLES
+    # the pinned evidences, -inf included, give back the posteriors exactly
+    levidence = np.array([[float(c) for c in line.split(",")[4:7]]
+                          for line in TINY_WINDOWS.splitlines()[2:]])
+    assert _posterior_rows(levidence).tobytes() == trace.posterior.tobytes()
+    np.testing.assert_array_equal(trace.posterior, [[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
 
 
 def test_trace_contract():
