@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import os
 import zlib
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,13 +24,10 @@ PSEUDO_INPUT = "pseudo_input"
 TARGET_OUTPUT = "target_output"
 _ROLES = (PSEUDO_INPUT, TARGET_OUTPUT)
 
-# Bytes per read of the plain-table check.  Blocks stay below glibc's
+# Bytes per read of a file's parse-cache key.  Blocks stay below glibc's
 # default mmap threshold (128 KiB); freeing larger ones raises that
 # threshold, and later arrays then land on a heap that does not shrink.
 GUARD_BLOCK_BYTES = 64 * 1024
-# Printable ASCII other than space, '"' and ',': the bytes a cell of a file
-# that needs no quoting, CR or whitespace handling is made of.
-_CELL_BYTES = bytes(c for c in range(0x21, 0x7F) if c not in b'",')
 
 # Format of a parse-cache entry, a part of its key: an entry of any other
 # format is a miss.
@@ -180,7 +178,7 @@ def read_csv_header(path: str | os.PathLike) -> list[str]:
     if not os.path.exists(path):
         raise DataError(f"file not found: {path}")
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             header = next(csv.reader(f))
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
@@ -216,14 +214,14 @@ def load_csv(
     once; columns not named in the schema (e.g. a time axis or a label
     column) are ignored.
 
-    A plain file (see ``_plain_table``) is parsed by numpy's C reader;
-    any other file, or one that reader rejects, goes through the csv
-    module, which also words every error.  Both give the same array.  A
-    file that cannot be read or decoded, or that the csv module rejects, is
-    a ``DataError`` naming it.  With a ``cache``, a file whose entry is
-    there is not parsed at all (see ``ParseCache``).
+    The file is read as UTF-8 by the csv module; a leading byte order
+    mark is skipped.  A file that cannot be read or decoded, or that the
+    csv module rejects, is a ``DataError`` naming it.  With a ``cache``, a
+    file whose entry is there is not parsed at all (see ``ParseCache``).
     """
     header = read_csv_header(path)
+    if not schema:
+        raise DataError(f"{path}: the schema names no channel to read")
     for name in schema:
         if name not in header:
             raise DataError(f"{path}: unknown channel name {name!r}, header has {header}")
@@ -234,12 +232,7 @@ def load_csv(
     cols = [header.index(name) for name in schema]
 
     def parse() -> np.ndarray:
-        data = None
-        # an empty schema: loadtxt gives (0, samples), the csv loop a (0,) array
-        if cols and _plain_table(path, len(header)):
-            data = _load_plain(path, cols)
-        if data is None:
-            data = _load_rows(path, schema, len(header), cols)
+        data = _load_rows(path, schema, len(header), cols)
         bad = ~np.isfinite(data)
         if bad.any():
             t, k = np.argwhere(bad.T)[0]  # first offending row, then channel
@@ -250,7 +243,7 @@ def load_csv(
         return data
 
     try:
-        data = cache.load(path, cols, parse) if cache is not None and cols else parse()
+        data = cache.load(path, cols, parse) if cache is not None else parse()
     except _READ_ERRORS as e:
         raise _unreadable(path, e) from None
     return TimeSeriesSet(
@@ -262,63 +255,14 @@ def load_csv(
     )
 
 
-def _plain_table(path: str | os.PathLike, n_columns: int) -> bool:
-    """Whether numpy's C reader reads the file exactly as ``_load_rows`` does.
-
-    True when the file holds only newlines, commas and printable ASCII
-    other than space and ``"`` (so no quoting, no CR and no whitespace to
-    strip), every non-empty line has ``n_columns - 1`` commas, and at
-    least one data line follows the header.  The file is read in blocks
-    of GUARD_BLOCK_BYTES cut at line ends.
-    """
-    unit = b"," * (n_columns - 1) + b"\n"
-    lines = 0
-    carry = b""
-    with open(path, "rb") as f:
-        while True:
-            block = f.read(GUARD_BLOCK_BYTES)
-            chunk = carry + block
-            cut = chunk.rfind(b"\n") + 1 if block else len(chunk)
-            chunk, carry = chunk[:cut], chunk[cut:]
-            if chunk and not chunk.endswith(b"\n"):
-                chunk += b"\n"  # the last line, without its newline
-            seps = chunk.translate(None, _CELL_BYTES)
-            if b"\n\n" in seps or seps.startswith(b"\n"):
-                # an empty line, which both readers skip, or a line without commas
-                while b"\n\n" in chunk:
-                    chunk = chunk.replace(b"\n\n", b"\n")
-                seps = chunk.lstrip(b"\n").translate(None, _CELL_BYTES)
-            count = len(seps) // len(unit)
-            if seps != unit * count:  # also false if a byte other than a cell's is left
-                return False
-            lines += count
-            if not block:
-                return lines > 1  # the header and at least one data line
-
-
-def _load_plain(path: str | os.PathLike, cols: list[int]) -> np.ndarray | None:
-    """(channels, samples) array of the columns ``cols`` of a plain table,
-    or None when a cell is not a number numpy's reader takes."""
-    # an open handle: a path would make loadtxt import the compression modules
-    with open(path) as f:
-        try:
-            table = np.loadtxt(
-                f, delimiter=",", skiprows=1, usecols=cols, ndmin=2,
-                comments=None, quotechar=None,
-            )
-        except ValueError:
-            return None
-    return np.ascontiguousarray(table.T)
-
-
 def _load_rows(
     path: str | os.PathLike, schema: dict[str, str], n_columns: int, cols: list[int]
 ) -> np.ndarray:
     """(channels, samples) array read row by row with the csv module."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         next(reader)  # the header
-        values: list[list[float]] = [[] for _ in schema]
+        values = array("d")
         n_rows = 0
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -330,7 +274,7 @@ def _load_rows(
             for k, name in enumerate(schema):
                 cell = row[cols[k]].strip()
                 try:
-                    values[k].append(float(cell))
+                    values.append(float(cell))
                 except ValueError:
                     raise DataError(
                         f"{path}: line {lineno}: non-numeric value {cell!r} "
@@ -339,12 +283,12 @@ def _load_rows(
             n_rows += 1
     if n_rows == 0:
         raise DataError(f"{path}: no samples")
-    return np.array(values, dtype=float)
+    return np.frombuffer(values).reshape(n_rows, len(schema)).T.copy()
 
 
 def _data_line(path: str | os.PathLike, index: int) -> int:
     """1-based file line of the index-th (0-based) non-empty data row."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         lines = [lineno for lineno, row in enumerate(csv.reader(f), start=1) if row]
     return lines[index + 1]  # lines[0] is the header
 

@@ -102,7 +102,6 @@ class ScheduleTrace:
 
     labels: tuple[str, ...]
     log_evidence: np.ndarray  # (windows, members)
-    posterior: np.ndarray  # (windows, members)
     chosen: np.ndarray  # member index per classified window
     ambiguous: np.ndarray  # bool per classified window
     starts: np.ndarray  # 0-based first sample per classified window
@@ -112,10 +111,16 @@ class ScheduleTrace:
     estimates: np.ndarray  # NaN where no estimate exists
 
     @property
+    def posterior(self) -> np.ndarray:
+        """(windows, members) posteriors, derived from ``log_evidence`` on access."""
+        return _posterior_rows(self.log_evidence)
+
+    @property
     def windows(self) -> tuple[PosteriorResult, ...]:
         """Per-window results as ``classify`` gives them, derived on access."""
+        posterior = self.posterior
         return tuple(
-            PosteriorResult(i + 1, self.log_evidence[i], self.posterior[i], c, a)
+            PosteriorResult(i + 1, self.log_evidence[i], posterior[i], c, a)
             for i, (c, a) in enumerate(zip(self.chosen.tolist(), self.ambiguous.tolist()))
         )
 
@@ -286,6 +291,8 @@ def schedule_estimate(
     if rss is None:
         rss = window_rss(h, online, window_len)
     levidence = _window_log_evidence(h, prior, pooled, rss, stops - starts - order)
+    if np.any(levidence.max(axis=1) == -math.inf):
+        raise NumericalError("no admissible model: all log evidences are -inf")
     chosen = np.argmax(levidence, axis=1)  # first index wins ties
     member = np.full(m, -1)
     member[: stops[-1] if stops.size else 0] = np.repeat(chosen, stops - starts)
@@ -297,7 +304,6 @@ def schedule_estimate(
     return ScheduleTrace(
         labels=g.labels,
         log_evidence=levidence,
-        posterior=_posterior_rows(levidence),
         chosen=chosen,
         ambiguous=_ambiguous_rows(levidence),
         starts=starts,
@@ -383,10 +389,9 @@ def _window_log_evidence(
 
 def _posterior_rows(levidence: np.ndarray) -> np.ndarray:
     """Row-wise ``_posterior_from_log``: a max-shifted softmax over the
-    finite evidences, or an even split over the +inf ones."""
+    finite evidences, or an even split over the +inf ones.  Every row must
+    hold an evidence above -inf, as ``schedule_estimate`` checks."""
     top = levidence.max(axis=1, keepdims=True)
-    if np.any(top == -math.inf):
-        raise NumericalError("no admissible model: all log evidences are -inf")
     at_top = levidence == math.inf
     with np.errstate(invalid="ignore"):  # inf - inf in rows replaced below
         expv = np.exp(levidence - top)

@@ -893,7 +893,6 @@ def test_second_chain_reads_every_csv_from_the_cache(tmp_path, monkeypatch):
     def no_parse(*args):
         raise AssertionError("parsed, not read from the cache")
 
-    monkeypatch.setattr(dataset, "_plain_table", no_parse)
     monkeypatch.setattr(dataset, "_load_rows", no_parse)
     assert _run_from(twice, _CHAIN) == reference
 

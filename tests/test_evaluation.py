@@ -245,8 +245,7 @@ def _pinned_case():
             estimates = np.full(7, np.nan)
             estimates[1:6] = preds[member[1:6], np.arange(5)]
             traces[variant][label] = ScheduleTrace(
-                labels=labels, log_evidence=np.zeros((3, 3)),
-                posterior=np.full((3, 3), 1.0 / 3.0), chosen=np.array(picks),
+                labels=labels, log_evidence=np.zeros((3, 3)), chosen=np.array(picks),
                 ambiguous=np.zeros(3, dtype=bool), starts=np.array([0, 2, 4]),
                 stops=np.array([2, 4, 6]), skipped=((4, 6, 7),), member=member,
                 estimates=estimates,
