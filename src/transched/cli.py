@@ -383,7 +383,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         NoiseSpec,
         QuarterCarParams,
         SwitchSchedule,
-        add_noise,
         build_continuous,
         c2d_zoh,
         gen_excitation,
@@ -407,12 +406,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         for k, (name, steps, label) in enumerate(records):
             schedule = SwitchSchedule(steps=steps)
             z = gen_excitation(schedule.total_samples, cfg.excitation_variance, int(state[2 * k]))
-            ts = simulate(systems, schedule, z, condition_label=label)
+            noise = NoiseSpec(snr=cfg.snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale)
+            ts = simulate(systems, schedule, z, condition_label=label, noise=noise)
             if name != "validation.csv":
                 ts = replace(ts, sample_labels=None)  # no true_label column
-            ts = add_noise(
-                ts, NoiseSpec(snr=cfg.snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale)
-            )
             written = write_csv(ts, staged[name])
             cache.add_written(os.path.join(cfg.out, name), written, ts, cfg.channels)
         manifest = {

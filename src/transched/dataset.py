@@ -264,7 +264,7 @@ def _load_rows(
         next(reader)  # the header
         values = array("d")
         n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _numbered_rows(reader):
             if not row:
                 continue
             if len(row) != n_columns:
@@ -287,10 +287,19 @@ def _load_rows(
 
 
 def _data_line(path: str | os.PathLike, index: int) -> int:
-    """1-based file line of the index-th (0-based) non-empty data row."""
+    """1-based file line where the index-th (0-based) non-empty data row starts."""
     with open(path, newline="", encoding="utf-8-sig") as f:
-        lines = [lineno for lineno, row in enumerate(csv.reader(f), start=1) if row]
+        lines = [lineno for lineno, row in _numbered_rows(csv.reader(f)) if row]
     return lines[index + 1]  # lines[0] is the header
+
+
+def _numbered_rows(reader):
+    """(file line the record starts on, record) for each record of a csv
+    reader: a quoted cell can hold a newline, so a record can span lines."""
+    end = reader.line_num
+    for row in reader:
+        yield end + 1, row
+        end = reader.line_num
 
 
 class ParseCache:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from operator import mul
 from typing import Mapping
 
@@ -28,7 +29,7 @@ N_STATES = 4  # x = [z_s, z_s', z_u, z_u']
 
 # Samples stepped per chunk by ``simulate``: the outputs of one chunk are
 # Python floats, so memory stays flat whatever the record length.
-SIMULATE_CHUNK_SAMPLES = 4096
+SIMULATE_CHUNK_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,8 @@ class SwitchSchedule:
     def total_samples(self) -> int:
         return sum(n for _, n in self.steps)
 
-    def labels_per_sample(self) -> list[str]:
-        out: list[str] = []
-        for label, n in self.steps:
-            out.extend([label] * n)
-        return out
+    def labels_per_sample(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(repeat(label, n) for label, n in self.steps))
 
 
 @dataclass(frozen=True)
@@ -222,6 +220,7 @@ def simulate(
     z_r: np.ndarray,
     x0: np.ndarray | None = None,
     condition_label: str | None = None,
+    noise: NoiseSpec | None = None,
 ) -> TimeSeriesSet:
     """Run the switching recursion x+ = A_q x + b_q z, y = C_q x + d_q z.
 
@@ -231,6 +230,10 @@ def simulate(
     record is the same on every machine and BLAS kernel.  The state is
     carried continuously across switches.  The result carries the active
     condition per sample in ``sample_labels``.
+
+    With ``noise``, measurement noise is added in place to the output
+    array before it is wrapped, so the record holds one float array; the
+    result equals ``add_noise`` of the clean record bit for bit.
     """
     z_r = np.asarray(z_r, dtype=float).ravel()
     if schedule.total_samples != z_r.shape[0]:
@@ -286,13 +289,15 @@ def simulate(
             y[1, lo:hi] = y1
             y[2, lo:hi] = y2
         t += duration
+    if noise is not None:
+        _add_noise_in_place(y, CHANNEL_NAMES, noise)
     return TimeSeriesSet(
         sample_rate=1.0 / next(iter(systems.values())).t,
         names=CHANNEL_NAMES,
         roles=CHANNEL_ROLES,
         data=y,
         condition_label=condition_label,
-        sample_labels=tuple(schedule.labels_per_sample()),
+        sample_labels=schedule.labels_per_sample(),
     )
 
 
@@ -300,25 +305,28 @@ def add_noise(ts: TimeSeriesSet, spec: NoiseSpec) -> TimeSeriesSet:
     """Add independent white Gaussian noise per channel at the given SNR.
 
     Noise power is the channel's mean-square power divided by the linear
-    SNR.  An infinite SNR returns the record unchanged; one so small that
-    the noise power is not a finite float is a ConfigError.
+    SNR.  An infinite SNR adds none; one so small that the noise power is
+    not a finite float is a ConfigError.
     """
+    data = np.array(ts.data)
+    _add_noise_in_place(data, ts.names, spec)
+    return replace(ts, data=data)
+
+
+def _add_noise_in_place(data: np.ndarray, names: tuple[str, ...], spec: NoiseSpec) -> None:
+    """The noise of ``add_noise``, added to the rows of ``data`` in place."""
     snr = spec.snr_linear
     if math.isinf(snr):
-        return ts
+        return
     rng = np.random.default_rng(spec.seed)
-    data = np.array(ts.data)
-    for i in range(ts.n_channels):
+    for i, name in enumerate(names):
         power = float(np.mean(data[i] ** 2))
         if power == 0.0:
-            raise DataError(
-                f"channel {ts.names[i]!r} has zero power; cannot scale noise to finite SNR"
-            )
+            raise DataError(f"channel {name!r} has zero power; cannot scale noise to finite SNR")
         noise_power = power / snr if snr > 0.0 else math.inf  # a dB snr can underflow to 0
         if not math.isfinite(noise_power):
             raise ConfigError(
                 f"snr {spec.snr} ({spec.scale}) makes the noise power of channel "
-                f"{ts.names[i]!r} infinite"
+                f"{name!r} infinite"
             )
-        data[i] = data[i] + rng.normal(0.0, math.sqrt(noise_power), ts.n_samples)
-    return replace(ts, data=data)
+        data[i] += rng.normal(0.0, math.sqrt(noise_power), data.shape[1])

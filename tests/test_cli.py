@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -769,10 +770,10 @@ def test_simulate_destination_is_a_directory(tmp_path, capsys):
 def test_simulate_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch, existing):
     import transched.simulator
 
-    def fail_on_validation(systems, schedule, z, condition_label=None):
+    def fail_on_validation(systems, schedule, z, condition_label=None, noise=None):
         if condition_label == "validation":
             raise DataError("injected failure")
-        return simulate(systems, schedule, z, condition_label=condition_label)
+        return simulate(systems, schedule, z, condition_label=condition_label, noise=noise)
 
     # cmd_simulate imports simulate when it runs, so it picks up the patch
     monkeypatch.setattr(transched.simulator, "simulate", fail_on_validation)
@@ -785,6 +786,21 @@ def test_simulate_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch
     assert _run(["simulate", "--out", str(out)]) == 3  # after both training records
     _assert_one_line_error(capsys, "data error: injected failure")
     assert _tree(tmp_path) == before
+
+
+def test_simulate_traced_peak_per_validation_sample(tmp_path):
+    # one (3, N) float64 array per record plus its excitation and labels is
+    # 40 bytes a sample; a noisy copy of the record would add 24 more
+    assert _run(["simulate", "--out", str(tmp_path / "warm")]) == 0  # imports stay untraced
+    ini = tmp_path / "run.ini"
+    ini.write_text("[simulate]\nschedule = C1:20000, C2:20000\n")
+    tracemalloc.start()
+    try:
+        assert _run(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 40_000 <= 56
 
 
 def test_estimate_out_is_a_file(pipeline_dir, tmp_path, capsys):

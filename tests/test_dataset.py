@@ -203,9 +203,13 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
         ("a,b,f\n1,2,3\n   \n", "d.csv: line 3: expected 3 columns, found 1"),
         ("a\n1\n   \n", "d.csv: line 3: non-numeric value '' in channel 'a'"),
         ('t,u,a,b,f\n"0,C1",1,2,3\n', "d.csv: line 2: expected 5 columns, found 4"),
+        # a quoted newline ends record 1 on line 3, so record 2 is on line 4
+        ('a,b,f\n"1\n",2,3\n4,x,6\n', "d.csv: line 4: non-numeric value 'x' in channel 'b'"),
+        ('a,b,f\n"1\n",2,3\n4,inf,6\n', "d.csv: line 4: non-finite value inf in channel 'b'"),
     ],
     ids=["plain", "header-only", "trailing-comma", "ragged", "crlf", "quoted", "spaces",
-         "whitespace-line", "whitespace-line-one-column", "quoted-comma"],
+         "whitespace-line", "whitespace-line-one-column", "quoted-comma",
+         "quoted-newline-non-numeric", "quoted-newline-non-finite"],
 )
 def test_load_csv_outcome(tmp_path, text, outcome):
     p = tmp_path / "d.csv"

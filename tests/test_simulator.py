@@ -279,6 +279,45 @@ def test_simulate_equals_generic_recursion_bit_for_bit(
     )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [NoiseSpec(snr=30.0, seed=5), NoiseSpec(snr=12.0, seed=6, scale="db"),
+     NoiseSpec(snr=math.inf, seed=7)],
+    ids=["linear", "db", "inf"],
+)
+@pytest.mark.parametrize("chunk", [7, SIMULATE_CHUNK_SAMPLES])
+def test_simulate_noise_equals_add_noise_bit_for_bit(
+    quarter_car_systems, monkeypatch, chunk, spec
+):
+    monkeypatch.setattr(simulator, "SIMULATE_CHUNK_SAMPLES", chunk)
+    schedule = SwitchSchedule(steps=(("C1", 70), ("C2", 55), ("C1", 30), ("C2", 1)))
+    z = gen_excitation(schedule.total_samples, 0.01, 21)
+    noisy = simulate(quarter_car_systems, schedule, z, condition_label="v", noise=spec)
+    expected = add_noise(simulate(quarter_car_systems, schedule, z, condition_label="v"), spec)
+    assert noisy.data.tobytes() == expected.data.tobytes()
+    assert noisy.sample_labels == expected.sample_labels
+    assert noisy.condition_label == expected.condition_label == "v"
+
+
+@pytest.mark.parametrize(
+    "z_scale, snr, scale, error",
+    [(0.0, 50.0, "linear", DataError), (1.0, -4000.0, "db", ConfigError),
+     (1.0, 1e-320, "linear", ConfigError)],
+    ids=["zero-power", "minus-4000-db", "tiny-linear"],
+)
+def test_simulate_noise_errors_equal_add_noise_errors(
+    quarter_car_systems, z_scale, snr, scale, error
+):
+    schedule = SwitchSchedule(steps=(("C1", 30),))
+    z = z_scale * gen_excitation(30, 0.01, 11)
+    spec = NoiseSpec(snr=snr, seed=1, scale=scale)
+    with pytest.raises(error) as in_place:
+        simulate(quarter_car_systems, schedule, z, noise=spec)
+    with pytest.raises(error) as on_copy:
+        add_noise(simulate(quarter_car_systems, schedule, z), spec)
+    assert str(in_place.value) == str(on_copy.value)
+
+
 def test_simulate_matches_dlsim_per_segment(quarter_car_systems):
     schedule = SwitchSchedule(steps=(("C1", 400), ("C2", 300), ("C1", 250)))
     z = gen_excitation(schedule.total_samples, 0.01, 22)
