@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "dataset": (
-        "Decomposition",
         "PSEUDO_INPUT",
         "RegressionMatrices",
         "TARGET_OUTPUT",

@@ -434,7 +434,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 @contextmanager
-def _staged_outputs(out: str, names: list[str], cache: ParseCache | None = None):
+def _staged_outputs(out: str, names: list[str], cache: ParseCache):
     """Yield a temporary path in ``out`` for each file name; after the body
     succeeds, move every file into place, then commit the parse ``cache``.
     If the body fails, the temporary files and the cache's staged entries
@@ -456,14 +456,12 @@ def _staged_outputs(out: str, names: list[str], cache: ParseCache | None = None)
         yield staged
         for name in names:
             os.replace(staged[name], finals[name])
-        if cache is not None:
-            cache.commit()
+        cache.commit()
     except BaseException as e:
         for path in staged.values():
             if os.path.exists(path):
                 os.remove(path)
-        if cache is not None:
-            cache.discard()
+        cache.discard()
         if created and not os.listdir(out):
             os.rmdir(out)
         if isinstance(e, OSError):
@@ -472,7 +470,7 @@ def _staged_outputs(out: str, names: list[str], cache: ParseCache | None = None)
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    from .dataset import Decomposition, signal_power
+    from .dataset import signal_power
     from .transmissibility import fit_average, save_store, train_families
 
     # the primary models take every pseudo-input, so they have the most parameters
@@ -483,11 +481,8 @@ def cmd_train(cfg: RunConfig) -> int:
                      n_params=n_pseudo * (cfg.order + 1))
         for label, path in cfg.train_data.items()
     ]
-    pseudo = records[0].pseudo_input_names
-    target = records[0].target_name
-    d = Decomposition(aux_output_index=pseudo.index(cfg.aux_output))
-    g, h = train_families(records, d, cfg.order, cfg.c_lim)
-    avg = fit_average(records, pseudo, target, cfg.order, cfg.c_lim)
+    g, h = train_families(records, cfg.aux_output, cfg.order, cfg.c_lim)
+    avg = fit_average(records, g.input_channel_names, g.output_channel_name, cfg.order, cfg.c_lim)
     store_dir, store_name = os.path.split(cfg.store)
     with _staged_outputs(store_dir or os.curdir, [store_name], cache) as staged:
         save_store(staged[store_name], g, h, average=avg, c_lim=cfg.c_lim)

@@ -3,9 +3,9 @@
 A record keeps named channels of equal length together with a role per
 channel: ``pseudo_input`` channels drive the FIR models, the single
 ``target_output`` channel is what the primary models estimate.  The
-functions here cover CSV I/O, mean removal, lag-matrix construction
-and pseudo-input decomposition, and the parse cache that lets a
-command skip parsing a CSV it or ``simulate`` already read or wrote.
+functions here cover CSV I/O, mean removal, lag-matrix construction,
+and the parse cache that lets a command skip parsing a CSV it or
+``simulate`` already read or wrote.
 """
 
 from __future__ import annotations
@@ -120,31 +120,6 @@ class TimeSeriesSet:
         if name is None:
             raise DataError("record has no target_output channel")
         return self.channel(name)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Split of the pseudo-input channels into drivers and one auxiliary output.
-
-    ``aux_output_index`` selects, within the pseudo-input channel list,
-    the channel used as the auxiliary model output; the remaining
-    pseudo-input channels keep their order and drive the auxiliary model.
-    """
-
-    aux_output_index: int
-
-    def split(self, items: tuple | list) -> tuple[list, object]:
-        if len(items) < 2:
-            raise DataError(
-                f"decomposition needs at least 2 pseudo-input channels, got {len(items)}"
-            )
-        if not 0 <= self.aux_output_index < len(items):
-            raise DataError(
-                f"auxiliary output index {self.aux_output_index} out of range "
-                f"for {len(items)} pseudo-input channels"
-            )
-        rest = [x for i, x in enumerate(items) if i != self.aux_output_index]
-        return rest, items[self.aux_output_index]
 
 
 # Default condition-number cap of the ridge rule, and the largest accepted

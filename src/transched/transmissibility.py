@@ -23,14 +23,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_C_LIM, Decomposition, TimeSeriesSet, build_regressor, lag_rows
+from .dataset import DEFAULT_C_LIM, TimeSeriesSet, _unreadable, build_regressor, lag_rows
 from .errors import DataError
 
 if TYPE_CHECKING:
     from .regression import RidgeSolution
-
-PRIMARY = "primary"
-AUXILIARY = "auxiliary"
 
 STORE_VERSION = 1
 
@@ -77,16 +74,12 @@ class FirModel:
 class TransmissibilityFamily:
     """Condition-indexed collection of structurally identical FIR models."""
 
-    kind: str
     labels: tuple[str, ...]
     models: tuple[FirModel, ...]
-    decomposition: Decomposition | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "models", tuple(self.models))
-        if self.kind not in (PRIMARY, AUXILIARY):
-            raise DataError(f"family kind must be primary or auxiliary, got {self.kind!r}")
         if not self.models:
             raise DataError("family must have at least one member")
         if len(self.labels) != len(self.models):
@@ -188,9 +181,23 @@ def predict_record(model: FirModel, ts: TimeSeriesSet) -> np.ndarray:
     return predict(model, ts.channels(model.input_channel_names))
 
 
+def _drivers(pseudo: Sequence[str], aux_output: str) -> tuple[str, ...]:
+    """The auxiliary family's inputs: every pseudo-input but its output
+    ``aux_output``, in their order."""
+    if len(pseudo) < 2:
+        raise DataError(
+            f"decomposition needs at least 2 pseudo-input channels, got {len(pseudo)}"
+        )
+    if aux_output not in pseudo:
+        raise DataError(
+            f"auxiliary output {aux_output!r} is not a pseudo-input channel {list(pseudo)}"
+        )
+    return tuple(n for n in pseudo if n != aux_output)
+
+
 def train_families(
     records: Sequence[TimeSeriesSet],
-    d: Decomposition,
+    aux_output: str,
     order: int,
     c_lim: float = DEFAULT_C_LIM,
 ) -> tuple[TransmissibilityFamily, TransmissibilityFamily]:
@@ -198,8 +205,8 @@ def train_families(
 
     Each record must carry a unique ``condition_label`` and the same
     channel schema.  Per condition q, the primary member maps all
-    pseudo-inputs to the target and the auxiliary member maps the
-    drivers to the auxiliary output chosen by ``d``.
+    pseudo-inputs to the target and the auxiliary member maps every other
+    pseudo-input to the pseudo-input named ``aux_output``.
     """
     if not records:
         raise DataError("need at least one labeled record")
@@ -221,17 +228,10 @@ def train_families(
     target = records[0].target_name
     if target is None:
         raise DataError("training records need a target_output channel")
-    i1_names, i2_name = d.split(pseudo)
-    g_models = []
-    h_models = []
-    for ts in records:
-        g_models.append(fit_fir(ts, pseudo, target, order, c_lim))
-        h_models.append(fit_fir(ts, i1_names, i2_name, order, c_lim))
-    g = TransmissibilityFamily(kind=PRIMARY, labels=tuple(labels), models=tuple(g_models))
-    h = TransmissibilityFamily(
-        kind=AUXILIARY, labels=tuple(labels), models=tuple(h_models), decomposition=d
-    )
-    return g, h
+    drivers = _drivers(pseudo, aux_output)
+    g_models = [fit_fir(ts, pseudo, target, order, c_lim) for ts in records]
+    h_models = [fit_fir(ts, drivers, aux_output, order, c_lim) for ts in records]
+    return TransmissibilityFamily(labels, g_models), TransmissibilityFamily(labels, h_models)
 
 
 def fit_average(
@@ -317,19 +317,20 @@ def save_store(
     """
     if g.labels != h.labels:
         raise DataError("primary and auxiliary families must share labels")
-    if h.decomposition is None:
-        raise DataError("auxiliary family is missing its decomposition")
+    pseudo = g.input_channel_names
+    if h.input_channel_names != _drivers(pseudo, h.output_channel_name):
+        raise DataError(f"auxiliary inputs {h.input_channel_names} do not split {pseudo}")
     doc = {
         "version": STORE_VERSION,
         "kind": "transmissibility-family-store",
         "order": int(g.order),
         "c_lim": float(c_lim),
         "decomposition": {
-            "aux_output_index": int(h.decomposition.aux_output_index),
+            "aux_output_index": pseudo.index(h.output_channel_name),
             "aux_output": h.output_channel_name,
         },
         "channel_names": {
-            "pseudo_inputs": list(g.input_channel_names),
+            "pseudo_inputs": list(pseudo),
             "target_output": g.output_channel_name,
         },
         "conditions": [
@@ -353,18 +354,20 @@ def load_store(
     """Read a model store back into (primary, auxiliary, average-or-None)."""
     if not os.path.exists(path):
         raise DataError(f"model store not found: {path}")
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: not a valid model store: {e}") from None
+    except (UnicodeDecodeError, OSError) as e:
+        raise _unreadable(path, e) from None
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
+        raise DataError(f"{path}: not a valid model store: {e}") from None
     try:
         return _families_from_doc(doc)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
     except KeyError as e:
         raise DataError(f"{path}: malformed model store: missing key {e}") from None
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: malformed model store: {e}") from None
 
 
@@ -379,22 +382,22 @@ def _families_from_doc(
     order = int(doc["order"])
     pseudo = tuple(doc["channel_names"]["pseudo_inputs"])
     target = str(doc["channel_names"]["target_output"])
-    d = Decomposition(aux_output_index=int(doc["decomposition"]["aux_output_index"]))
-    i1_names, i2_name = d.split(pseudo)
+    index = int(doc["decomposition"]["aux_output_index"])
+    if not 0 <= index < len(pseudo):
+        raise DataError(
+            f"auxiliary output index {index} out of range for {len(pseudo)} pseudo-input channels"
+        )
+    aux_output = pseudo[index]
+    drivers = _drivers(pseudo, aux_output)
     labels = []
     g_models = []
     h_models = []
     for cond in doc["conditions"]:
         labels.append(str(cond["label"]))
         g_models.append(_model_from_record(cond["G"], order, len(pseudo), pseudo, target))
-        h_models.append(
-            _model_from_record(cond["H"], order, len(i1_names), tuple(i1_names), i2_name)
-        )
-    g = TransmissibilityFamily(kind=PRIMARY, labels=tuple(labels), models=tuple(g_models))
-    h = TransmissibilityFamily(
-        kind=AUXILIARY, labels=tuple(labels), models=tuple(h_models), decomposition=d
-    )
+        h_models.append(_model_from_record(cond["H"], order, len(drivers), drivers, aux_output))
     average = None
     if doc.get("average") is not None:
         average = _model_from_record(doc["average"], order, len(pseudo), pseudo, target)
-    return g, h, average
+    g = TransmissibilityFamily(labels, g_models)
+    return g, TransmissibilityFamily(labels, h_models), average

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -67,6 +68,20 @@ def test_train_writes_store(pipeline_dir):
     assert len(store["conditions"][0]["H"]["theta"]) == 1 * 11
     assert store["average"] is not None
     assert store["decomposition"]["aux_output"] == "y_I2"
+
+
+def test_readme_library_example(pipeline_dir, tmp_path, monkeypatch, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        library = f.read().split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copytree(pipeline_dir, tmp_path / "run")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    exec(compile(code, "README.md", "exec"), {})
+    chosen, fit = capsys.readouterr().out.splitlines()
+    assert chosen == "['C1', 'C1', 'C1', 'C1', 'C2', 'C2', 'C2', 'C2']"
+    assert 0 < float(fit) <= 100
 
 
 def test_estimate_reproduces_switching_sequence(pipeline_dir):
@@ -382,7 +397,7 @@ def test_user_supplied_channels_detrend_and_priors(tmp_path):
     assert _run(["evaluate", "--config", str(cfg)]) == 0
     store = json.loads((work / "store.json").read_text())
     assert store["channel_names"]["pseudo_inputs"] == ["acc_u", "acc_s"]
-    assert store["decomposition"]["aux_output"] == "acc_s"
+    assert store["decomposition"] == {"aux_output_index": 1, "aux_output": "acc_s"}
     seq = _read_chosen_sequence(work / "trace_windows.csv")
     assert seq == ["C1"] * 4 + ["C2"] * 4  # DC offset removed by detrend
     report_lines = (work / "report.csv").read_text().splitlines()
@@ -570,6 +585,15 @@ def _data_is_a_directory(out):
     (out / "validation.csv").mkdir()
 
 
+def _store_is_a_directory(out):
+    (out / "store.json").unlink()
+    (out / "store.json").mkdir()
+
+
+def _store_field(key, value):
+    return _edit("store.json", lambda t: re.sub(f'"{key}": [0-9]+', f'"{key}": {value}', t, 1))
+
+
 _TRAIN_FILES = ("train_C1.csv", "train_C2.csv")
 _ONLINE_FILES = ("store.json", "validation.csv")
 
@@ -616,6 +640,23 @@ _ONLINE_FILES = ("store.json", "validation.csv")
                      ["validation.csv: byte 0xff is not valid"], id="non-utf8-label"),
         pytest.param("estimate", _ONLINE_FILES, _data_is_a_directory,
                      ["validation.csv: cannot read"], id="data-is-a-directory"),
+        pytest.param("estimate", _ONLINE_FILES,
+                     lambda out: (out / "store.json").write_bytes(b'{"version": "\xff"}'),
+                     ["store.json: byte 0xff is not valid utf-8 text"], id="non-utf8-store"),
+        pytest.param("estimate", _ONLINE_FILES, _store_is_a_directory,
+                     ["store.json: cannot read"], id="store-is-a-directory"),
+        pytest.param("estimate", _ONLINE_FILES, _store_field("order", "1e400"),
+                     ["store.json: malformed model store", "float infinity"],
+                     id="store-order-1e400"),
+        pytest.param("estimate", _ONLINE_FILES, _store_field("aux_output_index", "1e400"),
+                     ["store.json: malformed model store", "float infinity"],
+                     id="store-aux-output-index-1e400"),
+        pytest.param("evaluate", _ONLINE_FILES, _store_field("aux_output_index", "5"),
+                     ["store.json: auxiliary output index 5 out of range for 2 pseudo-input"],
+                     id="store-aux-output-index-5"),
+        pytest.param("estimate", _ONLINE_FILES, _edit("store.json", lambda t: "[" * 200_000),
+                     ["store.json: not a valid model store", "recursion"],
+                     id="store-nested-200000-deep"),
     ],
 )
 def test_fault_injection(pipeline_dir, tmp_path, capsys, command, files, corrupt, fragments):

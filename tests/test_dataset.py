@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from transched import dataset
 from transched.dataset import (
-    Decomposition,
     PSEUDO_INPUT,
     TARGET_OUTPUT,
     TimeSeriesSet,
@@ -566,37 +565,6 @@ def test_lag_matrix_keeps_the_layout_of_hstack(n_i, order):
 def test_lag_matrix_rejects_negative_order():
     with pytest.raises(DataError, match="order must be non-negative"):
         lag_matrix([1.0, 2.0], -1)
-
-
-# ----------------------------------------------------------- decomposition
-
-
-def test_decompose_selects_channel():
-    ts = _ts(np.arange(12.0).reshape(3, 4), names=("a", "b", "c"))
-    drivers, aux = Decomposition(aux_output_index=2).split(ts.pseudo_input_names)
-    assert (drivers, aux) == (["a", "b"], "c")
-    np.testing.assert_array_equal(ts.channel(aux), np.arange(8.0, 12.0))
-    np.testing.assert_array_equal(ts.channels(drivers), np.arange(8.0).reshape(2, 4))
-
-
-def test_decompose_two_channels():
-    ts = _ts(np.arange(8.0).reshape(2, 4), names=("a", "b"))
-    drivers, aux = Decomposition(aux_output_index=1).split(ts.pseudo_input_names)
-    assert aux == "b"
-    assert ts.channels(drivers).shape == (1, 4)
-    np.testing.assert_array_equal(ts.channels(drivers)[0], ts.channel("a"))
-
-
-def test_decompose_single_channel_impossible():
-    ts = _ts(np.arange(4.0).reshape(1, 4))
-    with pytest.raises(DataError, match="at least 2 pseudo-input"):
-        Decomposition(aux_output_index=0).split(ts.pseudo_input_names)
-
-
-def test_decompose_index_out_of_range():
-    ts = _ts(np.arange(8.0).reshape(2, 4))
-    with pytest.raises(DataError, match="out of range"):
-        Decomposition(aux_output_index=5).split(ts.pseudo_input_names)
 
 
 # ------------------------------------------------------------ other pieces

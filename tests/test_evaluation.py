@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from transched.dataset import PSEUDO_INPUT, TARGET_OUTPUT, Decomposition, TimeSeriesSet
+from transched.dataset import PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
 from transched.errors import DataError
 from transched.evaluation import (
     compare_report,
@@ -78,7 +78,7 @@ def _scheduled_study(systems, n_online):
         make_training_record(systems, label, 1000, seed=60 + i)
         for i, label in enumerate(("C1", "C2"))
     ]
-    g, h = train_families(records, Decomposition(aux_output_index=1), order=10)
+    g, h = train_families(records, "y_I2", order=10)
     avg = fit_average(records, ("y_I1_a", "y_I2"), "y_O", order=10)
     # one online record per condition, fresh excitation, clean data
     online = [
@@ -213,7 +213,7 @@ def _pinned_case():
         return FirModel(order=1, input_dim=2, theta=np.array(theta), sigma2=1.0,
                         dof=10, input_channel_names=names, output_channel_name="y")
 
-    g = TransmissibilityFamily(kind="primary", labels=labels, models=tuple(
+    g = TransmissibilityFamily(labels=labels, models=tuple(
         model(t) for t in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0])
     ))
     average = model([0.5, 0.5, 0.0, 0.0])
@@ -302,7 +302,7 @@ def test_ideal_fit_is_max():
 
 def test_ideal_fit_single():
     g, average, records, traces, predictions = _pinned_case()
-    one = TransmissibilityFamily(kind="primary", labels=("C1",), models=g.models[:1])
+    one = TransmissibilityFamily(labels=("C1",), models=g.models[:1])
     traces = {"full": {
         label: dataclasses.replace(t, labels=one.labels, chosen=np.zeros(3, dtype=int))
         for label, t in traces["full"].items()

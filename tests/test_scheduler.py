@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transched import dataset
-from transched.dataset import Decomposition, PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
+from transched.dataset import PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
 from transched.scheduler import (
@@ -43,9 +43,7 @@ def _aux_model(theta, sigma2, order=0, input_dim=1, dof=100):
 
 def _aux_family(models, labels=None):
     labels = labels or tuple(f"Q{i + 1}" for i in range(len(models)))
-    return TransmissibilityFamily(kind="auxiliary", labels=tuple(labels),
-                                  models=tuple(models),
-                                  decomposition=Decomposition(aux_output_index=0))
+    return TransmissibilityFamily(labels=tuple(labels), models=tuple(models))
 
 
 def _window(u, v):
@@ -249,14 +247,13 @@ def trained_families(quarter_car_systems):
                              snr=50.0)
         for i, label in enumerate(("C1", "C2"))
     ]
-    return train_families(records, Decomposition(aux_output_index=1), order=10)
+    return train_families(records, "y_I2", order=10)
 
 
 def test_schedule_single_member_family(quarter_car_systems, trained_families):
     g, h = trained_families
-    g1 = TransmissibilityFamily(kind="primary", labels=("C1",), models=(g.models[0],))
-    h1 = TransmissibilityFamily(kind="auxiliary", labels=("C1",), models=(h.models[0],),
-                                decomposition=h.decomposition)
+    g1 = TransmissibilityFamily(labels=("C1",), models=(g.models[0],))
+    h1 = TransmissibilityFamily(labels=("C1",), models=(h.models[0],))
     online = make_training_record(quarter_car_systems, "C2", 200, seed=55, snr=50.0)
     trace = schedule_estimate(g1, h1, online, Prior.uniform(1), window_len=20)
     assert trace.chosen_labels() == ["C1"] * 10
@@ -379,7 +376,7 @@ def _families(thetas, sigma2s, order, n_drivers, labels=None):
         labels,
     )
     names = h.input_channel_names + ("v",)
-    g = TransmissibilityFamily(kind="primary", labels=tuple(labels), models=tuple(
+    g = TransmissibilityFamily(labels=tuple(labels), models=tuple(
         FirModel(order=order, input_dim=n_drivers + 1,
                  theta=np.linspace(-1.0, 1.0, (n_drivers + 1) * (order + 1)) * (k + 1),
                  sigma2=1.0, dof=100, input_channel_names=names,
@@ -576,7 +573,7 @@ def _tiny_case():
     labels = ("Q1", "Q2", "Q3")
     h = _aux_family([_aux_model(t, 1.0, order=1, dof=10)
                      for t in ([0.5, 0.5], [1.0, 0.0], [-1.0, 0.0])], labels)
-    g = TransmissibilityFamily(kind="primary", labels=labels, models=tuple(
+    g = TransmissibilityFamily(labels=labels, models=tuple(
         FirModel(order=1, input_dim=2, theta=np.array(t), sigma2=1.0, dof=10,
                  input_channel_names=("u0", "v"), output_channel_name="y")
         for t in ([1.0, 1.0, 1.0, 1.0], [0.5, -0.25, 0.1, 3.0], [2.0, 0.0, 0.0, 0.0])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from transched.dataset import (
-    Decomposition,
     PSEUDO_INPUT,
     TARGET_OUTPUT,
     RegressionMatrices,
@@ -190,18 +189,30 @@ def test_predict_memory_is_two_output_arrays():
 
 
 def test_train_families_two_conditions(clean_training_pair):
-    d = Decomposition(aux_output_index=1)
-    g, h = train_families(clean_training_pair, d, order=10)
+    g, h = train_families(clean_training_pair, "y_I2", order=10)
     assert g.labels == h.labels == ("C1", "C2")
-    assert g.kind == "primary" and h.kind == "auxiliary"
     assert g.input_channel_names == ("y_I1_a", "y_I2")
     assert h.input_channel_names == ("y_I1_a",)
     assert h.output_channel_name == "y_I2"
-    assert h.decomposition is d
+
+
+def test_train_families_aux_output_names_the_split():
+    rng = np.random.default_rng(8)
+    r = _record(rng.normal(size=(4, 60)), ("a", "b", "c", "f"), label="Q")
+    g, h = train_families([r], "a", order=2)
+    assert g.input_channel_names == ("a", "b", "c")
+    assert h.input_channel_names == ("b", "c") and h.output_channel_name == "a"
+
+
+@pytest.mark.parametrize("aux_output", ["f", "z"])
+def test_train_families_aux_output_not_a_pseudo_input(aux_output):
+    r = _record(np.random.default_rng(8).normal(size=(3, 60)), ("a", "b", "f"), label="Q")
+    with pytest.raises(DataError, match=f"auxiliary output '{aux_output}' is not a pseudo-input"):
+        train_families([r], aux_output, order=2)
 
 
 def test_train_families_singleton(clean_c1_pair):
-    g, h = train_families([clean_c1_pair[0]], Decomposition(aux_output_index=1), order=5)
+    g, h = train_families([clean_c1_pair[0]], "y_I2", order=5)
     assert len(g) == len(h) == 1
 
 
@@ -211,7 +222,7 @@ def test_train_families_identical_data_under_two_labels():
 
     r1 = dataclasses.replace(base, condition_label="Q1")
     r2 = dataclasses.replace(base, condition_label="Q2")
-    _, h = train_families([r1, r2], Decomposition(aux_output_index=1), order=3)
+    _, h = train_families([r1, r2], "b", order=3)
     np.testing.assert_allclose(h.models[0].theta, h.models[1].theta, atol=1e-10)
 
 
@@ -222,7 +233,7 @@ def test_train_families_duplicate_labels():
     recs = [dataclasses.replace(r, condition_label="Q"),
             dataclasses.replace(r, condition_label="Q")]
     with pytest.raises(DataError, match="duplicate"):
-        train_families(recs, Decomposition(aux_output_index=0), order=2)
+        train_families(recs, "a", order=2)
 
 
 def test_train_families_schema_mismatch():
@@ -232,26 +243,25 @@ def test_train_families_schema_mismatch():
     other = _record(np.zeros((3, 50)) + 1.0, ("x", "b", "f"))
     r2 = dataclasses.replace(other, condition_label="Q2")
     with pytest.raises(DataError, match="schema"):
-        train_families([r1, r2], Decomposition(aux_output_index=0), order=2)
+        train_families([r1, r2], "a", order=2)
 
 
 def test_train_families_single_pseudo_input():
     r = _record(np.random.default_rng(5).normal(size=(2, 50)), ("a", "f"), label="Q")
     with pytest.raises(DataError, match="at least 2 pseudo-input channels, got 1"):
-        train_families([r], Decomposition(aux_output_index=0), order=2)
+        train_families([r], "a", order=2)
 
 
 def test_train_families_order_independent(clean_training_pair):
-    d = Decomposition(aux_output_index=1)
-    g12, _ = train_families(list(clean_training_pair), d, order=6)
-    g21, _ = train_families(list(clean_training_pair)[::-1], d, order=6)
+    g12, _ = train_families(list(clean_training_pair), "y_I2", order=6)
+    g21, _ = train_families(list(clean_training_pair)[::-1], "y_I2", order=6)
     assert g21.labels == tuple(reversed(g12.labels))
     np.testing.assert_array_equal(g12.member("C1").theta, g21.member("C1").theta)
     np.testing.assert_array_equal(g12.member("C2").theta, g21.member("C2").theta)
 
 
 def test_auxiliary_family_never_uses_its_own_output(clean_training_pair):
-    _, h = train_families(clean_training_pair, Decomposition(aux_output_index=1), order=4)
+    _, h = train_families(clean_training_pair, "y_I2", order=4)
     assert h.output_channel_name not in h.input_channel_names
 
 
@@ -353,8 +363,7 @@ def test_fit_average_memory_stays_flat_as_records_are_added():
 
 
 def test_store_round_trip_bit_exact(tmp_path, clean_training_pair):
-    d = Decomposition(aux_output_index=1)
-    g, h = train_families(clean_training_pair, d, order=10)
+    g, h = train_families(clean_training_pair, "y_I2", order=10)
     avg = fit_average(clean_training_pair, ("y_I1_a", "y_I2"), "y_O", order=10)
     path = tmp_path / "store.json"
     save_store(path, g, h, average=avg, c_lim=1e6)
@@ -366,24 +375,43 @@ def test_store_round_trip_bit_exact(tmp_path, clean_training_pair):
         assert m_in.rho == m_out.rho
         assert m_in.dof == m_out.dof
     np.testing.assert_array_equal(avg2.theta, avg.theta)
-    assert h2.decomposition.aux_output_index == 1
+    assert h2.input_channel_names == ("y_I1_a",) and h2.output_channel_name == "y_I2"
 
 
 def test_store_accepts_numpy_scalars(tmp_path, clean_training_pair):
-    # a library caller may take the index from np.argmax
-    g, h = train_families(clean_training_pair, Decomposition(aux_output_index=np.int64(1)), order=2)
+    # a library caller may take the channel name from a numpy array
+    g, h = train_families(clean_training_pair, np.array(["y_I2"])[0], order=2)
     save_store(tmp_path / "np.json", g, h, c_lim=np.float64(1e6))
-    g1, h1 = train_families(clean_training_pair, Decomposition(aux_output_index=1), order=2)
+    g1, h1 = train_families(clean_training_pair, "y_I2", order=2)
     save_store(tmp_path / "py.json", g1, h1, c_lim=1e6)
     assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
 
 
 def test_store_rejects_non_finite_c_lim(tmp_path, clean_training_pair):
-    g, h = train_families(clean_training_pair, Decomposition(aux_output_index=1), order=2)
+    g, h = train_families(clean_training_pair, "y_I2", order=2)
     path = tmp_path / "store.json"
     with pytest.raises(DataError, match="cannot write model store") as err:
         save_store(path, g, h, c_lim=float("nan"))
     assert str(path) in str(err.value) and not path.exists()
+
+
+def test_store_rejects_an_auxiliary_family_it_cannot_name(tmp_path, clean_training_pair):
+    # the store keeps only the auxiliary output: its inputs must be the rest
+    g, h = train_families(clean_training_pair, "y_I2", order=2)
+
+    def aux_family(inputs, output):
+        return TransmissibilityFamily(h.labels, [
+            FirModel(order=2, input_dim=1, theta=m.theta, sigma2=m.sigma2,
+                     input_channel_names=inputs, output_channel_name=output)
+            for m in h.models
+        ])
+
+    path = tmp_path / "store.json"
+    with pytest.raises(DataError, match="auxiliary inputs"):
+        save_store(path, g, aux_family(("y_O",), "y_I2"))
+    with pytest.raises(DataError, match="auxiliary output 'y_O' is not a pseudo-input"):
+        save_store(path, g, aux_family(("y_I1_a",), "y_O"))
+    assert not path.exists()
 
 
 def test_store_rejects_unknown_version(tmp_path):
@@ -406,7 +434,7 @@ def test_store_rejects_unknown_version(tmp_path):
     ],
 )
 def test_store_rejects_malformed_schema(tmp_path, clean_training_pair, corrupt, message):
-    g, h = train_families(clean_training_pair, Decomposition(aux_output_index=1), order=2)
+    g, h = train_families(clean_training_pair, "y_I2", order=2)
     path = tmp_path / "store.json"
     save_store(path, g, h)
     doc = json.loads(path.read_text())
@@ -426,7 +454,7 @@ def test_store_missing_file(tmp_path):
 
 
 def test_family_label_lookup(clean_training_pair):
-    g, _ = train_families(clean_training_pair, Decomposition(aux_output_index=1), order=3)
+    g, _ = train_families(clean_training_pair, "y_I2", order=3)
     assert g.member("C2") is g.models[1]
     with pytest.raises(DataError, match="no family member"):
         g.member("C9")
@@ -436,7 +464,7 @@ def test_family_rejects_mixed_layout():
     m1 = FirModel(order=1, input_dim=1, theta=np.zeros(2), sigma2=0.0)
     m2 = FirModel(order=2, input_dim=1, theta=np.zeros(3), sigma2=0.0)
     with pytest.raises(DataError, match="share order"):
-        TransmissibilityFamily(kind="primary", labels=("a", "b"), models=(m1, m2))
+        TransmissibilityFamily(labels=("a", "b"), models=(m1, m2))
 
 
 def test_fir_model_theta_length_checked():

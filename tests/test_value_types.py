@@ -23,8 +23,7 @@ MAKERS = {
     "RidgeSolution": lambda: RidgeSolution(theta=np.ones(1), sigma2=1.0, dof=1, rho=0.0,
                                            kappa_before=1.0, kappa_after=1.0, c_lim=1.0e6),
     "FirModel": _fir,
-    "TransmissibilityFamily": lambda: TransmissibilityFamily(kind="primary", labels=("C1",),
-                                                             models=(_fir(),)),
+    "TransmissibilityFamily": lambda: TransmissibilityFamily(labels=("C1",), models=(_fir(),)),
     "Prior": lambda: Prior.uniform(2),
     "PosteriorResult": lambda: PosteriorResult(1, np.zeros(2), np.full(2, 0.5), 0),
     "ContinuousStateSpace": lambda: ContinuousStateSpace(np.eye(2), np.ones(2), np.eye(2),
