@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 PSEUDO_INPUT = "pseudo_input"
 TARGET_OUTPUT = "target_output"
@@ -90,19 +90,12 @@ class TimeSeriesSet:
         return self.data.shape[1]
 
     @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def pseudo_input_names(self) -> tuple[str, ...]:
         return tuple(n for n, r in zip(self.names, self.roles) if r == PSEUDO_INPUT)
 
     @property
     def target_name(self) -> str | None:
-        for n, r in zip(self.names, self.roles):
-            if r == TARGET_OUTPUT:
-                return n
-        return None
+        return next((n for n, r in zip(self.names, self.roles) if r == TARGET_OUTPUT), None)
 
     def channel(self, name: str) -> np.ndarray:
         try:
@@ -123,10 +116,15 @@ class TimeSeriesSet:
 
 
 # Default condition-number cap of the ridge rule, and the largest accepted
-# (see regression.select_rho).  They live here, not in ``regression``, so
-# every command can check c_lim without loading the trainer.
+# (see regression.select_rho).  They and the check live here, not in
+# ``regression``, so every command can check c_lim without loading the trainer.
 DEFAULT_C_LIM = 1.0e6
 MAX_C_LIM = 1.0e12
+
+
+def _check_c_lim(c_lim: float) -> None:
+    if not 1.0 < c_lim <= MAX_C_LIM:
+        raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {c_lim}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,8 +23,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .dataset import DEFAULT_C_LIM, MAX_C_LIM, RegressionMatrices
-from .errors import ConfigError, DataError, NumericalError
+from .dataset import DEFAULT_C_LIM, RegressionMatrices, _check_c_lim
+from .errors import DataError, NumericalError
 
 # Relative floor below which a Gram eigenvalue is treated as exactly zero
 # (rank deficiency).  Treating a tiny positive estimate as zero can only
@@ -108,11 +108,6 @@ def eigen_extremes(gram: np.ndarray) -> EigenExtremes:
 
 def _kappa(lambda_max: float, lambda_min: float) -> float:
     return math.inf if lambda_min == 0.0 else lambda_max / lambda_min
-
-
-def _check_c_lim(c_lim: float) -> None:
-    if not 1.0 < c_lim <= MAX_C_LIM:
-        raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {c_lim}")
 
 
 def select_rho(lambda_max: float, lambda_min: float, c_lim: float) -> float:

@@ -286,6 +286,17 @@ def _model_record(m: FirModel) -> dict:
     }
 
 
+def _stored_int(value, key: str) -> int:
+    """``value``, a JSON integer: ``int()`` would read 10.9 as 10 and true as 1."""
+    if type(value) is int:
+        return value
+    try:
+        int(value)  # its message names a non-finite float, null or text
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{key}: {e}") from None
+    raise ValueError(f"{key}: expected an integer, got {json.dumps(value)}")
+
+
 def _model_from_record(
     rec: dict, order: int, input_dim: int, inputs: tuple[str, ...], output: str
 ) -> FirModel:
@@ -297,7 +308,7 @@ def _model_from_record(
         sigma2=float(rec["sigma2"]),
         rho=float(rec["rho"]),
         kappa_after=math.inf if kappa is None else float(kappa),
-        dof=int(rec.get("dof", 0)),
+        dof=_stored_int(rec.get("dof", 0), "dof"),
         input_channel_names=inputs,
         output_channel_name=output,
     )
@@ -375,14 +386,14 @@ def _families_from_doc(
     doc: dict,
 ) -> tuple[TransmissibilityFamily, TransmissibilityFamily, FirModel | None]:
     version = doc.get("version")
-    if version != STORE_VERSION:
+    if type(version) is not int or version != STORE_VERSION:  # true == 1
         raise DataError(
             f"unsupported store version {version!r}; this build reads version {STORE_VERSION}"
         )
-    order = int(doc["order"])
+    order = _stored_int(doc["order"], "order")
     pseudo = tuple(doc["channel_names"]["pseudo_inputs"])
     target = str(doc["channel_names"]["target_output"])
-    index = int(doc["decomposition"]["aux_output_index"])
+    index = _stored_int(doc["decomposition"]["aux_output_index"], "aux_output_index")
     if not 0 <= index < len(pseudo):
         raise DataError(
             f"auxiliary output index {index} out of range for {len(pseudo)} pseudo-input channels"

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import transched
-from transched.cli import STOCK_CONDITIONS, main
+from transched.cli import main
+from transched.config import STOCK_CONDITIONS
 from transched.errors import DataError
 from transched.simulator import (
     QuarterCarParams,
@@ -535,6 +536,7 @@ def test_exit_code_non_finite_validation_csv(pipeline_dir, tmp_path, capsys):
     [
         (lambda doc: doc.pop("order"), "missing key 'order'"),
         (lambda doc: doc["conditions"][0]["G"].pop("theta"), "missing key 'theta'"),
+        (lambda doc: doc.update(order=10.9), "order: expected an integer, got 10.9"),
     ],
 )
 def test_exit_code_malformed_store(pipeline_dir, tmp_path, capsys, corrupt, fragment):

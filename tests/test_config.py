@@ -8,7 +8,8 @@ from dataclasses import fields
 
 import pytest
 
-from transched.cli import STOCK_CONDITIONS, RunConfig, build_parser, main, resolve_config
+from transched.cli import main
+from transched.config import STOCK_CONDITIONS, RunConfig, build_parser, resolve_config
 
 COMMANDS = ("simulate", "train", "estimate", "evaluate")
 

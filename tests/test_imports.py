@@ -52,7 +52,7 @@ def footprints(tmp_path_factory):
 @pytest.mark.parametrize("command", list(NOT_LOADED))
 def test_command_loads_only_its_layers(footprints, command):
     loaded = footprints[command]
-    assert "cli" in loaded and "dataset" in loaded
+    assert {"cli", "config", "dataset"} <= loaded
     assert not loaded & NOT_LOADED[command]
 
 
@@ -65,6 +65,10 @@ def test_every_command_loads_what_it_runs(footprints):
 
 def test_bare_import_loads_no_submodule(tmp_path):
     assert _loaded("import transched\nassert transched.__version__", tmp_path) == set()
+
+
+def test_config_loads_only_dataset_and_errors(tmp_path):
+    assert _loaded("import transched.config", tmp_path) == {"config", "dataset", "errors"}
 
 
 def test_first_use_loads_only_the_owning_module(tmp_path):

@@ -416,9 +416,11 @@ def test_store_rejects_an_auxiliary_family_it_cannot_name(tmp_path, clean_traini
 
 def test_store_rejects_unknown_version(tmp_path):
     path = tmp_path / "store.json"
-    path.write_text('{"version": 99}')
-    with pytest.raises(DataError, match="version"):
-        load_store(path)
+    # true == 1.0 == 1 in Python, but the store version is a JSON integer
+    for stored, shown in (("99", "99"), ("true", "True"), ("1.0", "1.0")):
+        path.write_text(f'{{"version": {stored}}}')
+        with pytest.raises(DataError, match=f"unsupported store version {shown};"):
+            load_store(path)
 
 
 @pytest.mark.parametrize(
@@ -431,6 +433,15 @@ def test_store_rejects_unknown_version(tmp_path):
         (lambda doc: doc["conditions"][0]["G"].update(rho=float("nan")), "rho must be finite"),
         (lambda doc: doc["conditions"][1]["H"].update(dof=-5), "dof must be non-negative"),
         (lambda doc: doc.update(conditions=[7]), "malformed model store"),
+        # an integer field takes only a JSON integer, never one int() truncates
+        (lambda doc: doc.update(order=2.9), "order: expected an integer, got 2.9"),
+        (lambda doc: doc.update(order=2.0), "order: expected an integer, got 2.0"),
+        (lambda doc: doc.update(order="2"), 'order: expected an integer, got "2"'),
+        (lambda doc: doc["decomposition"].update(aux_output_index=True),
+         "aux_output_index: expected an integer, got true"),
+        (lambda doc: doc["conditions"][0]["G"].update(dof=3.7),
+         "dof: expected an integer, got 3.7"),
+        (lambda doc: doc.update(order=None), "order: int"),
     ],
 )
 def test_store_rejects_malformed_schema(tmp_path, clean_training_pair, corrupt, message):
