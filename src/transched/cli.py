@@ -14,7 +14,7 @@ from dataclasses import replace
 
 # Only what every command needs; each command imports its own layers,
 # so e.g. `simulate` never loads the scheduler.
-from .config import RunConfig, _resolve_prior, build_parser, resolve_config
+from .config import RunConfig, _prior_for_store, build_parser, resolve_config
 from .dataset import PSEUDO_INPUT, TARGET_OUTPUT, ParseCache
 from .errors import ConfigError, DataError, TranschedError
 
@@ -92,13 +92,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     with _staged_outputs(cfg.out, [*csv_names, manifest_name], cache) as staged:
         for k, (name, steps, label) in enumerate(records):
             schedule = SwitchSchedule(steps=steps)
-            z = gen_excitation(schedule.total_samples, cfg.excitation_variance, int(state[2 * k]))
             noise = NoiseSpec(snr=cfg.snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale)
-            ts = simulate(systems, schedule, z, condition_label=label, noise=noise)
+            ts = simulate(  # no name holds the excitation: it is freed on return
+                systems, schedule,
+                gen_excitation(schedule.total_samples, cfg.excitation_variance, int(state[2 * k])),
+                condition_label=label, noise=noise,
+            )
             if name != "validation.csv":
                 ts = replace(ts, sample_labels=None)  # no true_label column
             written = write_csv(ts, staged[name])
             cache.add_written(os.path.join(cfg.out, name), written, ts, cfg.channels)
+            del ts  # simulate the next record without this one
         manifest = {
             "format": "transched-simulate-manifest v1",
             "seed": cfg.seed,
@@ -192,11 +196,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
     from .transmissibility import load_store
 
     g, h, _ = load_store(cfg.store)
-    if cfg.window <= g.order:
-        raise ConfigError(f"window {cfg.window} must exceed the stored FIR order {g.order}")
+    prior = _prior_for_store(cfg, g)
     cache = ParseCache(cfg.out)
     online = _load_record(cfg, cache, cfg.data, None, require_target=False, order=g.order)
-    prior = _resolve_prior(cfg, len(g))
     trace = schedule_estimate(g, h, online, prior, cfg.window, pooled=cfg.pooled)
     names = ["trace_windows.csv", "trace_samples.csv"]
     with _staged_outputs(cfg.out, names, cache) as staged:
@@ -223,13 +225,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     from .transmissibility import load_store, predict_record
 
     g, h, avg = load_store(cfg.store)
+    prior = _prior_for_store(cfg, g)
     if avg is None:
-        raise DataError(
-            f"{cfg.store} has no pooled-data average model; re-run train to add it"
-        )
-    if cfg.window <= g.order:
-        raise ConfigError(f"window {cfg.window} must exceed the stored FIR order {g.order}")
-    prior = _resolve_prior(cfg, len(g))
+        raise DataError(f"{cfg.store} has no pooled-data average model; re-run train to add it")
     cache = ParseCache(cfg.out)
     records = [
         _load_record(cfg, cache, path, label, require_target=True, order=g.order)

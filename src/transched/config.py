@@ -300,13 +300,18 @@ def _validate(cfg: RunConfig) -> None:
             Prior.from_weights(cfg.priors)
 
 
-def _resolve_prior(cfg: RunConfig, q: int):
+def _prior_for_store(cfg: RunConfig, g):
+    """Check the settings that depend on the store's primary family ``g``,
+    before any CSV is read: the window must exceed its FIR order and explicit
+    priors need one weight per condition.  Return the prior."""
     from .scheduler import Prior
 
+    if cfg.window <= g.order:
+        raise ConfigError(f"window {cfg.window} must exceed the stored FIR order {g.order}")
     if cfg.priors == "uniform":
-        return Prior.uniform(q)
-    if len(cfg.priors) != q:
+        return Prior.uniform(len(g))
+    if len(cfg.priors) != len(g):
         raise ConfigError(
-            f"priors has {len(cfg.priors)} weights but the store holds {q} conditions"
+            f"priors has {len(cfg.priors)} weights but the store holds {len(g)} conditions"
         )
     return Prior.from_weights(cfg.priors)

@@ -35,7 +35,7 @@ PARSE_CACHE_VERSION = 1
 
 # Rows formatted per chunk by ``write_table``: one ``tolist`` per column
 # and chunk keeps its memory flat whatever the table length.
-WRITE_CHUNK_ROWS = 1024
+WRITE_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,7 +427,8 @@ def _table_text(header: list[str], columns: list, format_line: str | None):
     n_rows = len(columns[0]) if columns else 0
     for lo in range(0, n_rows, WRITE_CHUNK_ROWS):
         cells = [_cells(col[lo : lo + WRITE_CHUNK_ROWS]) for col in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield "\n".join(map(",".join, zip(*cells)))
+        yield "\n"  # apart: appending it would copy the chunk's text
 
 
 def _cells(chunk):

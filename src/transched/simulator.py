@@ -29,7 +29,7 @@ N_STATES = 4  # x = [z_s, z_s', z_u, z_u']
 
 # Samples stepped per chunk by ``simulate``: the outputs of one chunk are
 # Python floats, so memory stays flat whatever the record length.
-SIMULATE_CHUNK_SAMPLES = 1024
+SIMULATE_CHUNK_SAMPLES = 256
 
 
 @dataclass(frozen=True)

@@ -723,6 +723,30 @@ def test_exit_code_prior_sum_overflows(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "evaluate"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("priors = 1, 2, 3", "priors has 3 weights but the store holds 2 conditions"),
+        ("window = 10", "window 10 must exceed the stored FIR order 10"),
+    ],
+    ids=["priors", "window"],
+)
+def test_store_dependent_config_error_before_any_csv_is_read(
+        pipeline_dir, tmp_path, capsys, command, setting, message):
+    # the online record has a bad cell too: both commands must name the
+    # setting the store rules out, not the CSV they never get to read
+    out = _copy_outputs(pipeline_dir, tmp_path / "o", _ONLINE_FILES)
+    _corrupt_cell(out / "validation.csv", 3, 1, "abc")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[estimate]\n{setting}\n")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize(
     "setting, fragment",
     [
@@ -832,8 +856,10 @@ def test_simulate_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch
 
 
 def test_simulate_traced_peak_per_validation_sample(tmp_path):
-    # one (3, N) float64 array per record plus its excitation and labels is
-    # 40 bytes a sample; a noisy copy of the record would add 24 more
+    # the peak is the noise step of the validation record: the record's
+    # (3, N) float64 array (24 bytes a sample), its excitation (8) and one
+    # channel's noise temporary (8), plus one chunk of Python floats; a
+    # noisy copy of the record would add 24 more
     assert _run(["simulate", "--out", str(tmp_path / "warm")]) == 0  # imports stay untraced
     ini = tmp_path / "run.ini"
     ini.write_text("[simulate]\nschedule = C1:20000, C2:20000\n")
@@ -843,7 +869,7 @@ def test_simulate_traced_peak_per_validation_sample(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 40_000 <= 56
+    assert peak / 40_000 <= 48
 
 
 def test_estimate_out_is_a_file(pipeline_dir, tmp_path, capsys):

@@ -158,6 +158,25 @@ def test_write_table_returns_size_and_crc_of_the_file(tmp_path, monkeypatch):
     assert written == (len(data), zlib.crc32(data))
 
 
+@pytest.mark.parametrize(
+    "n_rows", [2 * dataset.WRITE_CHUNK_ROWS, 2 * dataset.WRITE_CHUNK_ROWS + 1, 0],
+    ids=["whole-chunks", "one-row-more", "header-only"],
+)
+def test_write_table_in_chunks_equals_one_chunk(tmp_path, monkeypatch, n_rows):
+    # each chunk's text and its newline are written apart: the bytes, size
+    # and CRC must still be those of the table written in one piece
+    rng = np.random.default_rng(4)
+    header = ["sample", "y", "true_label"]
+    columns = [np.arange(n_rows), rng.normal(size=n_rows), ["C1"] * n_rows]
+    chunked = dataset.write_table(tmp_path / "chunked.csv", header, columns, "test-table v1")
+    monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", n_rows + 1)
+    whole = dataset.write_table(tmp_path / "whole.csv", header, columns, "test-table v1")
+    data = (tmp_path / "chunked.csv").read_bytes()
+    assert data == (tmp_path / "whole.csv").read_bytes()
+    assert chunked == whole == (len(data), zlib.crc32(data))
+    assert data.count(b"\n") == 2 + n_rows
+
+
 def test_load_csv_duplicate_schema_channel(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,a,f\n1,2,3,4\n")
