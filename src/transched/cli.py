@@ -276,10 +276,9 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+    try:  # parse_args too: a flag's value goes through its setting's parse
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command](resolve_config(args))
     except TranschedError as e:
         print(f"{e.prefix}: {e}", file=sys.stderr)
         return e.exit_code

@@ -12,6 +12,7 @@ import configparser
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 # The simulator and scheduler checks import their module for their command only.
 from . import __version__
@@ -57,13 +58,21 @@ def _items(where: str, raw: str, sep: str, form: str):
         yield label.strip(), value.strip()
 
 
+def _parse_path(where: str, raw: str) -> str:
+    """A file or directory path.  An empty one is a ConfigError: it would
+    otherwise read as unset, or as the current directory."""
+    if not raw:
+        raise ConfigError(f"{where}: empty path")
+    return raw
+
+
 def _parse_pairs(where: str, raw: str) -> dict[str, str]:
-    """Parse 'label=value, label=value' lists."""
+    """Parse 'label=path, label=path' lists."""
     out: dict[str, str] = {}
     for label, value in _items(where, raw, "=", "label=value"):
         if label in out:
             raise ConfigError(f"{where}: duplicate label {label!r}")
-        out[label] = value
+        out[label] = _parse_path(f"{where} {label}", value)
     if not out:
         raise ConfigError(f"{where}: empty list")
     return out
@@ -107,11 +116,11 @@ class RunConfig:
     Each INI setting is declared once, here, and the INI may hold no other
     key, apart from the channel names of ``[channels]`` and the PARAM_KEYS
     of each ``[params.<label>]``; a flag sets the attribute named by its
-    argparse ``dest``.
+    argparse ``dest``, through the setting's ``parse``.
     """
 
     command: str
-    out: str = _setting("out", "common")
+    out: str = _setting("out", "common", parse=_parse_path)
     order: int = _setting(10, "common")
     c_lim: float = _setting(DEFAULT_C_LIM, "common")
     seed: int = _setting(20260808, "common")
@@ -128,9 +137,9 @@ class RunConfig:
     schedule: list = _setting([("C1", 80), ("C2", 80)], "simulate", parse=_parse_schedule)
     # train
     train_data: dict = _setting({}, "train", key="data", parse=_parse_pairs)  # label -> path
-    store: str = _setting("", "train", "estimate", "evaluate")
+    store: str | None = _setting(None, "train", "estimate", "evaluate", parse=_parse_path)
     # estimate / evaluate
-    data: str = _setting("", "estimate")
+    data: str | None = _setting(None, "estimate", parse=_parse_path)
     window: int = _setting(20, "estimate", "evaluate")
     priors: str | list = _setting("uniform", "estimate", "evaluate", parse=_parse_priors)
     pooled: bool = _setting(False, "estimate", "evaluate")
@@ -138,37 +147,37 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="transched",
-        description="Scheduled FIR transmissibility estimation for switching linear systems.",
-    )
+    parser = argparse.ArgumentParser(prog="transched", description=(
+        "Scheduled FIR transmissibility estimation for switching linear systems."))
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "generate quarter-car training and switching validation CSVs",
-        "train": "fit the primary/auxiliary families and write the model store",
-        "estimate": "classify windows and estimate the target from online data",
-        "evaluate": "compare estimators and classifier variants on labeled records",
-    }
-    # each dest is a RunConfig attribute; None leaves the config file's value
-    for name, help_text in helps.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--seed", type=int, help="root RNG seed")
-        p.add_argument("--order", type=int, help="FIR model order n")
-        p.add_argument("--clim", type=float, dest="c_lim", metavar="CLIM",
-                       help="condition-number cap for ridge")
-        p.add_argument("--window", type=int, help="online classification window (samples)")
-        p.add_argument("--pooled", action="store_const", const=True,
-                       help="classify with one pooled residual variance")
-        p.add_argument("--snr", type=float, help="measurement SNR")
-        p.add_argument("--snr-db", action="store_const", const="db", dest="snr_scale",
-                       help="interpret --snr in decibels instead of a linear power ratio")
-        p.add_argument("--out", help="output directory")
-        if name in ("train", "estimate", "evaluate"):
-            p.add_argument("--store", help="model store path")
-        if name == "estimate":
-            p.add_argument("--data", help="online CSV path")
+    simulate, train, estimate, evaluate = every = [sub.add_parser(n, help=h) for n, h in (
+        ("simulate", "generate quarter-car training and switching validation CSVs"),
+        ("train", "fit the primary/auxiliary families and write the model store"),
+        ("estimate", "classify windows and estimate the target from online data"),
+        ("evaluate", "compare estimators and classifier variants on labeled records"),
+    )]
+    parse = {"config": _parse_path, **{f.name: f.metadata.get("parse") for f in fields(RunConfig)}}
+    # each flag once: the commands that read its setting, and its argparse options
+    for flag, commands, options in (
+        ("--config", every, dict(help="INI config file; flags override its values")),
+        ("--seed", [simulate], dict(help="root RNG seed")),
+        ("--order", [simulate, train], dict(help="FIR model order n")),
+        ("--clim", [train], dict(dest="c_lim", metavar="CLIM", help="ridge condition-number cap")),
+        ("--window", [estimate, evaluate], dict(help="online classification window (samples)")),
+        ("--pooled", [estimate, evaluate], dict(action="store_const", const=True,
+                                                help="classify with one pooled residual variance")),
+        ("--snr", [simulate], dict(help="measurement SNR")),
+        ("--snr-db", [simulate], dict(action="store_const", const="db", dest="snr_scale", help=(
+            "interpret --snr in decibels instead of a linear power ratio"))),
+        ("--out", every, dict(help="output directory")),
+        ("--store", [train, estimate, evaluate], dict(help="model store path")),
+        ("--data", [estimate], dict(help="online CSV path")),
+    ):
+        if "action" not in options:  # a value is parsed as its INI key is
+            options["type"] = partial(parse[options.get("dest", flag[2:])], flag)
+        for command in commands:
+            command.add_argument(flag, **options)
     return parser
 
 
@@ -231,7 +240,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if v <= 0:
                 raise ConfigError(f"quarter-car parameter {key} must be positive, got {v}")
         cfg.params[label] = params
-    for f in fields(RunConfig):
+    for f in fields(RunConfig):  # a flag not given is None: the file's value stays
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)

@@ -767,13 +767,64 @@ def test_exit_code_sample_count_past_address_space(tmp_path, capsys, setting, fr
 
 @pytest.mark.parametrize(
     "flags, fragment",
-    [(["--seed", "-3"], "seed must be non-negative"), (["--snr", "nan"], "snr")],
+    [(["--seed", "-3"], "seed must be non-negative"), (["--snr", "nan"], "snr"),
+     (["--seed", "x"], "--seed: expected int, got 'x'")],  # parsed as the INI's seed is
 )
 def test_exit_code_bad_seed_or_snr(tmp_path, capsys, flags, fragment):
     out = tmp_path / "o"
     capsys.readouterr()
     assert _run(["simulate", "--out", str(out), *flags]) == 2
     _assert_one_line_error(capsys, "config error", fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, ini, named",
+    [
+        ("simulate", ["--out", ""], "", "--out"),
+        ("train", ["--store", ""], "", "--store"),
+        ("estimate", ["--data", ""], "", "--data"),
+        ("evaluate", ["--config", ""], "", "--config"),
+        ("simulate", [], "[common]\nout =\n", "[common] out"),
+        ("train", [], "[train]\nstore =\n", "[train] store"),
+        ("estimate", [], "[estimate]\ndata =\n", "[estimate] data"),
+        ("train", [], "[train]\ndata = C1=, C2=b.csv\n", "[train] data C1"),
+        ("evaluate", [], "[evaluate]\ndata = V=\n", "[evaluate] data V"),
+    ],
+)
+def test_exit_code_empty_path(tmp_path, capsys, command, flags, ini, named):
+    # an empty path is never read as unset: it names the flag or the key
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert _run([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
+    _assert_one_line_error(capsys, f"config error: {named}: empty path\n")
+    assert _tree(tmp_path) == before
+
+
+# the flags of the other commands whose setting this command does not read
+_UNREAD_FLAGS = {
+    "simulate": ["--clim", "--window", "--pooled", "--store", "--data"],
+    "train": ["--seed", "--window", "--pooled", "--snr", "--snr-db", "--data"],
+    "estimate": ["--seed", "--order", "--clim", "--snr", "--snr-db"],
+    "evaluate": ["--seed", "--order", "--clim", "--snr", "--snr-db", "--data"],
+}
+_FLAG_VALUES = {"--seed": ["3"], "--order": ["50"], "--clim": ["7"], "--window": ["30"],
+                "--snr": ["5"], "--pooled": [], "--snr-db": [], "--store": ["s.json"],
+                "--data": ["d.csv"]}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, flag) for c, flags in _UNREAD_FLAGS.items() for flag in flags]
+)
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        _run([command, "--out", str(out), flag, *_FLAG_VALUES[flag]])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -200,7 +200,7 @@ def test_evaluate_data_and_estimate_data(tmp_path):
 @pytest.mark.parametrize(
     "command, ini, flags, attr, value",
     [
-        ("train", "[common]\nseed = 5\n", ["--seed", "9"], "seed", 9),
+        ("simulate", "[common]\nseed = 5\n", ["--seed", "9"], "seed", 9),
         ("train", "[common]\norder = 5\n", ["--order", "8"], "order", 8),
         ("train", "[common]\nc_lim = 1e5\n", ["--clim", "1e7"], "c_lim", 1e7),
         ("train", "[common]\nout = a\n", ["--out", "b"], "out", "b"),
@@ -223,15 +223,15 @@ def test_flag_overrides_ini(tmp_path, command, ini, flags, attr, value):
 
 
 def test_flags_without_ini(tmp_path):
-    cfg = _resolve(tmp_path, ["simulate", "--snr", "20", "--snr-db", "--seed", "3", "--pooled"])
-    assert (cfg.snr, cfg.snr_scale, cfg.seed, cfg.pooled) == (20.0, "db", 3, True)
+    cfg = _resolve(tmp_path, ["simulate", "--snr", "20", "--snr-db", "--seed", "3"])
+    assert (cfg.snr, cfg.snr_scale, cfg.seed) == (20.0, "db", 3)
 
 
 # ------------------------------------------------------------- option sets
 
 
-COMMON_OPTIONS = {"-h", "--help", "--config", "--seed", "--order", "--clim", "--window",
-                  "--pooled", "--snr", "--snr-db", "--out"}
+# each command takes only the flags whose setting it reads
+COMMON_OPTIONS = {"-h", "--help", "--config", "--out"}
 
 
 def _subparser(command):
@@ -242,13 +242,15 @@ def _subparser(command):
 
 @pytest.mark.parametrize(
     "command, extra",
-    [("simulate", set()), ("train", {"--store"}), ("estimate", {"--store", "--data"}),
-     ("evaluate", {"--store"})],
+    [("simulate", {"--seed", "--order", "--snr", "--snr-db"}),
+     ("train", {"--order", "--clim", "--store"}),
+     ("estimate", {"--window", "--pooled", "--store", "--data"}),
+     ("evaluate", {"--window", "--pooled", "--store"})],
 )
 def test_option_set_of_each_subcommand(command, extra):
     p = _subparser(command)
     assert {opt for a in p._actions for opt in a.option_strings} == COMMON_OPTIONS | extra
-    assert "--clim CLIM" in p.format_help()
+    assert ("--clim CLIM" in p.format_help()) == (command == "train")
 
 
 def test_top_level_options():

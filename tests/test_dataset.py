@@ -154,7 +154,10 @@ def test_write_table_returns_size_and_crc_of_the_file(tmp_path, monkeypatch):
         format_line="test-table v1",
     )
     data = p.read_bytes()
-    assert data.decode("utf-8").splitlines()[1] == "sample,y_Ö,Kraft µN"
+    lines = data.decode("utf-8").splitlines()
+    assert lines[1] == "sample,y_Ö,Kraft µN"
+    cells = [line.split(",")[1] for line in lines[2:]]
+    assert cells == ["" if i in (0, 5, 10) else repr(v) for i, v in enumerate(values.tolist())]
     assert written == (len(data), zlib.crc32(data))
 
 
