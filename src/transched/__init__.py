@@ -18,9 +18,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "dataset": (
-        "PSEUDO_INPUT",
         "RegressionMatrices",
-        "TARGET_OUTPUT",
         "TimeSeriesSet",
         "build_regressor",
         "detrend_mean",

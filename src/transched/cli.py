@@ -15,7 +15,7 @@ from dataclasses import replace
 # Only what every command needs; each command imports its own layers,
 # so e.g. `simulate` never loads the scheduler.
 from .config import RunConfig, _prior_for_store, build_parser, resolve_config
-from .dataset import PSEUDO_INPUT, TARGET_OUTPUT, ParseCache
+from .dataset import ParseCache
 from .errors import ConfigError, DataError, TranschedError
 
 
@@ -28,24 +28,19 @@ def _load_record(
     order: int,
     n_params: int = 0,
 ):
-    """Load a CSV with the configured schema through the command's parse
+    """Load a CSV's configured channels through the command's parse
     ``cache``; the target column is optional for online data unless the
     caller needs ground truth.  The record must have more samples than the
     FIR ``order``, and a training record must give more regression rows than
     its model's ``n_params``."""
     from .dataset import detrend_mean, load_csv, read_csv_header
 
-    header = read_csv_header(path)
-    schema = dict(cfg.channels)
-    target = next(n for n, r in schema.items() if r == TARGET_OUTPUT)
-    if target not in header:
+    names = list(cfg.channels)
+    if cfg.target not in read_csv_header(path):
         if require_target:
-            raise DataError(f"{path}: ground-truth channel {target!r} missing")
-        del schema[target]
-    ts = load_csv(
-        path, schema, sample_rate=1.0 / cfg.sample_time, condition_label=condition_label,
-        cache=cache,
-    )
+            raise DataError(f"{path}: ground-truth channel {cfg.target!r} missing")
+        names.remove(cfg.target)
+    ts = load_csv(path, names, condition_label, cache=cache)
     if ts.n_samples <= order:
         raise DataError(
             f"{path}: {ts.n_samples} samples are too few for FIR order {order}; "
@@ -101,7 +96,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             if name != "validation.csv":
                 ts = replace(ts, sample_labels=None)  # no true_label column
             written = write_csv(ts, staged[name])
-            cache.add_written(os.path.join(cfg.out, name), written, ts, cfg.channels)
+            cache.add_written(os.path.join(cfg.out, name), written, ts, list(cfg.channels))
             del ts  # simulate the next record without this one
         manifest = {
             "format": "transched-simulate-manifest v1",
@@ -165,14 +160,14 @@ def cmd_train(cfg: RunConfig) -> int:
     from .transmissibility import fit_average, save_store, train_families
 
     # the primary models take every pseudo-input, so they have the most parameters
-    n_pseudo = list(cfg.channels.values()).count(PSEUDO_INPUT)
+    n_pseudo = len(cfg.channels) - 1
     cache = ParseCache(cfg.out)
     records = [
         _load_record(cfg, cache, path, label, require_target=True, order=cfg.order,
                      n_params=n_pseudo * (cfg.order + 1))
         for label, path in cfg.train_data.items()
     ]
-    g, h = train_families(records, cfg.aux_output, cfg.order, cfg.c_lim)
+    g, h = train_families(records, cfg.target, cfg.aux_output, cfg.order, cfg.c_lim)
     avg = fit_average(records, g.input_channel_names, g.output_channel_name, cfg.order, cfg.c_lim)
     store_dir, store_name = os.path.split(cfg.store)
     with _staged_outputs(store_dir or os.curdir, [store_name], cache) as staged:

@@ -16,7 +16,7 @@ from functools import partial
 
 # The simulator and scheduler checks import their module for their command only.
 from . import __version__
-from .dataset import DEFAULT_C_LIM, PSEUDO_INPUT, TARGET_OUTPUT, _check_c_lim
+from .dataset import DEFAULT_C_LIM, _check_c_lim
 from .errors import ConfigError
 
 # Stock two-condition scenario: a softly and a stiffly sprung quarter car.
@@ -28,6 +28,10 @@ STOCK_CONDITIONS = {
 # The keys of a [params.<label>] section, the QuarterCarParams fields.
 PARAM_KEYS = ("m_s", "m_u", "k_s", "k_r", "c_s")
 
+# The roles a [channels] key can take: one channel is the target, the others
+# are pseudo-inputs.
+PSEUDO_INPUT = "pseudo_input"
+TARGET_OUTPUT = "target_output"
 DEFAULT_CHANNELS = {"y_I1_a": PSEUDO_INPUT, "y_I2": PSEUDO_INPUT, "y_O": TARGET_OUTPUT}
 
 
@@ -144,6 +148,11 @@ class RunConfig:
     priors: str | list = _setting("uniform", "estimate", "evaluate", parse=_parse_priors)
     pooled: bool = _setting(False, "estimate", "evaluate")
     evaluate_data: dict = _setting({}, "evaluate", key="data", parse=_parse_pairs)
+
+    @property
+    def target(self) -> str:
+        """The name of the one ``target_output`` channel."""
+        return next(n for n, r in self.channels.items() if r == TARGET_OUTPUT)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,7 @@
 """Multichannel time-series records and their regression matrices.
 
-A record keeps named channels of equal length together with a role per
-channel: ``pseudo_input`` channels drive the FIR models, the single
-``target_output`` channel is what the primary models estimate.  The
+A record is named channels of equal length; which channel is the
+target and which are pseudo-inputs is the caller's choice, by name.  The
 functions here cover CSV I/O, mean removal, lag-matrix construction,
 and the parse cache that lets a command skip parsing a CSV it or
 ``simulate`` already read or wrote.
@@ -14,15 +13,12 @@ import csv
 import os
 import zlib
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-PSEUDO_INPUT = "pseudo_input"
-TARGET_OUTPUT = "target_output"
-_ROLES = (PSEUDO_INPUT, TARGET_OUTPUT)
 
 # Bytes per read of a file's parse-cache key.  Blocks stay below glibc's
 # default mmap threshold (128 KiB); freeing larger ones raises that
@@ -48,9 +44,7 @@ class TimeSeriesSet:
     payload array is marked read-only, so records can be shared freely.
     """
 
-    sample_rate: float
     names: tuple[str, ...]
-    roles: tuple[str, ...]
     data: np.ndarray
     condition_label: str | None = None
     sample_labels: tuple[str, ...] | None = None
@@ -59,11 +53,8 @@ class TimeSeriesSet:
         data = np.atleast_2d(np.asarray(self.data, dtype=float))
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "roles", tuple(self.roles))
-        if self.sample_rate <= 0:
-            raise DataError(f"sample_rate must be positive, got {self.sample_rate}")
-        if len(self.names) != data.shape[0] or len(self.roles) != data.shape[0]:
-            raise DataError("names, roles, and data rows must align")
+        if len(self.names) != data.shape[0]:
+            raise DataError("names and data rows must align")
         if data.shape[1] < 1:
             raise DataError("record must contain at least one sample")
         if not np.isfinite(data).all():
@@ -73,11 +64,6 @@ class TimeSeriesSet:
             )
         if len(set(self.names)) != len(self.names):
             raise DataError("channel names must be unique")
-        for role in self.roles:
-            if role not in _ROLES:
-                raise DataError(f"unknown channel role {role!r}")
-        if self.roles.count(TARGET_OUTPUT) > 1:
-            raise DataError("at most one channel may be tagged target_output")
         if self.sample_labels is not None:
             labels = tuple(self.sample_labels)
             object.__setattr__(self, "sample_labels", labels)
@@ -89,14 +75,6 @@ class TimeSeriesSet:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def pseudo_input_names(self) -> tuple[str, ...]:
-        return tuple(n for n, r in zip(self.names, self.roles) if r == PSEUDO_INPUT)
-
-    @property
-    def target_name(self) -> str | None:
-        return next((n for n, r in zip(self.names, self.roles) if r == TARGET_OUTPUT), None)
-
     def channel(self, name: str) -> np.ndarray:
         try:
             i = self.names.index(name)
@@ -107,12 +85,6 @@ class TimeSeriesSet:
     def channels(self, names: tuple[str, ...] | list[str]) -> np.ndarray:
         """Stack the requested channels into a (len(names), M) array."""
         return np.vstack([self.channel(n) for n in names])
-
-    def target(self) -> np.ndarray:
-        name = self.target_name
-        if name is None:
-            raise DataError("record has no target_output channel")
-        return self.channel(name)
 
 
 # Default condition-number cap of the ridge rule, and the largest accepted
@@ -175,17 +147,15 @@ def _unreadable(path: str | os.PathLike, e: Exception) -> DataError:
 
 def load_csv(
     path: str | os.PathLike,
-    schema: dict[str, str],
-    sample_rate: float = 1.0,
+    names: Sequence[str],
     condition_label: str | None = None,
     cache: ParseCache | None = None,
 ) -> TimeSeriesSet:
     """Read a comma-separated file into a record.
 
-    ``schema`` maps channel name to role and fixes the channel order of
-    the result.  Every schema channel must appear in the header exactly
-    once; columns not named in the schema (e.g. a time axis or a label
-    column) are ignored.
+    ``names`` are the channels to read, in the order of the result.  Each
+    must appear in the header exactly once; other columns (e.g. a time
+    axis or a label column) are ignored.
 
     The file is read as UTF-8 by the csv module; a leading byte order
     mark is skipped.  A file that cannot be read or decoded, or that the
@@ -193,25 +163,26 @@ def load_csv(
     file whose entry is there is not parsed at all (see ``ParseCache``).
     """
     header = read_csv_header(path)
-    if not schema:
-        raise DataError(f"{path}: the schema names no channel to read")
-    for name in schema:
+    names = tuple(names)
+    if not names:
+        raise DataError(f"{path}: no channel to read")
+    for name in names:
         if name not in header:
             raise DataError(f"{path}: unknown channel name {name!r}, header has {header}")
         if header.count(name) > 1:
             raise DataError(
                 f"{path}: channel {name!r} appears {header.count(name)} times in the header"
             )
-    cols = [header.index(name) for name in schema]
+    cols = [header.index(name) for name in names]
 
     def parse() -> np.ndarray:
-        data = _load_rows(path, schema, len(header), cols)
+        data = _load_rows(path, names, len(header), cols)
         bad = ~np.isfinite(data)
         if bad.any():
             t, k = np.argwhere(bad.T)[0]  # first offending row, then channel
             raise DataError(
                 f"{path}: line {_data_line(path, t)}: non-finite value "
-                f"{float(data[k, t])!r} in channel {list(schema)[k]!r}"
+                f"{float(data[k, t])!r} in channel {names[k]!r}"
             )
         return data
 
@@ -219,17 +190,11 @@ def load_csv(
         data = cache.load(path, cols, parse) if cache is not None else parse()
     except _READ_ERRORS as e:
         raise _unreadable(path, e) from None
-    return TimeSeriesSet(
-        sample_rate=sample_rate,
-        names=tuple(schema),
-        roles=tuple(schema.values()),
-        data=data,
-        condition_label=condition_label,
-    )
+    return TimeSeriesSet(names=names, data=data, condition_label=condition_label)
 
 
 def _load_rows(
-    path: str | os.PathLike, schema: dict[str, str], n_columns: int, cols: list[int]
+    path: str | os.PathLike, names: tuple[str, ...], n_columns: int, cols: list[int]
 ) -> np.ndarray:
     """(channels, samples) array read row by row with the csv module."""
     with open(path, newline="", encoding="utf-8-sig") as f:
@@ -244,7 +209,7 @@ def _load_rows(
                 raise DataError(
                     f"{path}: line {lineno}: expected {n_columns} columns, found {len(row)}"
                 )
-            for k, name in enumerate(schema):
+            for k, name in enumerate(names):
                 cell = row[cols[k]].strip()
                 try:
                     values.append(float(cell))
@@ -256,7 +221,7 @@ def _load_rows(
             n_rows += 1
     if n_rows == 0:
         raise DataError(f"{path}: no samples")
-    return np.frombuffer(values).reshape(n_rows, len(schema)).T.copy()
+    return np.frombuffer(values).reshape(n_rows, len(names)).T.copy()
 
 
 def _data_line(path: str | os.PathLike, index: int) -> int:
@@ -327,16 +292,16 @@ class ParseCache:
 
     def add_written(
         self, path: str | os.PathLike, written: tuple[int, int],
-        ts: TimeSeriesSet, schema: dict[str, str],
+        ts: TimeSeriesSet, names: Sequence[str],
     ) -> None:
-        """Stage the entry ``load_csv(path, schema)`` will look for, for a
+        """Stage the entry ``load_csv(path, names)`` will look for, for a
         record whose CSV ``write_csv`` just wrote (moved to ``path`` later),
         keyed by the (byte length, CRC-32) pair ``written`` that it returned,
         without reading or parsing the file: each value is written as its
         ``repr``, which parses back to the same double."""
-        if not schema or not set(schema) <= set(ts.names):
+        if not names or not set(names) <= set(ts.names):
             return  # such a load fails before it looks for an entry
-        cols = [ts.names.index(name) for name in schema]
+        cols = [ts.names.index(name) for name in names]
         if cols == list(range(cols[0], cols[-1] + 1)):
             data = ts.data[cols[0] : cols[-1] + 1]  # a view: the record is not copied
         else:

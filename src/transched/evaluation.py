@@ -107,7 +107,7 @@ def compare_report(
         label = ts.condition_label
         if label is None:
             raise DataError("every online record needs a condition_label")
-        if ts.target_name is None:
+        if g.output_channel_name not in ts.names:
             raise DataError(f"record {label!r} is missing ground truth for the target")
         for variant, traces in variant_traces.items():
             if label not in traces:
@@ -116,7 +116,7 @@ def compare_report(
         covered = np.isfinite(trace.estimates)
         if not np.any(covered):
             raise DataError(f"trace for {label!r} contains no estimates")
-        measured = ts.target()[covered]
+        measured = ts.channel(g.output_channel_name)[covered]
         row = fits[i]
         for k, p in enumerate(predictions[label]):
             row[k] = fit_metric(measured, p[covered[order:]])

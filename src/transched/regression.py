@@ -148,8 +148,9 @@ def estimate_variance(m: RegressionMatrices, theta: np.ndarray) -> float:
 
 
 def _rss(m: RegressionMatrices, theta: np.ndarray) -> float:
-    r = m.y - m.phi @ theta
-    return float(r @ r)
+    with np.errstate(over="ignore"):  # an overflow is an infinite RSS, which FirModel rejects
+        r = m.y - m.phi @ theta
+        return float(r @ r)
 
 
 def ridge_fit(m: RegressionMatrices, c_lim: float = DEFAULT_C_LIM) -> RidgeSolution:
@@ -179,10 +180,13 @@ def ridge_fit_pooled(
     dof = _dof(n_rows, n_params)
     gram = np.zeros((n_params, n_params))
     rhs = np.zeros(n_params)
-    for m in parts():
-        gram += m.phi.T @ m.phi
-        rhs += m.phi.T @ m.y
-        del m  # else it is still held while the next part is built
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for m in parts():
+            gram += m.phi.T @ m.phi
+            rhs += m.phi.T @ m.y
+            del m  # else it is still held while the next part is built
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise NumericalError("the normal equations are not finite: the regression data overflow")
     eig = _eigh(gram)
     ext = _psd_extremes(eig[0])
     l_max = ext.lambda_max

@@ -348,7 +348,8 @@ def window_rss(
     burn_in = np.arange(covered) % window_len < order
     for k, mod in enumerate(h.models):
         sq = np.zeros(covered)
-        sq[order:] = (aux[order:covered] - predict(mod, drivers)) ** 2
+        with np.errstate(over="ignore"):  # an infinite RSS gives L = -inf
+            sq[order:] = (aux[order:covered] - predict(mod, drivers)) ** 2
         sq[burn_in] = 0.0
         rss[:, k] = np.add.reduceat(sq, starts)
     return rss

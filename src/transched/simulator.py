@@ -19,12 +19,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
+from .dataset import TimeSeriesSet
 from .errors import ConfigError, DataError
 
 # Channel order matches the output matrix rows.
 CHANNEL_NAMES = ("y_I1_a", "y_I2", "y_O")
-CHANNEL_ROLES = (PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT)
 N_STATES = 4  # x = [z_s, z_s', z_u, z_u']
 
 # Samples stepped per chunk by ``simulate``: the outputs of one chunk are
@@ -204,14 +203,11 @@ def c2d_zoh(ss: ContinuousStateSpace, t: float) -> DiscreteStateSpace:
     )
 
 
-def gen_excitation(
-    n_samples: int, variance: float, seed: int | np.random.Generator
-) -> np.ndarray:
+def gen_excitation(n_samples: int, variance: float, seed: int) -> np.ndarray:
     """White zero-mean Gaussian excitation, reproducible per seed."""
     if variance <= 0:
         raise ConfigError(f"excitation variance must be positive, got {variance}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.normal(0.0, math.sqrt(variance), int(n_samples))
+    return np.random.default_rng(seed).normal(0.0, math.sqrt(variance), int(n_samples))
 
 
 def simulate(
@@ -292,9 +288,7 @@ def simulate(
     if noise is not None:
         _add_noise_in_place(y, CHANNEL_NAMES, noise)
     return TimeSeriesSet(
-        sample_rate=1.0 / next(iter(systems.values())).t,
         names=CHANNEL_NAMES,
-        roles=CHANNEL_ROLES,
         data=y,
         condition_label=condition_label,
         sample_labels=schedule.labels_per_sample(),
@@ -306,7 +300,8 @@ def add_noise(ts: TimeSeriesSet, spec: NoiseSpec) -> TimeSeriesSet:
 
     Noise power is the channel's mean-square power divided by the linear
     SNR.  An infinite SNR adds none; one so small that the noise power is
-    not a finite float is a ConfigError.
+    not a finite float is a ConfigError.  A channel whose power is zero, or
+    overflows, is a DataError.
     """
     data = np.array(ts.data)
     _add_noise_in_place(data, ts.names, spec)
@@ -320,9 +315,12 @@ def _add_noise_in_place(data: np.ndarray, names: tuple[str, ...], spec: NoiseSpe
         return
     rng = np.random.default_rng(spec.seed)
     for i, name in enumerate(names):
-        power = float(np.mean(data[i] ** 2))
+        with np.errstate(over="ignore"):  # checked below
+            power = float(np.mean(data[i] ** 2))
         if power == 0.0:
             raise DataError(f"channel {name!r} has zero power; cannot scale noise to finite SNR")
+        if not math.isfinite(power):
+            raise DataError(f"channel {name!r} has a power that overflows; cannot scale noise")
         noise_power = power / snr if snr > 0.0 else math.inf  # a dB snr can underflow to 0
         if not math.isfinite(noise_power):
             raise ConfigError(

@@ -197,6 +197,7 @@ def _drivers(pseudo: Sequence[str], aux_output: str) -> tuple[str, ...]:
 
 def train_families(
     records: Sequence[TimeSeriesSet],
+    target: str,
     aux_output: str,
     order: int,
     c_lim: float = DEFAULT_C_LIM,
@@ -204,8 +205,9 @@ def train_families(
     """Fit the primary and auxiliary family from labeled records.
 
     Each record must carry a unique ``condition_label`` and the same
-    channel schema.  Per condition q, the primary member maps all
-    pseudo-inputs to the target and the auxiliary member maps every other
+    channel names.  The pseudo-inputs are every channel but ``target``, in
+    record order.  Per condition q, the primary member maps all
+    pseudo-inputs to ``target`` and the auxiliary member maps every other
     pseudo-input to the pseudo-input named ``aux_output``.
     """
     if not records:
@@ -217,17 +219,15 @@ def train_families(
         labels.append(ts.condition_label)
     if len(set(labels)) != len(labels):
         raise DataError(f"duplicate condition labels: {labels}")
-    schema = (records[0].names, records[0].roles)
+    names = records[0].names
     for ts in records[1:]:
-        if (ts.names, ts.roles) != schema:
+        if ts.names != names:
             raise DataError(
-                f"record {ts.condition_label!r} channel schema {ts.names} does not "
-                f"match {schema[0]}"
+                f"record {ts.condition_label!r} channel schema {ts.names} does not match {names}"
             )
-    pseudo = records[0].pseudo_input_names
-    target = records[0].target_name
-    if target is None:
-        raise DataError("training records need a target_output channel")
+    if target not in names:
+        raise DataError(f"target channel {target!r} is not a record channel {list(names)}")
+    pseudo = tuple(n for n in names if n != target)
     drivers = _drivers(pseudo, aux_output)
     g_models = [fit_fir(ts, pseudo, target, order, c_lim) for ts in records]
     h_models = [fit_fir(ts, drivers, aux_output, order, c_lim) for ts in records]

@@ -65,7 +65,7 @@ def quartercar_reproduction(quarter_car_systems):
                 quarter_car_systems, (("C1", 80), ("C2", 80)),
                 seed=seed * 31 + 2, snr=snr, snr_scale=scale,
             )
-            g, h = train_families(records, "y_I2", ORDER, C_LIM)
+            g, h = train_families(records, "y_O", "y_I2", ORDER, C_LIM)
             trace = schedule_estimate(g, h, online, Prior.uniform(2), WINDOW)
             if trace.chosen_labels() != ["C1"] * 4 + ["C2"] * 4:
                 sequences_ok = False
@@ -228,7 +228,7 @@ def test_criterion_6_comparative_study(quarter_car_systems):
         make_training_record(systems, label, 1000, seed=1000 + i, snr=50.0)
         for i, label in enumerate(offline)
     ]
-    g, h = train_families(records, "y_I2", ORDER, C_LIM)
+    g, h = train_families(records, "y_O", "y_I2", ORDER, C_LIM)
     avg = fit_average(records, ("y_I1_a", "y_I2"), "y_O", ORDER, C_LIM)
     online_records = [
         dataclasses.replace(

@@ -355,8 +355,17 @@ def test_evaluate_pooled_variant_flag(tmp_path):
     assert len(lines) == 3
 
 
-def test_user_supplied_channels_detrend_and_priors(tmp_path):
-    """Bring-your-own-CSV path: renamed columns, mean offsets, explicit priors."""
+_CUSTOM_CHANNELS = {
+    "target-last": "acc_u = pseudo_input\nacc_s = pseudo_input\ndeflection = target_output\n",
+    "target-first": "deflection = target_output\nacc_u = pseudo_input\nacc_s = pseudo_input\n",
+}
+
+
+@pytest.mark.parametrize("channels", list(_CUSTOM_CHANNELS.values()), ids=list(_CUSTOM_CHANNELS))
+def test_user_supplied_channels_detrend_and_priors(tmp_path, channels):
+    """Bring-your-own-CSV path: renamed columns, mean offsets, explicit priors.
+    The pseudo-inputs are every channel but the target, in [channels] order,
+    wherever the target is listed."""
     stock = tmp_path / "stock"
     assert _run(["simulate", "--out", str(stock), "--seed", "7"]) == 0
 
@@ -386,8 +395,7 @@ def test_user_supplied_channels_detrend_and_priors(tmp_path):
     cfg = tmp_path / "custom.ini"
     cfg.write_text(
         f"[common]\nout = {work}\ndetrend = true\n"
-        "[channels]\nacc_u = pseudo_input\nacc_s = pseudo_input\n"
-        "deflection = target_output\n"
+        f"[channels]\n{channels}"
         "[decomposition]\naux_output = acc_s\n"
         f"[train]\ndata = C1={work / 'c1.csv'}, C2={work / 'c2.csv'}\n"
         f"[estimate]\ndata = {work / 'online.csv'}\npriors = 0.5, 0.5\n"
@@ -397,7 +405,8 @@ def test_user_supplied_channels_detrend_and_priors(tmp_path):
     assert _run(["estimate", "--config", str(cfg)]) == 0
     assert _run(["evaluate", "--config", str(cfg)]) == 0
     store = json.loads((work / "store.json").read_text())
-    assert store["channel_names"]["pseudo_inputs"] == ["acc_u", "acc_s"]
+    assert store["channel_names"] == {"pseudo_inputs": ["acc_u", "acc_s"],
+                                      "target_output": "deflection"}
     assert store["decomposition"] == {"aux_output_index": 1, "aux_output": "acc_s"}
     seq = _read_chosen_sequence(work / "trace_windows.csv")
     assert seq == ["C1"] * 4 + ["C2"] * 4  # DC offset removed by detrend
@@ -412,6 +421,30 @@ def test_exit_code_config_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[common]\norder = banana\n")
     assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "channels, message",
+    [
+        ("y_I1_a = pseudo_input\ny_I2 = target_output\ny_O = target_output\n",
+         "exactly one target_output channel required, got ['y_I2', 'y_O']"),
+        ("y_I1_a = pseudo_input\ny_I2 = pseudo_input\ny_O = target\n",
+         "channel roles must be pseudo_input or target_output, got "
+         "['pseudo_input', 'target']"),
+        ("y_I2 = pseudo_input\ny_O = target_output\n",
+         "need at least two pseudo_input channels for the decomposition"),
+    ],
+    ids=["two-targets", "unknown-role", "one-pseudo-input"],
+)
+def test_exit_code_bad_channel_roles(tmp_path, capsys, channels, message):
+    # the [channels] roles are checked once, in the config, before any file
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[channels]\n{channels}")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert _tree(tmp_path) == before
 
 
 def test_exit_code_schedule_total_mismatch(tmp_path, capsys):
@@ -721,6 +754,58 @@ def test_exit_code_prior_sum_overflows(tmp_path, capsys, command):
         assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
     _assert_one_line_error(capsys, "config error", "finite positive sum, got [1e+308, 1e+308]")
     assert not out.exists()
+
+
+def _scale_columns(path, columns):
+    """Multiply the given columns of a stock CSV by 1e300."""
+    lines = path.read_text().splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        for i in columns:
+            cells[i] = repr(float(cells[i]) * 1e300)
+        rows.append(",".join(cells))
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command, ini, copied, scaled, code, message",
+    [
+        ("simulate", "[simulate]\nexcitation_variance = 1e300\n", (), [], 3,
+         "data error: channel 'y_I1_a' has a power that overflows; cannot scale noise"),
+        ("train", "[simulate]\nexcitation_variance = 1e300\nsnr = inf\n", (), [], 4,
+         "numerical failure: the normal equations are not finite: "
+         "the regression data overflow"),
+        # only the target is scaled: the Gram matrix stays finite, the residual does not
+        ("train", "", _TRAIN_FILES, [2], 3,
+         "data error: sigma2 must be finite and non-negative, got inf"),
+        ("estimate", "", _ONLINE_FILES, [0, 1, 2], 4,
+         "numerical failure: no admissible model: all log evidences are -inf"),
+    ],
+    ids=["simulate-noise-power", "train-gram", "train-rss", "estimate-window-rss"],
+)
+def test_overflow_is_one_line_error_without_warnings(
+        pipeline_dir, tmp_path, capsys, command, ini, copied, scaled, code, message):
+    # numpy's overflow warnings would print to stderr before the error line
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "o"
+    if copied:  # the stock run's files, with the ``scaled`` columns times 1e300
+        _copy_outputs(pipeline_dir, out, copied)
+        for name in copied:
+            if name.endswith(".csv"):
+                _scale_columns(out / name, scaled)
+    elif command == "train":
+        assert _run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == f"{message}\n" and "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["estimate", "evaluate"])

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from transched import dataset
 from transched.dataset import (
-    PSEUDO_INPUT,
-    TARGET_OUTPUT,
     TimeSeriesSet,
     build_regressor,
     detrend_mean,
@@ -21,16 +19,13 @@ from transched.dataset import (
 )
 from transched.errors import DataError
 
-SCHEMA3 = {"a": PSEUDO_INPUT, "b": PSEUDO_INPUT, "f": TARGET_OUTPUT}
-_ROLES3 = (PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT)
+SCHEMA3 = ("a", "b", "f")
 
 
-def _ts(data, roles=None, names=None, **kw):
+def _ts(data, names=None, **kw):
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    n = data.shape[0]
-    names = names or tuple(f"ch{i}" for i in range(n))
-    roles = roles or tuple([PSEUDO_INPUT] * n)
-    return TimeSeriesSet(sample_rate=10.0, names=names, roles=roles, data=data, **kw)
+    names = names or tuple(f"ch{i}" for i in range(data.shape[0]))
+    return TimeSeriesSet(names=names, data=data, **kw)
 
 
 # ---------------------------------------------------------------- load_csv
@@ -39,12 +34,11 @@ def _ts(data, roles=None, names=None, **kw):
 def test_load_csv_basic(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,f\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n")
-    ts = load_csv(p, SCHEMA3, sample_rate=10.0)
+    ts = load_csv(p, SCHEMA3)
     assert ts.n_samples == 4
-    assert ts.pseudo_input_names == ("a", "b")
-    assert ts.target_name == "f"
+    assert ts.names == ("a", "b", "f")
     np.testing.assert_array_equal(ts.channel("a"), [1, 4, 7, 10])
-    np.testing.assert_array_equal(ts.target(), [3, 6, 9, 12])
+    np.testing.assert_array_equal(ts.channel("f"), [3, 6, 9, 12])
 
 
 def test_load_csv_extra_columns_ignored(tmp_path):
@@ -99,8 +93,8 @@ def test_load_csv_unknown_channel(tmp_path):
 def test_load_csv_empty_schema(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n1,2\n")
-    with pytest.raises(DataError, match=r"d\.csv: the schema names no channel to read"):
-        load_csv(p, {})
+    with pytest.raises(DataError, match=r"d\.csv: no channel to read"):
+        load_csv(p, [])
 
 
 def test_load_csv_missing_file(tmp_path):
@@ -110,11 +104,10 @@ def test_load_csv_missing_file(tmp_path):
 
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
-    ts = _ts(rng.normal(size=(3, 17)), roles=(PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT),
-             names=("a", "b", "f"))
+    ts = _ts(rng.normal(size=(3, 17)), names=("a", "b", "f"))
     p = tmp_path / "d.csv"
     write_csv(ts, p)
-    back = load_csv(p, SCHEMA3, sample_rate=10.0)
+    back = load_csv(p, SCHEMA3)
     np.testing.assert_array_equal(back.data, ts.data)
     write_csv(back, tmp_path / "d2.csv")
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
@@ -137,8 +130,7 @@ def test_write_csv_reproduces_pinned_text(tmp_path, monkeypatch, chunk_rows):
     monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", chunk_rows)
     ts = _ts([[0.1, -2.5, 1e20, -0.0, 42.0], [1.0 / 3.0, 5e-324, -1e-07, 2.0, 1e16],
               [3.0, 123456.789, -7.25, 1.7976931348623157e308, 0.0]],
-             names=("a", "b", "f"), roles=(PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT),
-             sample_labels=("C1", "C1", "C2", "C10", "C2"))
+             names=("a", "b", "f"), sample_labels=("C1", "C1", "C2", "C10", "C2"))
     write_csv(ts, tmp_path / "d.csv")
     assert (tmp_path / "d.csv").read_text() == PINNED_CSV
 
@@ -201,7 +193,7 @@ def test_load_csv_quoted_and_crlf_files_are_read(tmp_path):
 
 def test_load_csv_skips_a_byte_order_mark(tmp_path):
     rng = np.random.default_rng(4)
-    ts = _ts(rng.normal(size=(3, 40)), roles=_ROLES3, names=("a", "b", "f"),
+    ts = _ts(rng.normal(size=(3, 40)), names=("a", "b", "f"),
              sample_labels=("C1",) * 40)
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     write_csv(ts, plain)
@@ -236,7 +228,7 @@ def test_load_csv_outcome(tmp_path, text, outcome):
     p = tmp_path / "d.csv"
     p.write_bytes(text.encode())
     header = dataset.read_csv_header(p)
-    schema = {name: role for name, role in SCHEMA3.items() if name in header}
+    schema = [name for name in SCHEMA3 if name in header]
     if isinstance(outcome, str):
         with pytest.raises(DataError) as e:
             load_csv(p, schema)
@@ -247,7 +239,7 @@ def test_load_csv_outcome(tmp_path, text, outcome):
 
 def test_load_csv_ragged_last_line_of_a_long_file(tmp_path):
     rng = np.random.default_rng(3)
-    ts = _ts(rng.normal(size=(3, 6000)), roles=_ROLES3, names=("a", "b", "f"))
+    ts = _ts(rng.normal(size=(3, 6000)), names=("a", "b", "f"))
     p = tmp_path / "d.csv"
     write_csv(ts, p)
     assert load_csv(p, SCHEMA3).data.tobytes() == ts.data.tobytes()
@@ -357,7 +349,7 @@ def _entries(directory):
 def test_parse_cache_hit_equals_parse_bit_for_bit(tmp_path_factory, values, spaced):
     data = np.array(values).reshape(3, -1)
     label = "C 1" if spaced else "C1"
-    ts = _ts(data, names=("a", "b", "f"), roles=_ROLES3,
+    ts = _ts(data, names=("a", "b", "f"),
              sample_labels=(label,) * data.shape[1])
     root = tmp_path_factory.mktemp("cache")
     p = root / "d.csv"
@@ -383,7 +375,7 @@ def _cached_csv(tmp_path):
     """A CSV with its committed entry: (csv path, entry path, parsed data)."""
     rng = np.random.default_rng(8)
     p = tmp_path / "d.csv"
-    write_csv(_ts(rng.normal(size=(3, 50)), names=("a", "b", "f"), roles=_ROLES3), p)
+    write_csv(_ts(rng.normal(size=(3, 50)), names=("a", "b", "f")), p)
     cache = dataset.ParseCache(tmp_path)
     data = load_csv(p, SCHEMA3, cache=cache).data
     cache.commit()
@@ -458,7 +450,7 @@ def test_parse_cache_misses_an_edit_of_the_same_length(tmp_path):
 
 def test_parse_cache_entry_per_column_selection(tmp_path):
     p, entry, data = _cached_csv(tmp_path)
-    two = {"f": TARGET_OUTPUT, "a": PSEUDO_INPUT}
+    two = ["f", "a"]
     cache = dataset.ParseCache(tmp_path)
     assert load_csv(p, two, cache=cache).data.tobytes() == data[[2, 0]].tobytes()
     cache.commit()
@@ -472,18 +464,17 @@ def test_parse_cache_entry_per_column_selection(tmp_path):
 
 def test_parse_cache_add_written_selects_the_schema_columns(tmp_path):
     rng = np.random.default_rng(9)
-    ts = _ts(rng.normal(size=(3, 20)), names=("a", "b", "f"), roles=_ROLES3)
+    ts = _ts(rng.normal(size=(3, 20)), names=("a", "b", "f"))
     p = tmp_path / "d.csv"
     written = write_csv(ts, p)
     cache = dataset.ParseCache(tmp_path)
-    cache.add_written(p, written, ts, {"f": TARGET_OUTPUT, "a": PSEUDO_INPUT})
-    cache.add_written(p, written, ts, {"b": PSEUDO_INPUT, "f": TARGET_OUTPUT})
-    cache.add_written(p, written, ts, {"a": PSEUDO_INPUT, "x": TARGET_OUTPUT})  # no such column
+    cache.add_written(p, written, ts, ["f", "a"])
+    cache.add_written(p, written, ts, ["b", "f"])
+    cache.add_written(p, written, ts, ["a", "x"])  # no such column
     cache.commit()
     assert len(_entries(tmp_path)) == 2
     with _no_parse():
-        for schema in ({"f": TARGET_OUTPUT, "a": PSEUDO_INPUT},
-                       {"b": PSEUDO_INPUT, "f": TARGET_OUTPUT}):
+        for schema in (["f", "a"], ["b", "f"]):
             hit = load_csv(p, schema, cache=dataset.ParseCache(tmp_path)).data
             assert hit.tobytes() == ts.data[[list(ts.names).index(n) for n in schema]].tobytes()
 
@@ -599,15 +590,8 @@ def test_signal_power():
 
 
 def test_timeseries_invariants():
-    with pytest.raises(DataError, match="sample_rate"):
-        _ts([[1.0]]).__class__(sample_rate=0.0, names=("a",), roles=(PSEUDO_INPUT,),
-                               data=np.ones((1, 1)))
     with pytest.raises(DataError, match="unique"):
-        TimeSeriesSet(sample_rate=1.0, names=("a", "a"),
-                      roles=(PSEUDO_INPUT, PSEUDO_INPUT), data=np.ones((2, 3)))
-    with pytest.raises(DataError, match="target_output"):
-        TimeSeriesSet(sample_rate=1.0, names=("a", "b"),
-                      roles=(TARGET_OUTPUT, TARGET_OUTPUT), data=np.ones((2, 3)))
+        TimeSeriesSet(names=("a", "a"), data=np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

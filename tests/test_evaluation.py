@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from transched.dataset import PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
+from transched.dataset import TimeSeriesSet
 from transched.errors import DataError
 from transched.evaluation import (
     compare_report,
@@ -78,7 +78,7 @@ def _scheduled_study(systems, n_online):
         make_training_record(systems, label, 1000, seed=60 + i)
         for i, label in enumerate(("C1", "C2"))
     ]
-    g, h = train_families(records, "y_I2", order=10)
+    g, h = train_families(records, "y_O", "y_I2", order=10)
     avg = fit_average(records, ("y_I1_a", "y_I2"), "y_O", order=10)
     # one online record per condition, fresh excitation, clean data
     online = [
@@ -159,10 +159,7 @@ def test_report_accuracy_full_variant(study):
 
 def test_report_requires_ground_truth(study, quarter_car_systems):
     g, avg, online, _ = study
-    no_target = dataclasses.replace(
-        online[0],
-        roles=(PSEUDO_INPUT, PSEUDO_INPUT, PSEUDO_INPUT),
-    )
+    no_target = dataclasses.replace(online[0], names=("y_I1_a", "y_I2", "other"))
     with pytest.raises(DataError, match="ground truth"):
         compare_report(g, avg, [no_target], {"full": {}}, {})
 
@@ -232,9 +229,7 @@ def _pinned_case():
     traces = {"full": {}, "pooled": {}}
     for label, y in ys.items():
         records.append(TimeSeriesSet(
-            sample_rate=1.0, names=("u0", "v", "y"),
-            roles=(PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT),
-            data=np.array([y, v, y]), condition_label=label,
+            names=("u0", "v", "y"), data=np.array([y, v, y]), condition_label=label,
         ))
         tail = np.array(y[1:])
         e1, e2 = (np.array(e) for e in errors[label])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transched import dataset
-from transched.dataset import PSEUDO_INPUT, TARGET_OUTPUT, TimeSeriesSet
+from transched.dataset import TimeSeriesSet
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
 from transched.scheduler import (
@@ -49,9 +49,7 @@ def _aux_family(models, labels=None):
 def _window(u, v):
     u = np.atleast_2d(np.asarray(u, float))
     names = tuple(f"u{i}" for i in range(u.shape[0])) + ("v",)
-    roles = tuple([PSEUDO_INPUT] * (u.shape[0] + 1))
-    return TimeSeriesSet(sample_rate=1.0, names=names, roles=roles,
-                         data=np.vstack([u, np.asarray(v, float)[None, :]]))
+    return TimeSeriesSet(names=names, data=np.vstack([u, np.asarray(v, float)[None, :]]))
 
 
 # ------------------------------------------------------------- log_evidence
@@ -247,7 +245,7 @@ def trained_families(quarter_car_systems):
                              snr=50.0)
         for i, label in enumerate(("C1", "C2"))
     ]
-    return train_families(records, "y_I2", order=10)
+    return train_families(records, "y_O", "y_I2", order=10)
 
 
 def test_schedule_single_member_family(quarter_car_systems, trained_families):
@@ -290,7 +288,7 @@ def test_schedule_stationary_record_beats_wrong_model(quarter_car_systems,
     online = make_training_record(quarter_car_systems, "C2", 400, seed=88, snr=50.0)
     trace = schedule_estimate(g, h, online, Prior.uniform(2), window_len=20)
     assert all(label == "C2" for label in trace.chosen_labels())
-    measured = online.target()
+    measured = online.channel("y_O")
     mask = np.isfinite(trace.estimates)
     fit_sched = fit_metric(measured[mask], trace.estimates[mask])
     fit_wrong = fit_metric(measured[10:], predict_record(g.member("C1"), online))
@@ -353,8 +351,7 @@ def test_schedule_window_must_exceed_order(quarter_car_systems, trained_families
 
 def test_schedule_missing_channel(trained_families):
     g, h = trained_families
-    bad = TimeSeriesSet(sample_rate=10.0, names=("other",), roles=(PSEUDO_INPUT,),
-                        data=np.zeros((1, 50)))
+    bad = TimeSeriesSet(names=("other",), data=np.zeros((1, 50)))
     with pytest.raises(DataError, match="missing channel"):
         schedule_estimate(g, h, bad, Prior.uniform(2), window_len=20)
 
@@ -581,16 +578,13 @@ def _tiny_case():
     u = [100.0, 100.5, -99.75, 100.125, 0.3, -7.0, 1e-05, 2.5e3, 42.0]
     v = [-x for x in u[:4]] + [0.0] * 5
     y = [0.1, -2.5, 1e20, 3.0, -0.0, 7.25, 1.0 / 3.0, 2.0, -1e-7]
-    online = TimeSeriesSet(sample_rate=1.0, names=("u0", "v", "y"),
-                           roles=(PSEUDO_INPUT, PSEUDO_INPUT, TARGET_OUTPUT),
-                           data=np.array([u, v, y]))
+    online = TimeSeriesSet(names=("u0", "v", "y"), data=np.array([u, v, y]))
     return g, h, online, Prior.from_weights([0.0, 1.0, 1.0])
 
 
 def test_trace_writers_reproduce_pinned_text(tmp_path, monkeypatch):
     g, h, online, prior = _tiny_case()
-    no_target = TimeSeriesSet(sample_rate=1.0, names=("u0", "v"),
-                              roles=(PSEUDO_INPUT,) * 2, data=online.data[:2])
+    no_target = TimeSeriesSet(names=("u0", "v"), data=online.data[:2])
     for chunk_rows in (dataset.WRITE_CHUNK_ROWS, 4):  # one chunk, then three
         monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", chunk_rows)
         # the traces hold nothing of the target: with and without it, one text

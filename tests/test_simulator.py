@@ -401,11 +401,11 @@ def test_add_noise_clean_passthrough(quarter_car_systems):
 
 
 def test_add_noise_power_level():
-    from transched.dataset import PSEUDO_INPUT, TimeSeriesSet
+    from transched.dataset import TimeSeriesSet
 
     rng = np.random.default_rng(12)
     x = rng.normal(0.0, 1.0, 4000)
-    ts = TimeSeriesSet(sample_rate=1.0, names=("u",), roles=(PSEUDO_INPUT,), data=x[None, :])
+    ts = TimeSeriesSet(names=("u",), data=x[None, :])
     noisy = add_noise(ts, NoiseSpec(snr=100.0, seed=13))
     added = noisy.data[0] - x
     target = float(np.mean(x**2)) / 100.0
@@ -418,10 +418,9 @@ def test_add_noise_db_interpretation():
 
 
 def test_add_noise_zero_power_channel():
-    from transched.dataset import PSEUDO_INPUT, TimeSeriesSet
+    from transched.dataset import TimeSeriesSet
 
-    ts = TimeSeriesSet(sample_rate=1.0, names=("u",), roles=(PSEUDO_INPUT,),
-                       data=np.zeros((1, 10)))
+    ts = TimeSeriesSet(names=("u",), data=np.zeros((1, 10)))
     with pytest.raises(DataError, match="zero power"):
         add_noise(ts, NoiseSpec(snr=50.0, seed=1))
 

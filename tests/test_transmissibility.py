@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from transched.dataset import (
-    PSEUDO_INPUT,
-    TARGET_OUTPUT,
     RegressionMatrices,
     TimeSeriesSet,
     build_regressor,
@@ -30,10 +28,9 @@ from transched.transmissibility import (
 from conftest import make_training_record
 
 
-def _record(data, names, target="f", label=None):
-    roles = tuple(TARGET_OUTPUT if n == target else PSEUDO_INPUT for n in names)
-    return TimeSeriesSet(sample_rate=10.0, names=tuple(names), roles=roles,
-                         data=np.asarray(data, dtype=float), condition_label=label)
+def _record(data, names, label=None):
+    return TimeSeriesSet(names=tuple(names), data=np.asarray(data, dtype=float),
+                         condition_label=label)
 
 
 def _random_record(rng, m_len, label=None):
@@ -75,9 +72,9 @@ def test_fit_passthrough_system():
 
 def test_fit_quarter_car_heldout_fit(clean_c1_pair):
     train, heldout = clean_c1_pair
-    model = fit_fir(train, train.pseudo_input_names, "y_O", order=10)
+    model = fit_fir(train, ("y_I1_a", "y_I2"), "y_O", order=10)
     estimate = predict_record(model, heldout)
-    fit = fit_metric(heldout.target()[10:], estimate)
+    fit = fit_metric(heldout.channel("y_O")[10:], estimate)
     assert fit > 90.0
 
 
@@ -189,7 +186,7 @@ def test_predict_memory_is_two_output_arrays():
 
 
 def test_train_families_two_conditions(clean_training_pair):
-    g, h = train_families(clean_training_pair, "y_I2", order=10)
+    g, h = train_families(clean_training_pair, "y_O", "y_I2", order=10)
     assert g.labels == h.labels == ("C1", "C2")
     assert g.input_channel_names == ("y_I1_a", "y_I2")
     assert h.input_channel_names == ("y_I1_a",)
@@ -199,7 +196,7 @@ def test_train_families_two_conditions(clean_training_pair):
 def test_train_families_aux_output_names_the_split():
     rng = np.random.default_rng(8)
     r = _record(rng.normal(size=(4, 60)), ("a", "b", "c", "f"), label="Q")
-    g, h = train_families([r], "a", order=2)
+    g, h = train_families([r], "f", "a", order=2)
     assert g.input_channel_names == ("a", "b", "c")
     assert h.input_channel_names == ("b", "c") and h.output_channel_name == "a"
 
@@ -208,11 +205,17 @@ def test_train_families_aux_output_names_the_split():
 def test_train_families_aux_output_not_a_pseudo_input(aux_output):
     r = _record(np.random.default_rng(8).normal(size=(3, 60)), ("a", "b", "f"), label="Q")
     with pytest.raises(DataError, match=f"auxiliary output '{aux_output}' is not a pseudo-input"):
-        train_families([r], aux_output, order=2)
+        train_families([r], "f", aux_output, order=2)
+
+
+def test_train_families_target_not_a_channel():
+    r = _record(np.random.default_rng(8).normal(size=(3, 60)), ("a", "b", "f"), label="Q")
+    with pytest.raises(DataError, match=r"target channel 'z' is not a record channel \['a', 'b'"):
+        train_families([r], "z", "a", order=2)
 
 
 def test_train_families_singleton(clean_c1_pair):
-    g, h = train_families([clean_c1_pair[0]], "y_I2", order=5)
+    g, h = train_families([clean_c1_pair[0]], "y_O", "y_I2", order=5)
     assert len(g) == len(h) == 1
 
 
@@ -222,7 +225,7 @@ def test_train_families_identical_data_under_two_labels():
 
     r1 = dataclasses.replace(base, condition_label="Q1")
     r2 = dataclasses.replace(base, condition_label="Q2")
-    _, h = train_families([r1, r2], "b", order=3)
+    _, h = train_families([r1, r2], "f", "b", order=3)
     np.testing.assert_allclose(h.models[0].theta, h.models[1].theta, atol=1e-10)
 
 
@@ -233,7 +236,7 @@ def test_train_families_duplicate_labels():
     recs = [dataclasses.replace(r, condition_label="Q"),
             dataclasses.replace(r, condition_label="Q")]
     with pytest.raises(DataError, match="duplicate"):
-        train_families(recs, "a", order=2)
+        train_families(recs, "f", "a", order=2)
 
 
 def test_train_families_schema_mismatch():
@@ -243,25 +246,25 @@ def test_train_families_schema_mismatch():
     other = _record(np.zeros((3, 50)) + 1.0, ("x", "b", "f"))
     r2 = dataclasses.replace(other, condition_label="Q2")
     with pytest.raises(DataError, match="schema"):
-        train_families([r1, r2], "a", order=2)
+        train_families([r1, r2], "f", "a", order=2)
 
 
 def test_train_families_single_pseudo_input():
     r = _record(np.random.default_rng(5).normal(size=(2, 50)), ("a", "f"), label="Q")
     with pytest.raises(DataError, match="at least 2 pseudo-input channels, got 1"):
-        train_families([r], "a", order=2)
+        train_families([r], "f", "a", order=2)
 
 
 def test_train_families_order_independent(clean_training_pair):
-    g12, _ = train_families(list(clean_training_pair), "y_I2", order=6)
-    g21, _ = train_families(list(clean_training_pair)[::-1], "y_I2", order=6)
+    g12, _ = train_families(list(clean_training_pair), "y_O", "y_I2", order=6)
+    g21, _ = train_families(list(clean_training_pair)[::-1], "y_O", "y_I2", order=6)
     assert g21.labels == tuple(reversed(g12.labels))
     np.testing.assert_array_equal(g12.member("C1").theta, g21.member("C1").theta)
     np.testing.assert_array_equal(g12.member("C2").theta, g21.member("C2").theta)
 
 
 def test_auxiliary_family_never_uses_its_own_output(clean_training_pair):
-    _, h = train_families(clean_training_pair, "y_I2", order=4)
+    _, h = train_families(clean_training_pair, "y_O", "y_I2", order=4)
     assert h.output_channel_name not in h.input_channel_names
 
 
@@ -273,8 +276,8 @@ def test_fit_average_single_condition_reduces_to_fit_fir(clean_c1_pair):
     # lag-matrix products as fit_fir's, so one record gives its fit exactly
     train, _ = clean_c1_pair
     for c_lim in (1.0e6, 1.1):
-        single = fit_fir(train, train.pseudo_input_names, "y_O", 8, c_lim)
-        avg = fit_average([train], train.pseudo_input_names, "y_O", 8, c_lim)
+        single = fit_fir(train, ("y_I1_a", "y_I2"), "y_O", 8, c_lim)
+        avg = fit_average([train], ("y_I1_a", "y_I2"), "y_O", 8, c_lim)
         np.testing.assert_array_equal(avg.theta, single.theta)
         assert (avg.sigma2, avg.rho, avg.kappa_after, avg.dof) == (
             single.sigma2, single.rho, single.kappa_after, single.dof)
@@ -295,8 +298,8 @@ def test_fit_average_loses_to_matched_models(quarter_car_systems, clean_training
     for label, ts in zip(("C1", "C2"), clean_training_pair):
         heldout = make_training_record(quarter_car_systems, label, 1000, seed=505)
         matched = fit_fir(ts, ("y_I1_a", "y_I2"), "y_O", order=10)
-        fit_matched = fit_metric(heldout.target()[10:], predict_record(matched, heldout))
-        fit_avg = fit_metric(heldout.target()[10:], predict_record(avg, heldout))
+        fit_matched = fit_metric(heldout.channel("y_O")[10:], predict_record(matched, heldout))
+        fit_avg = fit_metric(heldout.channel("y_O")[10:], predict_record(avg, heldout))
         assert fit_avg < fit_matched
 
 
@@ -363,7 +366,7 @@ def test_fit_average_memory_stays_flat_as_records_are_added():
 
 
 def test_store_round_trip_bit_exact(tmp_path, clean_training_pair):
-    g, h = train_families(clean_training_pair, "y_I2", order=10)
+    g, h = train_families(clean_training_pair, "y_O", "y_I2", order=10)
     avg = fit_average(clean_training_pair, ("y_I1_a", "y_I2"), "y_O", order=10)
     path = tmp_path / "store.json"
     save_store(path, g, h, average=avg, c_lim=1e6)
@@ -380,15 +383,15 @@ def test_store_round_trip_bit_exact(tmp_path, clean_training_pair):
 
 def test_store_accepts_numpy_scalars(tmp_path, clean_training_pair):
     # a library caller may take the channel name from a numpy array
-    g, h = train_families(clean_training_pair, np.array(["y_I2"])[0], order=2)
+    g, h = train_families(clean_training_pair, "y_O", np.array(["y_I2"])[0], order=2)
     save_store(tmp_path / "np.json", g, h, c_lim=np.float64(1e6))
-    g1, h1 = train_families(clean_training_pair, "y_I2", order=2)
+    g1, h1 = train_families(clean_training_pair, "y_O", "y_I2", order=2)
     save_store(tmp_path / "py.json", g1, h1, c_lim=1e6)
     assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
 
 
 def test_store_rejects_non_finite_c_lim(tmp_path, clean_training_pair):
-    g, h = train_families(clean_training_pair, "y_I2", order=2)
+    g, h = train_families(clean_training_pair, "y_O", "y_I2", order=2)
     path = tmp_path / "store.json"
     with pytest.raises(DataError, match="cannot write model store") as err:
         save_store(path, g, h, c_lim=float("nan"))
@@ -397,7 +400,7 @@ def test_store_rejects_non_finite_c_lim(tmp_path, clean_training_pair):
 
 def test_store_rejects_an_auxiliary_family_it_cannot_name(tmp_path, clean_training_pair):
     # the store keeps only the auxiliary output: its inputs must be the rest
-    g, h = train_families(clean_training_pair, "y_I2", order=2)
+    g, h = train_families(clean_training_pair, "y_O", "y_I2", order=2)
 
     def aux_family(inputs, output):
         return TransmissibilityFamily(h.labels, [
@@ -445,7 +448,7 @@ def test_store_rejects_unknown_version(tmp_path):
     ],
 )
 def test_store_rejects_malformed_schema(tmp_path, clean_training_pair, corrupt, message):
-    g, h = train_families(clean_training_pair, "y_I2", order=2)
+    g, h = train_families(clean_training_pair, "y_O", "y_I2", order=2)
     path = tmp_path / "store.json"
     save_store(path, g, h)
     doc = json.loads(path.read_text())
@@ -465,7 +468,7 @@ def test_store_missing_file(tmp_path):
 
 
 def test_family_label_lookup(clean_training_pair):
-    g, _ = train_families(clean_training_pair, "y_I2", order=3)
+    g, _ = train_families(clean_training_pair, "y_O", "y_I2", order=3)
     assert g.member("C2") is g.models[1]
     with pytest.raises(DataError, match="no family member"):
         g.member("C9")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transched.dataset import PSEUDO_INPUT, RegressionMatrices, TimeSeriesSet
+from transched.dataset import RegressionMatrices, TimeSeriesSet
 from transched.regression import RidgeSolution
 from transched.scheduler import PosteriorResult, Prior
 from transched.simulator import ContinuousStateSpace, DiscreteStateSpace
@@ -16,8 +16,7 @@ def _fir():
 
 # each builds a fresh instance of equal content on every call
 MAKERS = {
-    "TimeSeriesSet": lambda: TimeSeriesSet(sample_rate=1.0, names=("u",), roles=(PSEUDO_INPUT,),
-                                           data=[[1.0, 2.0]]),
+    "TimeSeriesSet": lambda: TimeSeriesSet(names=("u",), data=[[1.0, 2.0]]),
     "RegressionMatrices": lambda: RegressionMatrices(phi=np.ones((2, 1)), y=np.ones(2),
                                                      order=0, input_dim=1),
     "RidgeSolution": lambda: RidgeSolution(theta=np.ones(1), sigma2=1.0, dof=1, rho=0.0,
