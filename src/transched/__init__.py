@@ -49,7 +49,6 @@ _EXPORTS = {
         "ScheduleTrace",
         "classify",
         "log_evidence",
-        "pooled_sigma2",
         "schedule_estimate",
     ),
     "simulator": (

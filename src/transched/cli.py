@@ -32,7 +32,10 @@ def _load_record(
     ``cache``; the target column is optional for online data unless the
     caller needs ground truth.  The record must have more samples than the
     FIR ``order``, and a training record must give more regression rows than
-    its model's ``n_params``."""
+    its model's ``n_params``.  A channel whose sum of squares overflows is a
+    DataError: every model fitted to it or scoring it would overflow too."""
+    import numpy as np
+
     from .dataset import detrend_mean, load_csv, read_csv_header
 
     names = list(cfg.channels)
@@ -52,6 +55,11 @@ def _load_record(
             f"are too few for {n_params} FIR parameters at order {order}; "
             f"need at least {order + n_params + 1} samples"
         )
+    with np.errstate(over="ignore"):  # reported below, not as a warning
+        sum_sq = np.einsum("ij,ij->i", ts.data, ts.data)
+    for name, s in zip(ts.names, sum_sq):
+        if not np.isfinite(s):
+            raise DataError(f"{path}: channel {name!r} has a sum of squares that overflows")
     return detrend_mean(ts) if cfg.detrend else ts
 
 
@@ -194,7 +202,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     prior = _prior_for_store(cfg, g)
     cache = ParseCache(cfg.out)
     online = _load_record(cfg, cache, cfg.data, None, require_target=False, order=g.order)
-    trace = schedule_estimate(g, h, online, prior, cfg.window, pooled=cfg.pooled)
+    trace = schedule_estimate(g, h, online, prior, cfg.window)
     names = ["trace_windows.csv", "trace_samples.csv"]
     with _staged_outputs(cfg.out, names, cache) as staged:
         write_window_trace(trace, staged[names[0]])
@@ -202,8 +210,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
     for name in names:
         print(f"wrote {os.path.join(cfg.out, name)}")
     print(f"chosen sequence: {' '.join(trace.chosen_labels())}")
-    if cfg.pooled:
-        print("classifier variant: pooled variance")
     return 0
 
 
@@ -216,7 +222,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         write_report_csv,
         write_summary_csv,
     )
-    from .scheduler import schedule_estimate, window_rss
+    from .scheduler import schedule_estimate
     from .transmissibility import load_store, predict_record
 
     g, h, avg = load_store(cfg.store)
@@ -228,8 +234,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         _load_record(cfg, cache, path, label, require_target=True, order=g.order)
         for label, path in cfg.evaluate_data.items()
     ]
-    predictions = {}
-    variant_traces = {"full": {}, "pooled": {}}
+    predictions, traces = {}, {}
     for ts in records:
         # each member predicts each record once, into one array filled row by
         # row: separate per-member arrays would raise the peak RSS
@@ -237,13 +242,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         for k, model in enumerate(g.models):
             preds[k] = predict_record(model, ts)
         predictions[ts.condition_label] = preds
-        rss = window_rss(h, ts, cfg.window)  # only sigma2 differs between variants
-        for variant, pooled in (("full", False), ("pooled", True)):
-            variant_traces[variant][ts.condition_label] = schedule_estimate(
-                g, h, ts, prior, cfg.window, pooled=pooled, predictions=preds, rss=rss
-            )
-    scheduled = "pooled" if cfg.pooled else "full"
-    report = compare_report(g, avg, records, variant_traces, predictions, scheduled)
+        traces[ts.condition_label] = schedule_estimate(
+            g, h, ts, prior, cfg.window, predictions=preds
+        )
+    report = compare_report(g, avg, records, traces, predictions)
     writers = {
         "report.csv": write_report_csv,
         "report_summary.csv": write_summary_csv,
@@ -257,8 +259,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     print("estimator   mean FIT   std FIT")
     for name, mean, std in report.summary():
         print(f"{name:<12s}{mean:>8.2f}% {std:>8.2f}%")
-    for variant in sorted(report.accuracies):
-        print(f"accuracy ({variant} variance): {report.accuracies[variant]:.3f}")
+    print(f"accuracy: {report.accuracy:.3f}")
     return 0
 
 

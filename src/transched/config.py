@@ -146,7 +146,6 @@ class RunConfig:
     data: str | None = _setting(None, "estimate", parse=_parse_path)
     window: int = _setting(20, "estimate", "evaluate")
     priors: str | list = _setting("uniform", "estimate", "evaluate", parse=_parse_priors)
-    pooled: bool = _setting(False, "estimate", "evaluate")
     evaluate_data: dict = _setting({}, "evaluate", key="data", parse=_parse_pairs)
 
     @property
@@ -164,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "generate quarter-car training and switching validation CSVs"),
         ("train", "fit the primary/auxiliary families and write the model store"),
         ("estimate", "classify windows and estimate the target from online data"),
-        ("evaluate", "compare estimators and classifier variants on labeled records"),
+        ("evaluate", "compare the estimators and score the classifier on labeled records"),
     )]
     parse = {"config": _parse_path, **{f.name: f.metadata.get("parse") for f in fields(RunConfig)}}
     # each flag once: the commands that read its setting, and its argparse options
@@ -174,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--order", [simulate, train], dict(help="FIR model order n")),
         ("--clim", [train], dict(dest="c_lim", metavar="CLIM", help="ridge condition-number cap")),
         ("--window", [estimate, evaluate], dict(help="online classification window (samples)")),
-        ("--pooled", [estimate, evaluate], dict(action="store_const", const=True,
-                                                help="classify with one pooled residual variance")),
         ("--snr", [simulate], dict(help="measurement SNR")),
         ("--snr-db", [simulate], dict(action="store_const", const="db", dest="snr_scale", help=(
             "interpret --snr in decibels instead of a linear power ratio"))),

@@ -24,7 +24,7 @@ from .transmissibility import FirModel, TransmissibilityFamily, predict_record
 
 REPORT_FORMAT = "transched-report v1"
 SUMMARY_FORMAT = "transched-report-summary v1"
-ACCURACY_FORMAT = "transched-report-accuracy v1"
+ACCURACY_FORMAT = "transched-report-accuracy v2"
 
 
 def fit_metric(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -53,8 +53,8 @@ class ComparisonReport:
     conditions: tuple[str, ...]  # one per record
     member_labels: tuple[str, ...]
     fits: np.ndarray  # (records, members + 3): members, then average, scheduled, ideal
-    chosen: tuple[str, ...]  # the scheduled variant's majority label per record
-    accuracies: dict[str, float]  # per classifier variant
+    chosen: tuple[str, ...]  # the trace's majority label per record
+    accuracy: float  # share of records whose majority label has the ideal FIT
 
     def column(self, name: str) -> np.ndarray:
         """FIT values across conditions for one estimator column."""
@@ -75,32 +75,28 @@ def compare_report(
     g: TransmissibilityFamily,
     average: FirModel,
     records: Sequence[TimeSeriesSet],
-    variant_traces: Mapping[str, Mapping[str, ScheduleTrace]],
+    traces: Mapping[str, ScheduleTrace],
     predictions: Mapping[str, np.ndarray],
-    scheduled_variant: str = "full",
 ) -> ComparisonReport:
     """Score every estimator on every online record.
 
     ``records`` need ground truth in their target channel and a unique
-    ``condition_label``.  ``variant_traces`` maps classifier-variant name
-    (e.g. "full", "pooled") to per-condition schedule traces; every
-    variant yields an accuracy, and ``scheduled_variant`` selects the one
-    reported in the scheduled-FIT column and in ``chosen``.
-    Every estimator of a record is scored on the samples that variant's
-    trace covers, so a trailing window too short to classify drops out of
-    all FITs alike and the ideal FIT bounds the scheduled one.
+    ``condition_label``.  ``traces`` maps every condition label to the
+    record's schedule trace, which gives the scheduled-FIT column, the
+    majority label in ``chosen`` and the accuracy.  Every estimator of a
+    record is scored on the samples that trace covers, so a trailing
+    window too short to classify drops out of all FITs alike and the ideal
+    FIT bounds the scheduled one.
 
     ``predictions`` maps every condition label to the whole-record
     predictions of ``g``'s members on that record, one row per member, as
     ``predict_record`` gives them.
     """
-    if scheduled_variant not in variant_traces:
-        raise DataError(f"no traces for scheduled variant {scheduled_variant!r}")
     if not records:
         raise DataError("the comparison report needs at least one record")
     q = len(g)
     fits = np.empty((len(records), q + 3))
-    hits = dict.fromkeys(variant_traces, 0)
+    hits = 0
     chosen = []
     order = g.order
     for i, ts in enumerate(records):
@@ -109,10 +105,9 @@ def compare_report(
             raise DataError("every online record needs a condition_label")
         if g.output_channel_name not in ts.names:
             raise DataError(f"record {label!r} is missing ground truth for the target")
-        for variant, traces in variant_traces.items():
-            if label not in traces:
-                raise DataError(f"no {variant!r} trace for condition {label!r}")
-        trace = variant_traces[scheduled_variant][label]
+        if label not in traces:
+            raise DataError(f"no trace for condition {label!r}")
+        trace = traces[label]
         covered = np.isfinite(trace.estimates)
         if not np.any(covered):
             raise DataError(f"trace for {label!r} contains no estimates")
@@ -123,16 +118,14 @@ def compare_report(
         row[q] = fit_metric(measured, predict_record(average, ts)[covered[order:]])
         row[q + 1] = fit_metric(measured, trace.estimates[covered])
         row[q + 2] = row[:q].max()
-        for variant, traces in variant_traces.items():
-            majority = g.labels.index(traces[label].majority_label())
-            hits[variant] += bool(row[majority] == row[q + 2])  # a tie is a hit
         chosen.append(trace.majority_label())
+        hits += bool(row[g.labels.index(chosen[-1])] == row[q + 2])  # a tie is a hit
     return ComparisonReport(
         conditions=tuple(ts.condition_label for ts in records),
         member_labels=g.labels,
         fits=fits,
         chosen=tuple(chosen),
-        accuracies={v: n / len(records) for v, n in hits.items()},
+        accuracy=hits / len(records),
     )
 
 
@@ -157,6 +150,4 @@ def write_summary_csv(report: ComparisonReport, path: str | os.PathLike) -> None
 
 
 def write_accuracy_csv(report: ComparisonReport, path: str | os.PathLike) -> None:
-    variants = sorted(report.accuracies)
-    accuracies = np.array([report.accuracies[v] for v in variants])
-    write_table(path, ["classifier", "accuracy"], [variants, accuracies], ACCURACY_FORMAT)
+    write_table(path, ["accuracy"], [np.array([report.accuracy])], ACCURACY_FORMAT)

@@ -5,7 +5,8 @@ the auxiliary models compete on their regression evidence
 
     L_q = log p(H_q) - N log(sigma_q) - ||y - Phi theta_q||^2 / (2 sigma_q^2)
 
-with N the number of regression rows the window yields.  The winning
+with N the number of regression rows the window yields and sigma_q^2 the
+auxiliary model's own residual variance from training.  The winning
 condition's primary model then estimates the target over that window.
 Classification uses in-window rows only, so windows stay independent.
 ``classify`` scores one window; ``schedule_estimate`` scores all windows
@@ -134,27 +135,9 @@ class ScheduleTrace:
         return self.labels[int(np.bincount(self.chosen, minlength=len(self.labels)).argmax())]
 
 
-def pooled_sigma2(h: TransmissibilityFamily) -> float:
-    """Degrees-of-freedom weighted mean of the members' residual variances."""
-    total_dof = sum(m.dof for m in h.models)
-    if total_dof <= 0:
-        raise DataError("pooled variance needs positive degrees of freedom")
-    return sum(m.dof * m.sigma2 for m in h.models) / total_dof
-
-
-def log_evidence(
-    h: FirModel,
-    y_i1: np.ndarray,
-    y_i2: np.ndarray,
-    prior_q: float,
-    sigma2: float | None = None,
-) -> float:
-    """Log evidence of one auxiliary model on one window.
-
-    ``sigma2`` overrides the model's own residual variance (used by the
-    pooled-variance classifier variant).  A zero prior excludes the
-    member outright.
-    """
+def log_evidence(h: FirModel, y_i1: np.ndarray, y_i2: np.ndarray, prior_q: float) -> float:
+    """Log evidence of one auxiliary model on one window, with the model's
+    own residual variance.  A zero prior excludes the member outright."""
     if prior_q < 0:
         raise ConfigError(f"prior must be non-negative, got {prior_q}")
     if prior_q == 0.0:
@@ -163,7 +146,7 @@ def log_evidence(
     r = m.y - m.phi @ h.theta
     rss = float(r @ r)
     n_rows = m.n_rows
-    s2 = h.sigma2 if sigma2 is None else sigma2
+    s2 = h.sigma2
     if s2 <= 0.0:
         if rss == 0.0:
             return math.inf  # perfect model with zero variance dominates
@@ -197,7 +180,6 @@ def classify(
     h: TransmissibilityFamily,
     window: TimeSeriesSet,
     prior: Prior,
-    pooled: bool = False,
     window_id: int = 1,
 ) -> PosteriorResult:
     """Pick the active condition for one window of online data."""
@@ -212,12 +194,8 @@ def classify(
         )
     y_i1 = window.channels(h.input_channel_names)
     y_i2 = window.channel(h.output_channel_name)
-    s2 = pooled_sigma2(h) if pooled else None
     levidence = np.array(
-        [
-            log_evidence(m, y_i1, y_i2, float(prior.weights[k]), sigma2=s2)
-            for k, m in enumerate(h.models)
-        ]
+        [log_evidence(m, y_i1, y_i2, float(prior.weights[k])) for k, m in enumerate(h.models)]
     )
     posterior = _posterior_from_log(levidence)
     chosen = int(np.argmax(levidence))  # first index wins ties
@@ -238,18 +216,18 @@ def schedule_estimate(
     online: TimeSeriesSet,
     prior: Prior,
     window_len: int,
-    pooled: bool = False,
     predictions: np.ndarray | None = None,
-    rss: np.ndarray | None = None,
 ) -> ScheduleTrace:
     """Classify every window and estimate the target with the chosen model.
 
     The record is cut into consecutive windows of ``window_len`` samples;
     a trailing remainder is its own window.  All windows are classified
-    at once from ``window_rss``.  The result agrees with ``classify`` on
-    each window to |dL| <= 1e-12 * max(1, |L|) in log evidence and 1e-12
-    in posterior; the choice and the ambiguity flag are the same unless
-    ``classify``'s deciding gap is within that bound.
+    at once from their in-window residual sums of squares, each auxiliary
+    member's residual variance from training and the prior.  The result
+    agrees with ``classify`` on each window to |dL| <= 1e-12 * max(1, |L|)
+    in log evidence and 1e-12 in posterior; the choice and the ambiguity
+    flag are the same unless ``classify``'s deciding gap is within that
+    bound.
 
     Each chosen primary model predicts the whole record once, through
     ``predict_record``; a classified window copies that prediction over its
@@ -258,9 +236,8 @@ def schedule_estimate(
     sample, with lags that reach back across window boundaries.
 
     ``predictions`` may supply those whole-record predictions, one row per
-    member of ``g``, as ``predict_record`` gives them, and ``rss`` the
-    record's ``window_rss``; a caller that schedules the same record more
-    than once then predicts it only once.
+    member of ``g``, as ``predict_record`` gives them; a caller that also
+    scores the members on the record then predicts it only once.
 
     A trailing window of order samples or fewer cannot be classified; it
     is recorded under ``skipped`` and contributes no estimates.
@@ -279,18 +256,13 @@ def schedule_estimate(
     for name in g.input_channel_names:
         if name not in online.names:
             raise DataError(f"online record is missing channel {name!r}")
-    for name, given_, shape in (
-        ("predictions", predictions, (len(g), m - order)),
-        ("rss", rss, (starts.size, len(h))),
-    ):
-        if given_ is not None and given_.shape != shape:
-            raise DataError(
-                f"{name} have shape {given_.shape}; expected {shape} for "
-                f"{len(g)} members over {m} samples"
-            )
-    if rss is None:
-        rss = window_rss(h, online, window_len)
-    levidence = _window_log_evidence(h, prior, pooled, rss, stops - starts - order)
+    if predictions is not None and predictions.shape != (len(g), m - order):
+        raise DataError(
+            f"predictions have shape {predictions.shape}; expected {(len(g), m - order)} "
+            f"for {len(g)} members over {m} samples"
+        )
+    rss = _window_rss(h, online, window_len)
+    levidence = _window_log_evidence(h, prior, rss, stops - starts - order)
     if np.any(levidence.max(axis=1) == -math.inf):
         raise NumericalError("no admissible model: all log evidences are -inf")
     chosen = np.argmax(levidence, axis=1)  # first index wins ties
@@ -330,12 +302,12 @@ def _cut_windows(m: int, window_len: int, order: int):
     return starts, np.minimum(starts + window_len, m), skipped
 
 
-def window_rss(
+def _window_rss(
     h: TransmissibilityFamily, online: TimeSeriesSet, window_len: int
 ) -> np.ndarray:
     """(windows, members) in-window residual sums of squares over the windows
     ``schedule_estimate`` classifies, from one whole-record ``predict`` per
-    member; they serve both variance variants."""
+    member."""
     order = h.order
     starts, stops, _ = _cut_windows(online.n_samples, window_len, order)
     rss = np.zeros((starts.size, len(h)))
@@ -356,14 +328,11 @@ def window_rss(
 
 
 def _window_log_evidence(
-    h: TransmissibilityFamily, prior: Prior, pooled: bool, rss: np.ndarray, n_rows: np.ndarray
+    h: TransmissibilityFamily, prior: Prior, rss: np.ndarray, n_rows: np.ndarray
 ) -> np.ndarray:
     """(windows, members) log evidences, by the rules of ``log_evidence``,
     from each window's residual sums ``rss`` over its ``n_rows`` rows."""
-    if pooled:
-        s2 = np.full(len(h), pooled_sigma2(h))
-    else:
-        s2 = np.array([mod.sigma2 for mod in h.models])
+    s2 = np.array([mod.sigma2 for mod in h.models])
     weights = prior.weights
     # scalar logs keep each term bit-identical to log_evidence's
     log_p = np.array([math.log(w) if w > 0 else -math.inf for w in weights])

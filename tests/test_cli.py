@@ -104,25 +104,50 @@ def test_evaluate_report(pipeline_dir):
     assert fits["sched"] >= fits["G2"] - 0.5
     assert fits["ideal"] == max(fits["G1"], fits["G2"])
     accuracy_lines = (pipeline_dir / "report_accuracy.csv").read_text().splitlines()
-    assert accuracy_lines[1] == "classifier,accuracy"
-    assert {l.split(",")[0] for l in accuracy_lines[2:]} == {"full", "pooled"}
+    assert accuracy_lines[:2] == ["# format: transched-report-accuracy v2", "accuracy"]
+    assert len(accuracy_lines) == 3 and 0.0 <= float(accuracy_lines[2]) <= 1.0
+
+
+def _csv_columns(path):
+    """A CSV artifact's columns by header name, as strings, format line skipped."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return dict(zip(lines[0].split(","), zip(*(l.split(",") for l in lines[1:]))))
+
+
+def test_evaluate_scores_what_estimate_wrote(pipeline_dir):
+    # one scheduling rule: the scheduled FIT is the FIT of estimate's trace
+    from transched.evaluation import fit_metric
+
+    estimated = _csv_columns(pipeline_dir / "trace_samples.csv")["y_O_estimated"]
+    covered = np.array([cell != "" for cell in estimated])
+    assert 0 < covered.sum() < covered.size
+    measured = np.array(_csv_columns(pipeline_dir / "validation.csv")["y_O"], dtype=float)
+    estimates = np.array([float(cell) for cell in estimated if cell])
+    (scheduled,) = _csv_columns(pipeline_dir / "report.csv")["FIT_scheduled"]
+    assert float(scheduled) == fit_metric(measured[covered], estimates)
 
 
 def test_evaluate_predicts_each_member_once_per_record(pipeline_dir, tmp_path, monkeypatch):
-    # both classifier variants score the windows from one residual pass: per
-    # record, Q primaries, Q auxiliaries and the average model predict once
+    # per record, Q primaries, Q auxiliaries and the average model predict
+    # once, and the record is scheduled once
     import transched.scheduler
     import transched.transmissibility
 
-    calls = []
+    calls, scheduled = [], []
     real = transched.transmissibility.predict
+    real_schedule = transched.scheduler.schedule_estimate
 
     def counting(model, *args, **kwargs):
         calls.append(model)
         return real(model, *args, **kwargs)
 
+    def counting_schedule(g, h, online, *args, **kwargs):
+        scheduled.append(online.condition_label)
+        return real_schedule(g, h, online, *args, **kwargs)
+
     for module in (transched.transmissibility, transched.scheduler):
         monkeypatch.setattr(module, "predict", counting)
+    monkeypatch.setattr(transched.scheduler, "schedule_estimate", counting_schedule)
     for name in ("store.json", "validation.csv"):
         shutil.copy(pipeline_dir / name, tmp_path / name)
     assert _run(["evaluate", "--out", str(tmp_path)]) == 0
@@ -130,6 +155,7 @@ def test_evaluate_predicts_each_member_once_per_record(pipeline_dir, tmp_path, m
     q = len(store["conditions"])
     assert len(calls) == 2 * q + 1
     assert len({id(m) for m in calls}) == len(calls)
+    assert scheduled == ["VAL"]
 
 
 def test_pipeline_deterministic(tmp_path):
@@ -242,15 +268,6 @@ def test_manifest_is_strict_json(tmp_path, flags, snr, scale):
     assert (manifest["snr"], manifest["snr_scale"]) == (snr, scale)
 
 
-def test_pooled_flag(tmp_path):
-    out = tmp_path / "pooled"
-    for command in ("simulate", "train"):
-        assert _run([command, "--out", str(out)]) == 0
-    assert _run(["estimate", "--out", str(out), "--pooled"]) == 0
-    seq = _read_chosen_sequence(out / "trace_windows.csv")
-    assert seq == ["C1"] * 4 + ["C2"] * 4
-
-
 def test_config_file_overrides(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -344,15 +361,6 @@ def test_estimate_without_ground_truth(tmp_path, capsys):
     assert (capsys.readouterr().out, [p.read_bytes() for p in traces]) == sighted
     seq = _read_chosen_sequence(out / "trace_windows.csv")
     assert seq == ["C1"] * 4 + ["C2"] * 4
-
-
-def test_evaluate_pooled_variant_flag(tmp_path):
-    out = tmp_path / "o"
-    for command in ("simulate", "train"):
-        assert _run([command, "--out", str(out)]) == 0
-    assert _run(["evaluate", "--out", str(out), "--pooled"]) == 0
-    lines = (out / "report.csv").read_text().splitlines()
-    assert len(lines) == 3
 
 
 _CUSTOM_CHANNELS = {
@@ -476,9 +484,10 @@ _STOCK_PARAMS = "".join(
         ("[DEFAULT]\norder = 4\n", "[DEFAULT] order"),
         ("[simulate]\nclean = yes\n", "[simulate] clean"),  # noise-free data is snr = inf
         ("[simulate]\nvalidation_samples = 160\n", "[simulate] validation_samples"),
+        ("[estimate]\npooled = true\n", "[estimate] pooled"),  # one classifier only
     ],
     ids=["key", "section", "common-store", "params-key", "default", "clean",
-         "validation-samples"],
+         "validation-samples", "pooled"],
 )
 def test_unread_ini_key_is_a_config_error(pipeline_dir, tmp_path, capsys, command, ini, named):
     # without the key each command would succeed and write into out
@@ -769,23 +778,28 @@ def _scale_columns(path, columns):
 
 
 @pytest.mark.parametrize(
-    "command, ini, copied, scaled, code, message",
+    "command, ini, copied, scaled, message",
     [
-        ("simulate", "[simulate]\nexcitation_variance = 1e300\n", (), [], 3,
+        ("simulate", "[simulate]\nexcitation_variance = 1e300\n", (), [],
          "data error: channel 'y_I1_a' has a power that overflows; cannot scale noise"),
-        ("train", "[simulate]\nexcitation_variance = 1e300\nsnr = inf\n", (), [], 4,
-         "numerical failure: the normal equations are not finite: "
-         "the regression data overflow"),
-        # only the target is scaled: the Gram matrix stays finite, the residual does not
-        ("train", "", _TRAIN_FILES, [2], 3,
-         "data error: sigma2 must be finite and non-negative, got inf"),
-        ("estimate", "", _ONLINE_FILES, [0, 1, 2], 4,
-         "numerical failure: no admissible model: all log evidences are -inf"),
+        # the records are read before any model: each file names its first
+        # channel whose sum of squares overflows, which would overflow the
+        # Gram matrix, the residual or the window RSS
+        ("train", "[simulate]\nexcitation_variance = 1e300\nsnr = inf\n", (), [],
+         "data error: {out}/train_C1.csv: channel 'y_I1_a' has a sum of squares that overflows"),
+        ("train", "", _TRAIN_FILES, [2],
+         "data error: {out}/train_C1.csv: channel 'y_O' has a sum of squares that overflows"),
+        ("estimate", "", _ONLINE_FILES, [0, 1, 2],
+         "data error: {out}/validation.csv: channel 'y_I1_a' has a sum of squares that "
+         "overflows"),
+        ("evaluate", "", _ONLINE_FILES, [2],
+         "data error: {out}/validation.csv: channel 'y_O' has a sum of squares that overflows"),
     ],
-    ids=["simulate-noise-power", "train-gram", "train-rss", "estimate-window-rss"],
+    ids=["simulate-noise-power", "train-gram", "train-rss", "estimate-window-rss",
+         "evaluate-target"],
 )
 def test_overflow_is_one_line_error_without_warnings(
-        pipeline_dir, tmp_path, capsys, command, ini, copied, scaled, code, message):
+        pipeline_dir, tmp_path, capsys, command, ini, copied, scaled, message):
     # numpy's overflow warnings would print to stderr before the error line
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini)
@@ -801,9 +815,9 @@ def test_overflow_is_one_line_error_without_warnings(
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _run([command, "--config", str(cfg), "--out", str(out)]) == code
+        assert _run([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err == f"{message}\n" and "Warning" not in err
+    assert err == message.format(out=out) + "\n" and "Warning" not in err
     assert [str(w.message) for w in caught] == []
     assert _tree(tmp_path) == before
 
@@ -888,12 +902,13 @@ def test_exit_code_empty_path(tmp_path, capsys, command, flags, ini, named):
     assert _tree(tmp_path) == before
 
 
-# the flags of the other commands whose setting this command does not read
+# the flags of the other commands whose setting this command does not read,
+# and --pooled, which no command takes
 _UNREAD_FLAGS = {
     "simulate": ["--clim", "--window", "--pooled", "--store", "--data"],
     "train": ["--seed", "--window", "--pooled", "--snr", "--snr-db", "--data"],
-    "estimate": ["--seed", "--order", "--clim", "--snr", "--snr-db"],
-    "evaluate": ["--seed", "--order", "--clim", "--snr", "--snr-db", "--data"],
+    "estimate": ["--seed", "--order", "--clim", "--pooled", "--snr", "--snr-db"],
+    "evaluate": ["--seed", "--order", "--clim", "--pooled", "--snr", "--snr-db", "--data"],
 }
 _FLAG_VALUES = {"--seed": ["3"], "--order": ["50"], "--clim": ["7"], "--window": ["30"],
                 "--snr": ["5"], "--pooled": [], "--snr-db": [], "--store": ["s.json"],

@@ -34,7 +34,7 @@ order = 7
 c_lim = 5e5
 seed = 11
 sample_time = 0.05
-detrend = true
+detrend = on
 
 [channels]
 a = pseudo_input
@@ -62,7 +62,6 @@ store = s/train.json
 [estimate]
 data = online.csv
 window = 40
-pooled = on
 priors = 1, 3
 
 [evaluate]
@@ -92,7 +91,6 @@ FULL_EXPECTED = {
     "data": "online.csv",
     "window": 40,
     "priors": [1.0, 3.0],
-    "pooled": True,
     "evaluate_data": {"V1": "v1.csv", "V2": "v2.csv"},
 }
 
@@ -115,7 +113,7 @@ def test_defaults(tmp_path):
     }
     assert cfg.data == os.path.join("out", "validation.csv")
     assert cfg.evaluate_data == {"VAL": cfg.data}
-    assert (cfg.window, cfg.pooled, cfg.priors, cfg.snr_scale) == (20, False, "uniform", "linear")
+    assert (cfg.window, cfg.priors, cfg.snr_scale) == (20, "uniform", "linear")
 
 
 def test_paths_follow_the_out_flag(tmp_path):
@@ -137,37 +135,35 @@ store = train.json
 store = estimate.json
 data = online.csv
 window = 30
-pooled = true
 priors = 1, 2
 
 [evaluate]
 store = evaluate.json
 window = 50
-pooled = false
 priors = 3, 1
 """
 
 
 @pytest.mark.parametrize(
-    "command, store, window, pooled, priors",
+    "command, store, window, priors",
     [
-        ("simulate", "train.json", 30, True, [1.0, 2.0]),
-        ("train", "train.json", 30, True, [1.0, 2.0]),
-        ("estimate", "estimate.json", 30, True, [1.0, 2.0]),
-        ("evaluate", "evaluate.json", 50, False, [3.0, 1.0]),
+        ("simulate", "train.json", 30, [1.0, 2.0]),
+        ("train", "train.json", 30, [1.0, 2.0]),
+        ("estimate", "estimate.json", 30, [1.0, 2.0]),
+        ("evaluate", "evaluate.json", 50, [3.0, 1.0]),
     ],
 )
-def test_own_section_overrides(tmp_path, command, store, window, pooled, priors):
+def test_own_section_overrides(tmp_path, command, store, window, priors):
     cfg = _resolve(tmp_path, [command], PRECEDENCE_INI)
-    assert (cfg.store, cfg.window, cfg.pooled, cfg.priors) == (store, window, pooled, priors)
+    assert (cfg.store, cfg.window, cfg.priors) == (store, window, priors)
     assert cfg.data == "online.csv"
 
 
 def test_estimate_section_reaches_evaluate(tmp_path):
     # the benchmark's INI sets the window in [estimate] only
-    ini = "[estimate]\nwindow = 40\npooled = true\npriors = 2, 1\nstore = e.json\n"
+    ini = "[estimate]\nwindow = 40\npriors = 2, 1\nstore = e.json\n"
     cfg = _resolve(tmp_path, ["evaluate"], ini)
-    assert (cfg.window, cfg.pooled, cfg.priors) == (40, True, [2.0, 1.0])
+    assert (cfg.window, cfg.priors) == (40, [2.0, 1.0])
     # store follows the same rule: [estimate] over [train], [evaluate] over both
     assert cfg.store == "e.json"
     assert _resolve(tmp_path, ["evaluate"], ini + "[train]\nstore = t.json\n").store == "e.json"
@@ -176,9 +172,9 @@ def test_estimate_section_reaches_evaluate(tmp_path):
 
 @pytest.mark.parametrize("command", ["train", "estimate"])
 def test_evaluate_section_is_evaluate_only(tmp_path, command):
-    ini = "[evaluate]\nwindow = 50\npooled = true\npriors = 3, 1\nstore = v.json\n"
+    ini = "[evaluate]\nwindow = 50\npriors = 3, 1\nstore = v.json\n"
     cfg = _resolve(tmp_path, [command], ini)
-    assert (cfg.window, cfg.pooled, cfg.priors) == (20, False, "uniform")
+    assert (cfg.window, cfg.priors) == (20, "uniform")
     assert cfg.store == os.path.join("out", "store.json")
 
 
@@ -206,8 +202,9 @@ def test_evaluate_data_and_estimate_data(tmp_path):
         ("train", "[common]\nout = a\n", ["--out", "b"], "out", "b"),
         ("estimate", "[estimate]\nwindow = 30\n", ["--window", "45"], "window", 45),
         ("evaluate", "[evaluate]\nwindow = 30\n", ["--window", "45"], "window", 45),
-        ("estimate", "[estimate]\npooled = false\n", ["--pooled"], "pooled", True),
-        ("evaluate", "[evaluate]\npooled = false\n", ["--pooled"], "pooled", True),
+        # a flag also overrides the [estimate] value that evaluate inherits
+        ("evaluate", "[estimate]\nwindow = 30\n", ["--window", "45"], "window", 45),
+        ("evaluate", "[estimate]\nstore = a.json\n", ["--store", "b.json"], "store", "b.json"),
         ("simulate", "[simulate]\nsnr = 30\n", ["--snr", "70"], "snr", 70.0),
         ("simulate", "[simulate]\nsnr_scale = linear\n", ["--snr-db"], "snr_scale", "db"),
         ("simulate", "[simulate]\nsnr = 30\n", ["--snr", "inf"], "snr", math.inf),
@@ -244,8 +241,8 @@ def _subparser(command):
     "command, extra",
     [("simulate", {"--seed", "--order", "--snr", "--snr-db"}),
      ("train", {"--order", "--clim", "--store"}),
-     ("estimate", {"--window", "--pooled", "--store", "--data"}),
-     ("evaluate", {"--window", "--pooled", "--store"})],
+     ("estimate", {"--window", "--store", "--data"}),
+     ("evaluate", {"--window", "--store"})],
 )
 def test_option_set_of_each_subcommand(command, extra):
     p = _subparser(command)

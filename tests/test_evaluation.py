@@ -69,7 +69,7 @@ def _study(systems, n_online):
         ts.condition_label: np.array([predict_record(m, ts) for m in g.models])
         for ts in online
     }
-    report = compare_report(g, avg, online, {"full": traces}, preds)
+    report = compare_report(g, avg, online, traces, preds)
     return g, avg, online, report
 
 
@@ -121,7 +121,7 @@ def test_reports_compare_by_identity(quarter_car_systems):
         ts.condition_label: np.array([predict_record(m, ts) for m in g.models])
         for ts in online
     }
-    a, b = (compare_report(g, avg, online, {"full": traces}, preds) for _ in range(2))
+    a, b = (compare_report(g, avg, online, traces, preds) for _ in range(2))
     assert a == a and a != b
     np.testing.assert_array_equal(a.fits, b.fits)
 
@@ -154,14 +154,14 @@ def test_report_scores_ragged_records_on_covered_samples(ragged_study):
 
 def test_report_accuracy_full_variant(study):
     _, _, _, report = study
-    assert report.accuracies == {"full": 1.0}
+    assert report.accuracy == 1.0
 
 
 def test_report_requires_ground_truth(study, quarter_car_systems):
     g, avg, online, _ = study
     no_target = dataclasses.replace(online[0], names=("y_I1_a", "y_I2", "other"))
     with pytest.raises(DataError, match="ground truth"):
-        compare_report(g, avg, [no_target], {"full": {}}, {})
+        compare_report(g, avg, [no_target], {}, {})
 
 
 def test_report_csv_consistency(tmp_path, study):
@@ -185,23 +185,28 @@ def test_report_csv_consistency(tmp_path, study):
     assert names == ["G_C1", "G_C2", "average", "scheduled", "ideal"]
 
     alines = (tmp_path / "accuracy.csv").read_text().splitlines()
-    assert alines[1] == "classifier,accuracy"
-    assert alines[2] == "full,1.0"
+    assert alines[1:] == ["accuracy", "1.0"]
 
 
 # ------------------------------------------------------- pinned report text
 
 
-def _pinned_case():
+# per record, the member each of its three windows picks in the pinned traces
+PINNED_PICKS = {"O1": [1, 1, 0], "O2": [1, 1, 1]}
+# another choice of members: G1 by majority on both records
+OTHER_PICKS = {"O1": [0, 0, 2], "O2": [0, 0, 0]}
+
+
+def _pinned_case(picks=PINNED_PICKS):
     """Inputs of ``compare_report`` for two hand-made records, with given
-    predictions.
+    predictions, and traces whose windows pick the members ``picks`` gives.
 
     Order 1 and windows of 2 over 7 samples: sample 0 has no estimate and the
     1-sample tail is skipped, so every FIT is taken over samples 1..5.  On O1,
     G1 and G2 tie for the best FIT (one error of 0.5 each) and G3 predicts -y,
-    a negative FIT; on O2, G1 is best.  The full variant chooses G2 (a tied
-    best: a hit) on O1 and G2 (a miss) on O2; the pooled variant chooses G1 on
-    both, two hits.
+    a negative FIT; on O2, G1 is best.  PINNED_PICKS chooses G2 (a tied best:
+    a hit) on O1 and G2 (a miss) on O2; OTHER_PICKS chooses G1 on both, two
+    hits.
     """
     labels = ("C1", "C2", "C3")
     names = ("u0", "v")
@@ -223,10 +228,7 @@ def _pinned_case():
         "O1": ([0.0, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.5, 0.0, 0.0]),
         "O2": ([0.0, 0.0, 0.1, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
     }
-    chosen = {"O1": {"full": [1, 1, 0], "pooled": [0, 0, 2]},
-              "O2": {"full": [1, 1, 1], "pooled": [0, 0, 0]}}
-    records, predictions = [], {}
-    traces = {"full": {}, "pooled": {}}
+    records, predictions, traces = [], {}, {}
     for label, y in ys.items():
         records.append(TimeSeriesSet(
             names=("u0", "v", "y"), data=np.array([y, v, y]), condition_label=label,
@@ -235,22 +237,21 @@ def _pinned_case():
         e1, e2 = (np.array(e) for e in errors[label])
         preds = np.array([tail + e1, tail + e2, -tail])
         predictions[label] = preds
-        for variant, picks in chosen[label].items():
-            member = np.array(np.repeat(picks, 2).tolist() + [-1])
-            estimates = np.full(7, np.nan)
-            estimates[1:6] = preds[member[1:6], np.arange(5)]
-            traces[variant][label] = ScheduleTrace(
-                labels=labels, log_evidence=np.zeros((3, 3)), chosen=np.array(picks),
-                ambiguous=np.zeros(3, dtype=bool), starts=np.array([0, 2, 4]),
-                stops=np.array([2, 4, 6]), skipped=((4, 6, 7),), member=member,
-                estimates=estimates,
-            )
+        member = np.array(np.repeat(picks[label], 2).tolist() + [-1])
+        estimates = np.full(7, np.nan)
+        estimates[1:6] = preds[member[1:6], np.arange(5)]
+        traces[label] = ScheduleTrace(
+            labels=labels, log_evidence=np.zeros((3, 3)), chosen=np.array(picks[label]),
+            ambiguous=np.zeros(3, dtype=bool), starts=np.array([0, 2, 4]),
+            stops=np.array([2, 4, 6]), skipped=((4, 6, 7),), member=member,
+            estimates=estimates,
+        )
     return g, average, records, traces, predictions
 
 
-def _pinned_report(**kw):
-    g, average, records, traces, predictions = _pinned_case()
-    return compare_report(g, average, records, traces, predictions=predictions, **kw)
+def _pinned_report(picks=PINNED_PICKS):
+    g, average, records, traces, predictions = _pinned_case(picks)
+    return compare_report(g, average, records, traces, predictions=predictions)
 
 
 PINNED_REPORT = """\
@@ -272,10 +273,9 @@ ideal,92.6789581584544,5.101558033453223
 """
 
 PINNED_ACCURACY = """\
-# format: transched-report-accuracy v1
-classifier,accuracy
-full,0.5
-pooled,1.0
+# format: transched-report-accuracy v2
+accuracy
+0.5
 """
 
 
@@ -298,14 +298,14 @@ def test_ideal_fit_is_max():
 def test_ideal_fit_single():
     g, average, records, traces, predictions = _pinned_case()
     one = TransmissibilityFamily(labels=("C1",), models=g.models[:1])
-    traces = {"full": {
+    traces = {
         label: dataclasses.replace(t, labels=one.labels, chosen=np.zeros(3, dtype=int))
-        for label, t in traces["full"].items()
-    }}
+        for label, t in traces.items()
+    }
     report = compare_report(one, average, records, traces,
                             {label: p[:1] for label, p in predictions.items()})
     np.testing.assert_array_equal(report.column("ideal"), report.column("C1"))
-    assert report.accuracies == {"full": 1.0}
+    assert report.accuracy == 1.0
 
 
 def test_ideal_fit_tie():
@@ -322,18 +322,18 @@ def test_indicator_hits_and_misses(tmp_path):
 
 
 def test_indicator_tie_counts_as_correct():
-    # on O1, full picks C2 and pooled picks C1, the two tied best members
-    g, average, records, traces, predictions = _pinned_case()
-    traces = {v: {"O1": t["O1"]} for v, t in traces.items()}
-    report = compare_report(g, average, records[:1], traces, predictions)
-    assert report.accuracies == {"full": 1.0, "pooled": 1.0}
+    # on O1, the pinned picks choose C2 and the other picks C1, the two tied best members
+    for picks in (PINNED_PICKS, OTHER_PICKS):
+        g, average, records, traces, predictions = _pinned_case(picks)
+        report = compare_report(g, average, records[:1], traces, predictions)
+        assert report.accuracy == 1.0
 
 
 def test_accuracy_values():
-    assert _pinned_report().accuracies == {"full": 0.5, "pooled": 1.0}
-    assert _pinned_report(scheduled_variant="pooled").chosen == ("C1", "C1")
+    assert _pinned_report().accuracy == 0.5
+    other = _pinned_report(OTHER_PICKS)
+    assert (other.chosen, other.accuracy) == (("C1", "C1"), 1.0)
     g, average, records, traces, predictions = _pinned_case()
-    worst = {label: dataclasses.replace(t, chosen=np.full(3, 2))
-             for label, t in traces["full"].items()}
-    report = compare_report(g, average, records, {"full": worst}, predictions)
-    assert report.accuracies == {"full": 0.0}
+    worst = {label: dataclasses.replace(t, chosen=np.full(3, 2)) for label, t in traces.items()}
+    report = compare_report(g, average, records, worst, predictions)
+    assert report.accuracy == 0.0

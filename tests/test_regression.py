@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,12 @@ def test_non_finite_input_is_numerical_error():
             ridge_fit(_matrices(phi, np.ones(20), order=0, input_dim=3))
     with pytest.raises(NumericalError):
         eigen_extremes(np.full((2, 2), np.nan))
+    # finite data whose Gram matrix overflows, without numpy's overflow warning
+    phi = np.random.default_rng(39).normal(size=(20, 3)) * 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="the normal equations are not finite"):
+            ridge_fit(_matrices(phi, np.ones(20), order=0, input_dim=3))
 
 
 # ------------------------------------------------------------------ variance

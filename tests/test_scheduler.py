@@ -17,10 +17,8 @@ from transched.scheduler import (
     Prior,
     classify,
     log_evidence,
-    pooled_sigma2,
     ScheduleTrace,
     schedule_estimate,
-    window_rss,
     write_sample_trace,
     write_window_trace,
 )
@@ -214,27 +212,6 @@ def test_classify_matches_direct_bayes_formula():
     assert res.chosen == int(np.argmax(direct))
 
 
-# ------------------------------------------------------------ pooled variance
-
-
-def test_pooled_sigma2_dof_weighted():
-    fam = _aux_family([_aux_model([1.0], 2.0, dof=10), _aux_model([1.0], 5.0, dof=30)])
-    assert pooled_sigma2(fam) == pytest.approx((10 * 2.0 + 30 * 5.0) / 40.0)
-
-
-def test_classify_pooled_uses_common_variance():
-    rng = np.random.default_rng(7)
-    u = rng.normal(size=(1, 20))
-    v = 1.0 * u[0] + rng.normal(0.0, 0.05, 20)
-    # the matching model has a huge variance, the wrong one a tiny one:
-    # full-variance Bayes can be fooled by the variance term, pooled cannot
-    m_match = _aux_model([1.0], sigma2=4.0, dof=50)
-    m_wrong = _aux_model([0.9], sigma2=0.004, dof=50)
-    fam = _aux_family([m_wrong, m_match])
-    pooled = classify(fam, _window(u, v), Prior.uniform(2), pooled=True)
-    assert pooled.chosen == 1  # with equal variances only the residual counts
-
-
 # ---------------------------------------------------------- schedule_estimate
 
 
@@ -314,19 +291,13 @@ def test_schedule_with_given_predictions_is_identical(quarter_car_systems,
         quarter_car_systems, (("C1", 80), ("C2", 85)), seed=78, snr=50.0
     )
     preds = np.array([predict_record(m, online) for m in g.models])
-    rss = window_rss(h, online, 20)
-    assert rss.shape == (8, 2)
-    for pooled in (False, True):
-        own = schedule_estimate(g, h, online, Prior.uniform(2), 20, pooled=pooled)
-        given_ = schedule_estimate(g, h, online, Prior.uniform(2), 20, pooled=pooled,
-                                   predictions=preds, rss=rss)
-        assert given_.estimates.tobytes() == own.estimates.tobytes()
-        assert given_.log_evidence.tobytes() == own.log_evidence.tobytes()
-        np.testing.assert_array_equal(given_.member, own.member)
-    with pytest.raises(DataError, match="predictions have shape"):
+    own = schedule_estimate(g, h, online, Prior.uniform(2), 20)
+    given_ = schedule_estimate(g, h, online, Prior.uniform(2), 20, predictions=preds)
+    assert given_.estimates.tobytes() == own.estimates.tobytes()
+    assert given_.log_evidence.tobytes() == own.log_evidence.tobytes()
+    np.testing.assert_array_equal(given_.member, own.member)
+    with pytest.raises(DataError, match=r"predictions have shape \(2, 154\); expected \(2, 155\)"):
         schedule_estimate(g, h, online, Prior.uniform(2), 20, predictions=preds[:, 1:])
-    with pytest.raises(DataError, match=r"rss have shape \(7, 2\); expected \(8, 2\)"):
-        schedule_estimate(g, h, online, Prior.uniform(2), 20, rss=rss[1:])
 
 
 def test_schedule_record_shorter_than_one_window(quarter_car_systems,
@@ -403,12 +374,11 @@ def _deciding_gaps(levidence):
     extra=st.integers(1, 12),
     n_full=st.integers(0, 9),
     tail=st.integers(0, 16),
-    pooled=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=120, deadline=None)
 def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
-                                              n_full, tail, pooled, data):
+                                              n_full, tail, data):
     window_len = order + extra
     tail %= window_len  # 0, a skipped tail (<= order) or a classified one
     m = n_full * window_len + tail
@@ -428,7 +398,7 @@ def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
     v = np.convolve(u[0], truth[::n_drivers])[:m] + rng.normal(0.0, 0.3, m)
     online = _window(u, v)
 
-    trace = schedule_estimate(g, h, online, prior, window_len, pooled=pooled)
+    trace = schedule_estimate(g, h, online, prior, window_len)
     member_preds = [predict_record(mod, online) for mod in g.models] if m > order else []
 
     # the windows partition the record; a tail of <= order samples is skipped
@@ -446,7 +416,7 @@ def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
     member = np.full(m, -1)
     for res, (start, stop) in zip(trace.windows, expected):
         ref = classify(h, _window(u[:, start:stop], v[start:stop]), prior,
-                       pooled=pooled, window_id=res.window_id)
+                       window_id=res.window_id)
         inf = ~np.isfinite(ref.log_evidence)
         np.testing.assert_array_equal(res.log_evidence[inf], ref.log_evidence[inf])
         scale = np.maximum(1.0, np.abs(ref.log_evidence[~inf]))
