@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -243,8 +244,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             params[key] = _typed(float)(f"[params.{label}] {key}", str(values[key]))
         # the QuarterCarParams check, without importing the simulator here
         for key, v in params.items():
-            if v <= 0:
-                raise ConfigError(f"quarter-car parameter {key} must be positive, got {v}")
+            if not 0 < v < math.inf:
+                raise ConfigError(
+                    f"quarter-car parameter {key} must be positive and finite, got {v}"
+                )
         cfg.params[label] = params
     for f in fields(RunConfig):  # a flag not given is None: the file's value stays
         value = getattr(args, f.name, None)
@@ -270,8 +273,8 @@ def _validate(cfg: RunConfig) -> None:
     _check_c_lim(cfg.c_lim)
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    if cfg.sample_time <= 0:
-        raise ConfigError(f"sample_time must be positive, got {cfg.sample_time}")
+    if not 0 < cfg.sample_time < math.inf:
+        raise ConfigError(f"sample_time must be positive and finite, got {cfg.sample_time}")
     roles = set(cfg.channels.values())
     if not roles <= {PSEUDO_INPUT, TARGET_OUTPUT}:
         raise ConfigError(
@@ -292,9 +295,9 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"train_samples {cfg.train_samples} must exceed the FIR order {cfg.order}"
             )
-        if cfg.excitation_variance <= 0:
+        if not 0 < cfg.excitation_variance < math.inf:
             raise ConfigError(
-                f"excitation_variance must be positive, got {cfg.excitation_variance}"
+                f"excitation_variance must be positive and finite, got {cfg.excitation_variance}"
             )
         NoiseSpec(snr=cfg.snr, seed=cfg.seed, scale=cfg.snr_scale)
         for label, _ in cfg.schedule:  # before SwitchSchedule checks the durations

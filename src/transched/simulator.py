@@ -44,8 +44,10 @@ class QuarterCarParams:
     def __post_init__(self) -> None:
         for name in ("m_s", "m_u", "k_s", "k_r", "c_s"):
             v = getattr(self, name)
-            if v <= 0:
-                raise ConfigError(f"quarter-car parameter {name} must be positive, got {v}")
+            if not 0 < v < math.inf:
+                raise ConfigError(
+                    f"quarter-car parameter {name} must be positive and finite, got {v}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,12 +193,15 @@ def c2d_zoh(ss: ContinuousStateSpace, t: float) -> DiscreteStateSpace:
     the exponential of the (a, b) block matrix; for invertible a it
     coincides with a^-1 (exp(a t) - I) b.
     """
-    if t <= 0:
-        raise ConfigError(f"sampling time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ConfigError(f"sampling time must be positive and finite, got {t}")
     n = ss.a.shape[0]
     aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = ss.a * t
-    aug[:n, n] = ss.b * t
+    with np.errstate(over="ignore"):  # checked below
+        aug[:n, :n] = ss.a * t
+        aug[:n, n] = ss.b * t
+    if not np.all(np.isfinite(aug)):
+        raise ConfigError(f"sample_time {t} is too large: a*t or b*t is not finite")
     e = matrix_exp(aug)
     return DiscreteStateSpace(
         a=e[:n, :n], b=e[:n, n].copy(), c=ss.c.copy(), d=ss.d.copy(), t=t
@@ -205,8 +210,8 @@ def c2d_zoh(ss: ContinuousStateSpace, t: float) -> DiscreteStateSpace:
 
 def gen_excitation(n_samples: int, variance: float, seed: int) -> np.ndarray:
     """White zero-mean Gaussian excitation, reproducible per seed."""
-    if variance <= 0:
-        raise ConfigError(f"excitation variance must be positive, got {variance}")
+    if not 0 < variance < math.inf:
+        raise ConfigError(f"excitation variance must be positive and finite, got {variance}")
     return np.random.default_rng(seed).normal(0.0, math.sqrt(variance), int(n_samples))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -422,13 +423,87 @@ def test_user_supplied_channels_detrend_and_priors(tmp_path, channels):
     assert len(report_lines) == 2 + 1
 
 
+# ------------------------------------------------------------- process exit
+
+# Registered before main runs, so atexit calls it after main's gc.freeze;
+# gc.freeze is wrapped to count its calls, one per registration left.
+_EXIT_PROBE = """
+import atexit, gc
+calls, freeze = [], gc.freeze
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print(f"frozen: {{gc.get_freeze_count() > 0}}, calls: {{len(calls)}}"))
+import transched.cli
+{body}
+"""
+_FROZEN_ONCE = "frozen: True, calls: 1\n"
+
+
+@pytest.mark.parametrize(
+    "body, code, stdout",
+    [
+        ("", 0, "frozen: False, calls: 0\n"),
+        ("for _ in range(2):\n    assert transched.cli.main(['estimate', '--window', '0']) == 2",
+         0, _FROZEN_ONCE),
+        ("transched.cli.main(['simulate', '--no-such-flag'])", 2, _FROZEN_ONCE),
+        ("transched.cli.main(['--version'])", 0,
+         f"transched {transched.__version__}\n{_FROZEN_ONCE}"),
+    ],
+    ids=["import-only", "main-twice", "argparse-error", "version"],
+)
+def test_main_freezes_the_gc_at_exit(tmp_path, body, code, stdout):
+    src = os.path.dirname(os.path.dirname(transched.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE.format(body=body)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, stdout), proc.stderr
+
+
+def test_stock_chain_leaves_no_file_for_the_collector(tmp_path, monkeypatch):
+    # main freezes the heap at exit, so the final collections finalize
+    # nothing: every file a command opens must be closed before it returns
+    gc.collect()  # what earlier tests left behind
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for command in ("simulate", "train", "estimate", "evaluate"):
+            assert _run([command, "--out", str(tmp_path)]) == 0
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
+
+
 # ------------------------------------------------------------- failure modes
 
 
-def test_exit_code_config_error(tmp_path):
+@pytest.mark.parametrize(
+    "ini, message",
+    [
+        ("[common]\norder = banana\n", "[common] order: expected int, got 'banana'"),
+        # nan and inf pass a `<= 0` check, and 1e308 overflows a*t: without
+        # their own checks numpy would fail later, blaming a matrix or channel
+        ("[common]\nsample_time = nan\n", "sample_time must be positive and finite, got nan"),
+        ("[common]\nsample_time = inf\n", "sample_time must be positive and finite, got inf"),
+        ("[common]\nsample_time = 1e308\n",
+         "sample_time 1e+308 is too large: a*t or b*t is not finite"),
+        ("[simulate]\nexcitation_variance = nan\n",
+         "excitation_variance must be positive and finite, got nan"),
+        ("[simulate]\nexcitation_variance = inf\n",
+         "excitation_variance must be positive and finite, got inf"),
+    ],
+    ids=["order-banana", "sample_time-nan", "sample_time-inf", "sample_time-1e308",
+         "excitation_variance-nan", "excitation_variance-inf"],
+)
+def test_exit_code_config_error(tmp_path, capsys, ini, message):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[common]\norder = banana\n")
-    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    cfg.write_text(ini)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [str(w.message) for w in caught] == []
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize(
@@ -1246,13 +1321,23 @@ def test_simulate_with_a_directory_in_an_entry_place(pipeline_dir, tmp_path):
     assert _tree(out) == {**_tree(pipeline_dir), blocked.name: None}
 
 
-@pytest.mark.parametrize("command", ["simulate", "train", "estimate", "evaluate"])
-def test_non_positive_params_is_a_config_error_for_every_command(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, key, value",
+    [pytest.param(command, key, value, id=command if value == "-1" else f"{command}-{key}-{value}")
+     for command in ("simulate", "train", "estimate", "evaluate")
+     # nan and inf pass a `<= 0` check
+     for key, value in (("k_s", "-1"), ("m_s", "nan"), ("m_s", "inf"), ("k_r", "inf"))],
+)
+def test_non_positive_params_is_a_config_error_for_every_command(tmp_path, capsys, command,
+                                                                 key, value):
+    params = {**STOCK_CONDITIONS["C1"], key: value}
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[params.X]\nm_s = 300\nm_u = 40\nk_s = -1\nk_r = 1.8e5\nc_s = 1.5e3\n")
+    cfg.write_text("[params.X]\n" + "".join(f"{k} = {v}\n" for k, v in params.items()))
     capsys.readouterr()
     assert _run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     _assert_one_line_error(
-        capsys, "config error: quarter-car parameter k_s must be positive, got -1.0"
+        capsys,
+        f"config error: quarter-car parameter {key} must be positive and finite, "
+        f"got {float(value)}",
     )
     assert not (tmp_path / "o").exists()

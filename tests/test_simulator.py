@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from operator import add, mul
 
@@ -57,8 +58,9 @@ def test_quarter_car_feedthrough():
 
 
 def test_quarter_car_rejects_nonpositive_parameter():
-    with pytest.raises(ConfigError, match="m_s"):
-        QuarterCarParams(m_s=0.0, m_u=40.0, k_s=1.0, k_r=1.0, c_s=1.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="m_s must be positive and finite"):
+            QuarterCarParams(m_s=bad, m_u=40.0, k_s=1.0, k_r=1.0, c_s=1.0)
 
 
 def test_quarter_car_is_hurwitz():
@@ -168,8 +170,14 @@ def test_c2d_semigroup_property():
 
 
 def test_c2d_rejects_nonpositive_sample_time():
-    with pytest.raises(ConfigError, match="sampling time"):
-        c2d_zoh(build_continuous(CONDITION_PARAMS["C1"]), 0.0)
+    ss = build_continuous(CONDITION_PARAMS["C1"])
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="sampling time"):
+            c2d_zoh(ss, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise
+        with pytest.raises(ConfigError, match=r"a\*t or b\*t is not finite"):
+            c2d_zoh(ss, 1e308)
 
 
 # ------------------------------------------------------------------ signals
@@ -194,8 +202,9 @@ def test_excitation_mean_bound():
 
 
 def test_excitation_rejects_bad_variance():
-    with pytest.raises(ConfigError, match="variance"):
-        gen_excitation(10, 0.0, 1)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="variance"):
+            gen_excitation(10, bad, 1)
 
 
 # ----------------------------------------------------------------- simulate
