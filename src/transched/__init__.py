@@ -34,7 +34,6 @@ _EXPORTS = {
     ),
     "regression": (
         "DEFAULT_C_LIM",
-        "EigenExtremes",
         "RidgeSolution",
         "eigen_extremes",
         "estimate_variance",

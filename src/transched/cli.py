@@ -105,8 +105,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
             )
             if name != "validation.csv":
                 ts = replace(ts, sample_labels=None)  # no true_label column
-            written = write_csv(ts, staged[name])
-            cache.add_written(os.path.join(cfg.out, name), written, ts, list(cfg.channels))
+            write_csv(ts, staged[name])
+            cache.add_written(os.path.join(cfg.out, name), staged[name], ts, list(cfg.channels))
             del ts  # simulate the next record without this one
         manifest = {
             "format": "transched-simulate-manifest v1",

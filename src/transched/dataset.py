@@ -101,12 +101,18 @@ def _check_c_lim(c_lim: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RegressionMatrices:
-    """Design matrix and target vector for one FIR regression."""
+    """Design matrix and target vector for one regression: ``phi`` is
+    (rows, parameters) and ``y`` has one value per row."""
 
-    phi: np.ndarray  # (N, input_dim * (order + 1))
-    y: np.ndarray  # (N,)
-    order: int
-    input_dim: int
+    phi: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.phi) != 2 or np.shape(self.y) != np.shape(self.phi)[:1]:
+            raise DataError(
+                "a regression needs a 2-D design matrix and a 1-D target with one value "
+                f"per row, got shapes {np.shape(self.phi)} and {np.shape(self.y)}"
+            )
 
     @property
     def n_rows(self) -> int:
@@ -114,7 +120,7 @@ class RegressionMatrices:
 
     @property
     def n_params(self) -> int:
-        return self.input_dim * (self.order + 1)
+        return self.phi.shape[1]
 
 
 def read_csv_header(path: str | os.PathLike) -> list[str]:
@@ -291,14 +297,14 @@ class ParseCache:
         return data
 
     def add_written(
-        self, path: str | os.PathLike, written: tuple[int, int],
+        self, path: str | os.PathLike, written_path: str | os.PathLike,
         ts: TimeSeriesSet, names: Sequence[str],
     ) -> None:
         """Stage the entry ``load_csv(path, names)`` will look for, for a
-        record whose CSV ``write_csv`` just wrote (moved to ``path`` later),
-        keyed by the (byte length, CRC-32) pair ``written`` that it returned,
-        without reading or parsing the file: each value is written as its
-        ``repr``, which parses back to the same double."""
+        record whose CSV ``write_csv`` just wrote to ``written_path`` (moved
+        to ``path`` later), keyed by that file's bytes without parsing them:
+        each value is written as its ``repr``, which parses back to the same
+        double."""
         if not names or not set(names) <= set(ts.names):
             return  # such a load fails before it looks for an entry
         cols = [ts.names.index(name) for name in names]
@@ -306,7 +312,7 @@ class ParseCache:
             data = ts.data[cols[0] : cols[-1] + 1]  # a view: the record is not copied
         else:
             data = ts.data[cols]
-        self._stage(self._entry(path, cols), _key(*written, cols), data)
+        self._stage(self._entry(path, cols), _content_key(written_path, cols), data)
 
     def _stage(self, entry: str, key: np.ndarray, data: np.ndarray) -> None:
         temp = os.path.join(self.directory, f".{os.path.basename(entry)}.{os.getpid()}.tmp")
@@ -341,19 +347,14 @@ class ParseCache:
 
 
 def _content_key(path: str | os.PathLike, cols: list[int]) -> np.ndarray:
-    """The parse-cache key of the file at ``path``, read in blocks of
-    GUARD_BLOCK_BYTES."""
+    """The parse-cache key of columns ``cols`` of the CSV at ``path``:
+    format, the file's byte length and CRC-32 (read in blocks of
+    GUARD_BLOCK_BYTES), and the column indices."""
     size = crc = 0
     with open(path, "rb") as f:
         while block := f.read(GUARD_BLOCK_BYTES):
             size += len(block)
             crc = zlib.crc32(block, crc)
-    return _key(size, crc, cols)
-
-
-def _key(size: int, crc: int, cols: list[int]) -> np.ndarray:
-    """A parse-cache key: format, a CSV's byte length and CRC-32, and the
-    column indices."""
     return np.array([PARSE_CACHE_VERSION, size, crc, *cols], dtype=np.int64)
 
 
@@ -366,22 +367,16 @@ def _remove(path: str) -> None:
 
 def write_table(
     path: str | os.PathLike, header: list[str], columns: list, format_line: str | None = None
-) -> tuple[int, int]:
+) -> None:
     """Write equal-length columns as CSV rows under a header line, after a
-    ``# format: <format_line>`` line when one is given, and return the byte
-    length and ``zlib.crc32`` of what was written.  Every CSV artifact is
-    written here, as UTF-8: a float array's values as their shortest
+    ``# format: <format_line>`` line when one is given.  Every CSV artifact
+    is written here, as UTF-8: a float array's values as their shortest
     round-trip ``repr`` and a NaN as an empty cell, the cells of any other
     array or sequence with ``str``, WRITE_CHUNK_ROWS rows at a time.
     """
-    size = crc = 0
     with open(path, "wb") as f:
         for text in _table_text(header, columns, format_line):
-            data = text.encode()
-            f.write(data)
-            size += len(data)
-            crc = zlib.crc32(data, crc)
-    return size, crc
+            f.write(text.encode())
 
 
 def _table_text(header: list[str], columns: list, format_line: str | None):
@@ -412,17 +407,16 @@ def _cells(chunk):
     return cells
 
 
-def write_csv(ts: TimeSeriesSet, path: str | os.PathLike) -> tuple[int, int]:
+def write_csv(ts: TimeSeriesSet, path: str | os.PathLike) -> None:
     """Write a record as CSV: one column per channel, in ``names`` order,
     then a ``true_label`` column when the record has ``sample_labels``.
-    Rewriting the same record is byte-identical.  Returns ``write_table``'s
-    (byte length, CRC-32) pair.
+    Rewriting the same record is byte-identical.
     """
     header, columns = list(ts.names), list(ts.data)
     if ts.sample_labels is not None:
         header.append("true_label")
         columns.append(ts.sample_labels)
-    return write_table(path, header, columns)
+    write_table(path, header, columns)
 
 
 def detrend_mean(ts: TimeSeriesSet) -> TimeSeriesSet:
@@ -471,10 +465,7 @@ def build_regressor(y_i: np.ndarray, y_target: np.ndarray, order: int) -> Regres
         raise DataError(
             f"target length {y_target.shape[0]} does not match input length {y_i.shape[1]}"
         )
-    phi = lag_matrix(y_i, order)
-    return RegressionMatrices(
-        phi=phi, y=y_target[order:], order=order, input_dim=y_i.shape[0]
-    )
+    return RegressionMatrices(phi=lag_matrix(y_i, order), y=y_target[order:])
 
 
 def signal_power(ts: TimeSeriesSet) -> dict[str, float]:

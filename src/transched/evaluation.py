@@ -56,11 +56,6 @@ class ComparisonReport:
     chosen: tuple[str, ...]  # the trace's majority label per record
     accuracy: float  # share of records whose majority label has the ideal FIT
 
-    def column(self, name: str) -> np.ndarray:
-        """FIT values across conditions for one estimator column."""
-        keys = [*self.member_labels, "average", "scheduled", "ideal"]
-        return self.fits[:, keys.index(name)].copy()
-
     def summary(self) -> list[tuple[str, float, float]]:
         """(estimator, mean FIT, std FIT) rows, members first."""
         names = [f"G_{lab}" for lab in self.member_labels] + ["average", "scheduled", "ideal"]

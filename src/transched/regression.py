@@ -32,14 +32,6 @@ from .errors import DataError, NumericalError
 _RANK_TOL = 1.0e-12
 
 
-@dataclass(frozen=True)
-class EigenExtremes:
-    """Largest and smallest eigenvalues of a symmetric PSD matrix."""
-
-    lambda_max: float
-    lambda_min: float
-
-
 @dataclass(frozen=True, eq=False)
 class RidgeSolution:
     """Ridge estimate with the regularization bookkeeping that produced it."""
@@ -50,7 +42,6 @@ class RidgeSolution:
     rho: float
     kappa_before: float
     kappa_after: float
-    c_lim: float
 
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta, dtype=float)
@@ -66,12 +57,12 @@ def _eigh(gram: np.ndarray, vectors: bool = True):
         raise NumericalError(f"symmetric eigensolver failed: {e}") from None
 
 
-def _psd_extremes(eigs: np.ndarray) -> EigenExtremes:
-    """Extremes of an ascending PSD spectrum, round-off negatives floored."""
+def _psd_extremes(eigs: np.ndarray) -> tuple[float, float]:
+    """(lambda_max, lambda_min) of an ascending PSD spectrum, negatives floored."""
     l_min, l_max = float(eigs[0]), float(eigs[-1])
     if not l_min >= -1.0e-8 * max(l_max, 1.0e-300):  # also catches nan
         raise NumericalError(f"matrix is not positive semidefinite (lambda_min={l_min:.3e})")
-    return EigenExtremes(lambda_max=l_max, lambda_min=max(l_min, 0.0))
+    return l_max, max(l_min, 0.0)
 
 
 def _filter_solve(gram: np.ndarray, eig, rhs: np.ndarray, rho: float) -> np.ndarray:
@@ -89,8 +80,9 @@ def _filter_solve(gram: np.ndarray, eig, rhs: np.ndarray, rho: float) -> np.ndar
     return x + vecs @ ((vecs.T @ (rhs - gram @ x - rho * x)) / d)
 
 
-def eigen_extremes(gram: np.ndarray) -> EigenExtremes:
-    """Extreme eigenvalues of a symmetric PSD matrix.
+def eigen_extremes(gram: np.ndarray) -> tuple[float, float]:
+    """(lambda_max, lambda_min), the extreme eigenvalues of a symmetric PSD
+    matrix.
 
     Round-off can push the smallest eigenvalue of a PSD matrix slightly
     negative; such values are floored at zero.  A clearly negative
@@ -188,9 +180,9 @@ def ridge_fit_pooled(
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise NumericalError("the normal equations are not finite: the regression data overflow")
     eig = _eigh(gram)
-    ext = _psd_extremes(eig[0])
-    l_max = ext.lambda_max
-    l_min = 0.0 if ext.lambda_min <= _RANK_TOL * l_max else ext.lambda_min
+    l_max, l_min = _psd_extremes(eig[0])
+    if l_min <= _RANK_TOL * l_max:
+        l_min = 0.0
     rho = select_rho(l_max, l_min, c_lim)
     # a zero Gram matrix gets rho 0, which _filter_solve rejects
     theta = _filter_solve(gram, eig, rhs, rho)
@@ -205,5 +197,4 @@ def ridge_fit_pooled(
         rho=rho,
         kappa_before=_kappa(l_max, l_min),
         kappa_after=(l_max + rho) / (l_min + rho),
-        c_lim=c_lim,
     )

@@ -220,14 +220,14 @@ def schedule_estimate(
 ) -> ScheduleTrace:
     """Classify every window and estimate the target with the chosen model.
 
-    The record is cut into consecutive windows of ``window_len`` samples;
-    a trailing remainder is its own window.  All windows are classified
-    at once from their in-window residual sums of squares, each auxiliary
-    member's residual variance from training and the prior.  The result
-    agrees with ``classify`` on each window to |dL| <= 1e-12 * max(1, |L|)
-    in log evidence and 1e-12 in posterior; the choice and the ambiguity
-    flag are the same unless ``classify``'s deciding gap is within that
-    bound.
+    The record is cut into consecutive windows of ``window_len`` samples
+    (one window if it is that long); a trailing remainder is its own window.
+    All windows are classified at once from their in-window residual sums
+    of squares, each auxiliary member's training residual variance and the
+    prior.  The result agrees with ``classify`` on each window to |dL| <=
+    1e-12 * max(1, |L|) in log evidence and 1e-12 in posterior; the choice
+    and the ambiguity flag are the same unless ``classify``'s deciding gap
+    is within that bound.
 
     Each chosen primary model predicts the whole record once, through
     ``predict_record``; a classified window copies that prediction over its
@@ -261,7 +261,7 @@ def schedule_estimate(
             f"predictions have shape {predictions.shape}; expected {(len(g), m - order)} "
             f"for {len(g)} members over {m} samples"
         )
-    rss = _window_rss(h, online, window_len)
+    rss = _window_rss(h, online, starts, stops)
     levidence = _window_log_evidence(h, prior, rss, stops - starts - order)
     if np.any(levidence.max(axis=1) == -math.inf):
         raise NumericalError("no admissible model: all log evidences are -inf")
@@ -290,9 +290,8 @@ def _cut_windows(m: int, window_len: int, order: int):
     """0-based starts and stops of a record's classifiable windows, and the
     trailing window of ``order`` samples or fewer that is skipped, if any."""
     if window_len <= order:
-        raise ConfigError(
-            f"window length {window_len} must exceed the FIR order {order}"
-        )
+        raise ConfigError(f"window length {window_len} must exceed the FIR order {order}")
+    window_len = min(window_len, m)  # a longer window is the whole record
     n_windows = -(-m // window_len)
     skipped: tuple[tuple[int, int, int], ...] = ()
     if m - (n_windows - 1) * window_len <= order:
@@ -303,13 +302,12 @@ def _cut_windows(m: int, window_len: int, order: int):
 
 
 def _window_rss(
-    h: TransmissibilityFamily, online: TimeSeriesSet, window_len: int
+    h: TransmissibilityFamily, online: TimeSeriesSet, starts: np.ndarray, stops: np.ndarray
 ) -> np.ndarray:
-    """(windows, members) in-window residual sums of squares over the windows
-    ``schedule_estimate`` classifies, from one whole-record ``predict`` per
-    member."""
+    """(windows, members) in-window residual sums of squares over the
+    classified windows ``starts``/``stops`` that ``_cut_windows`` gave, from
+    one whole-record ``predict`` per member."""
     order = h.order
-    starts, stops, _ = _cut_windows(online.n_samples, window_len, order)
     rss = np.zeros((starts.size, len(h)))
     if not starts.size:
         return rss
@@ -317,7 +315,7 @@ def _window_rss(
     drivers = online.channels(h.input_channel_names)[:, :covered]
     aux = online.channel(h.output_channel_name)
     # a window's first order rows have lags outside it and do not count
-    burn_in = np.arange(covered) % window_len < order
+    burn_in = (starts[:, None] + np.arange(order)).ravel()
     for k, mod in enumerate(h.models):
         sq = np.zeros(covered)
         with np.errstate(over="ignore"):  # an infinite RSS gives L = -inf

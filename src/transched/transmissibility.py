@@ -36,18 +36,19 @@ STORE_VERSION = 1
 class FirModel:
     """One fitted FIR map with its residual variance and fit metadata.
 
-    ``theta`` has length input_dim * (order + 1), grouped per lag:
-    [b_0' ... b_n'] with one block of input_dim coefficients per lag.
+    The model's input width ``input_dim`` is the number of its input
+    channel names.  ``theta`` has length input_dim * (order + 1), grouped
+    per lag: [b_0' ... b_n'] with one block of input_dim coefficients per
+    lag.
     """
 
     order: int
-    input_dim: int
+    input_channel_names: tuple[str, ...]
     theta: np.ndarray
     sigma2: float
     rho: float = 0.0
     kappa_after: float = math.inf
     dof: int = 0
-    input_channel_names: tuple[str, ...] = ()
     output_channel_name: str = ""
 
     def __post_init__(self) -> None:
@@ -68,6 +69,10 @@ class FirModel:
         if self.dof < 0:
             raise DataError(f"dof must be non-negative, got {self.dof}")
         theta.flags.writeable = False
+
+    @property
+    def input_dim(self) -> int:
+        return len(self.input_channel_names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +95,6 @@ class TransmissibilityFamily:
         for m in self.models:
             if (
                 m.order != first.order
-                or m.input_dim != first.input_dim
                 or m.input_channel_names != first.input_channel_names
                 or m.output_channel_name != first.output_channel_name
             ):
@@ -110,12 +114,6 @@ class TransmissibilityFamily:
     @property
     def output_channel_name(self) -> str:
         return self.models[0].output_channel_name
-
-    def member(self, label: str) -> FirModel:
-        try:
-            return self.models[self.labels.index(label)]
-        except ValueError:
-            raise DataError(f"no family member labeled {label!r}") from None
 
 
 def fit_fir(
@@ -137,13 +135,12 @@ def _fir_model(
 ) -> FirModel:
     return FirModel(
         order=order,
-        input_dim=len(inputs),
+        input_channel_names=inputs,
         theta=sol.theta,
         sigma2=sol.sigma2,
         rho=sol.rho,
         kappa_after=sol.kappa_after,
         dof=sol.dof,
-        input_channel_names=tuple(inputs),
         output_channel_name=output,
     )
 
@@ -164,13 +161,13 @@ def predict(model: FirModel, y_i: np.ndarray) -> np.ndarray:
         raise DataError(
             f"model expects {model.input_dim} input channels, got {y_i.shape[0]}"
         )
-    order = model.order
+    order, n_in = model.order, model.input_dim
     m = y_i.shape[1]
     n = lag_rows(m, order)
     out = np.zeros(n)
     term = np.empty(n)
     for j, coef in enumerate(model.theta.tolist()):
-        k, c = divmod(j, model.input_dim)
+        k, c = divmod(j, n_in)
         np.multiply(y_i[c, order - k : m - k], coef, out=term)
         out += term
     return out
@@ -297,19 +294,16 @@ def _stored_int(value, key: str) -> int:
     raise ValueError(f"{key}: expected an integer, got {json.dumps(value)}")
 
 
-def _model_from_record(
-    rec: dict, order: int, input_dim: int, inputs: tuple[str, ...], output: str
-) -> FirModel:
+def _model_from_record(rec: dict, order: int, inputs: tuple[str, ...], output: str) -> FirModel:
     kappa = rec.get("kappa_after")
     return FirModel(
         order=order,
-        input_dim=input_dim,
+        input_channel_names=inputs,
         theta=np.array(rec["theta"], dtype=float),
         sigma2=float(rec["sigma2"]),
         rho=float(rec["rho"]),
         kappa_after=math.inf if kappa is None else float(kappa),
         dof=_stored_int(rec.get("dof", 0), "dof"),
-        input_channel_names=inputs,
         output_channel_name=output,
     )
 
@@ -405,10 +399,10 @@ def _families_from_doc(
     h_models = []
     for cond in doc["conditions"]:
         labels.append(str(cond["label"]))
-        g_models.append(_model_from_record(cond["G"], order, len(pseudo), pseudo, target))
-        h_models.append(_model_from_record(cond["H"], order, len(drivers), drivers, aux_output))
+        g_models.append(_model_from_record(cond["G"], order, pseudo, target))
+        h_models.append(_model_from_record(cond["H"], order, drivers, aux_output))
     average = None
     if doc.get("average") is not None:
-        average = _model_from_record(doc["average"], order, len(pseudo), pseudo, target)
+        average = _model_from_record(doc["average"], order, pseudo, target)
     g = TransmissibilityFamily(labels, g_models)
     return g, TransmissibilityFamily(labels, h_models), average

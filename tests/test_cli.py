@@ -601,6 +601,29 @@ def test_exit_code_window_not_exceeding_order(pipeline_dir, tmp_path, capsys):
     assert "exceed the stored FIR order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "evaluate"])
+@pytest.mark.parametrize("window", [2**63, 10**23])
+@pytest.mark.parametrize("where", ["flag", "ini"])
+def test_window_longer_than_the_record_is_the_whole_record(
+        pipeline_dir, tmp_path, capsys, command, window, where):
+    # past 2**63 - 1 the window cut used to overflow numpy's int64 (a
+    # traceback); a window at least as long as the record is one window
+    runs = []
+    for w in (160, window):  # 160: the stock validation record's length
+        out = _copy_outputs(pipeline_dir, tmp_path / f"w{w}", _ONLINE_FILES)
+        if where == "flag":
+            args = ["--window", str(w)]
+        else:
+            cfg = tmp_path / f"w{w}.ini"
+            cfg.write_text(f"[estimate]\nwindow = {w}\n")
+            args = ["--config", str(cfg)]
+        capsys.readouterr()
+        assert _run([command, "--out", str(out), *args]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out.replace(str(out), "OUT"), captured.err, _tree(out)))
+    assert runs[1] == runs[0]
+
+
 def test_exit_code_bad_store_version(tmp_path):
     out = tmp_path / "o"
     out.mkdir()

@@ -23,6 +23,9 @@ from transched.transmissibility import (
 
 from conftest import make_training_record
 
+# ComparisonReport.fits columns: one per member in label order, then these
+AVERAGE, SCHEDULED, IDEAL = -3, -2, -1
+
 
 # --------------------------------------------------------------- fit_metric
 
@@ -130,26 +133,26 @@ def test_report_scheduled_matches_member_on_clean_matched_data(study):
     g, _, _, report = study
     # online O1 is condition C1 exactly and every window picks C1, so the
     # scheduled estimator is G_C1 itself: its FIT equals the member FIT exactly
-    assert report.column("scheduled")[0] == report.column("C1")[0]
+    assert report.fits[0, SCHEDULED] == report.fits[0, 0]
     assert report.chosen[0] == "C1"
 
 
 def test_report_ideal_dominates(study):
     _, _, _, report = study
-    ideal = report.column("ideal")
+    ideal = report.fits[:, IDEAL]
     np.testing.assert_array_equal(ideal, report.fits[:, :2].max(axis=1))
-    assert np.all(ideal >= report.column("scheduled"))
-    assert np.all(ideal >= report.column("average"))
+    assert np.all(ideal >= report.fits[:, SCHEDULED])
+    assert np.all(ideal >= report.fits[:, AVERAGE])
 
 
 def test_report_scores_ragged_records_on_covered_samples(ragged_study):
     _, _, _, report = ragged_study
-    ideal = report.column("ideal")
+    ideal = report.fits[:, IDEAL]
     np.testing.assert_array_equal(ideal, report.fits[:, :2].max(axis=1))
-    assert np.all(ideal >= report.column("scheduled"))
+    assert np.all(ideal >= report.fits[:, SCHEDULED])
     # every O1 window picks C1, so scheduled and G_C1 are scored on the same samples
     assert report.chosen[0] == "C1"
-    assert report.column("scheduled")[0] == report.column("C1")[0]
+    assert report.fits[0, SCHEDULED] == report.fits[0, 0]
 
 
 def test_report_accuracy_full_variant(study):
@@ -212,8 +215,8 @@ def _pinned_case(picks=PINNED_PICKS):
     names = ("u0", "v")
 
     def model(theta):
-        return FirModel(order=1, input_dim=2, theta=np.array(theta), sigma2=1.0,
-                        dof=10, input_channel_names=names, output_channel_name="y")
+        return FirModel(order=1, input_channel_names=names, theta=np.array(theta), sigma2=1.0,
+                        dof=10, output_channel_name="y")
 
     g = TransmissibilityFamily(labels=labels, models=tuple(
         model(t) for t in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0])
@@ -290,9 +293,9 @@ def test_report_writers_reproduce_pinned_text(tmp_path):
 
 def test_ideal_fit_is_max():
     report = _pinned_report()
-    np.testing.assert_array_equal(report.column("ideal"), report.fits[:, :3].max(axis=1))
+    np.testing.assert_array_equal(report.fits[:, IDEAL], report.fits[:, :3].max(axis=1))
     # not the scheduled FIT, which may exceed it on a record that switches
-    assert report.column("scheduled")[0] > report.column("ideal")[0]
+    assert report.fits[0, SCHEDULED] > report.fits[0, IDEAL]
 
 
 def test_ideal_fit_single():
@@ -304,14 +307,14 @@ def test_ideal_fit_single():
     }
     report = compare_report(one, average, records, traces,
                             {label: p[:1] for label, p in predictions.items()})
-    np.testing.assert_array_equal(report.column("ideal"), report.column("C1"))
+    np.testing.assert_array_equal(report.fits[:, IDEAL], report.fits[:, 0])
     assert report.accuracy == 1.0
 
 
 def test_ideal_fit_tie():
     report = _pinned_report()
-    c1, c2 = report.column("C1")[0], report.column("C2")[0]
-    assert c1 == c2 == report.column("ideal")[0]
+    c1, c2 = report.fits[0, 0], report.fits[0, 1]
+    assert c1 == c2 == report.fits[0, IDEAL]
 
 
 def test_indicator_hits_and_misses(tmp_path):

@@ -18,12 +18,8 @@ from transched.regression import (
 )
 
 
-def _matrices(phi, y, order=0, input_dim=None):
-    phi = np.asarray(phi, dtype=float)
-    if input_dim is None:
-        input_dim = phi.shape[1] // (order + 1)
-    return RegressionMatrices(phi=phi, y=np.asarray(y, dtype=float),
-                              order=order, input_dim=input_dim)
+def _matrices(phi, y):
+    return RegressionMatrices(phi=np.asarray(phi, dtype=float), y=np.asarray(y, dtype=float))
 
 
 def _gaussian_elimination(a, b):
@@ -60,13 +56,13 @@ def _fir_response(theta_blocks, u):
 
 
 def test_solve_spd_identity():
-    m = _matrices(np.eye(3), [1.0, 2.0, 3.0], order=0, input_dim=3)
+    m = _matrices(np.eye(3), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(ridge_solve(m, 0.0), [1, 2, 3])
 
 
 def test_solve_spd_diagonal():
     # Gram diag(4, 16), Phi'y = [4, 32]
-    m = _matrices(np.diag([2.0, 4.0]), [2.0, 8.0], order=0, input_dim=2)
+    m = _matrices(np.diag([2.0, 4.0]), [2.0, 8.0])
     np.testing.assert_allclose(ridge_solve(m, 0.0), [1.0, 2.0])
 
 
@@ -74,7 +70,7 @@ def test_solve_spd_matches_elimination_oracle():
     rng = np.random.default_rng(11)
     phi = rng.normal(size=(12, 5))
     y = rng.normal(size=12)
-    m = _matrices(phi, y, order=0, input_dim=5)
+    m = _matrices(phi, y)
     for rho in (0.0, 5.0):
         gram = phi.T @ phi + rho * np.eye(5)
         np.testing.assert_allclose(ridge_solve(m, rho), _gaussian_elimination(gram, phi.T @ y),
@@ -86,7 +82,7 @@ def test_solve_spd_residual_bound_at_high_conditioning():
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
     phi = q @ np.diag(np.logspace(0, -3, 8)) @ q.T  # Gram kappa = 1e6
-    m = _matrices(phi, rng.normal(size=8), order=0, input_dim=8)
+    m = _matrices(phi, rng.normal(size=8))
     gram, rhs = phi.T @ phi, phi.T @ m.y
     assert np.linalg.cond(gram) == pytest.approx(1e6, rel=1e-3)
     x = ridge_solve(m, 0.0)
@@ -94,11 +90,10 @@ def test_solve_spd_residual_bound_at_high_conditioning():
 
 
 def test_solve_spd_rejects_indefinite():
-    m = _matrices(np.diag([1.0, 2.0]), [1.0, 1.0], order=0, input_dim=2)
+    m = _matrices(np.diag([1.0, 2.0]), [1.0, 1.0])
     with pytest.raises(NumericalError, match="positive definite"):
         ridge_solve(m, -2.0)  # Gram + rho I = diag(-1, 2)
-    singular = _matrices(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), [1.0, 1.0, 1.0],
-                         order=0, input_dim=2)
+    singular = _matrices(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), [1.0, 1.0, 1.0])
     with pytest.raises(NumericalError, match="positive definite"):
         ridge_solve(singular, 0.0)
 
@@ -107,29 +102,29 @@ def test_solve_spd_rejects_indefinite():
 
 
 def test_eigen_extremes_diagonal():
-    ext = eigen_extremes(np.diag([4.0, 1.0]))
-    assert ext.lambda_max == pytest.approx(4.0, abs=1e-12)
-    assert ext.lambda_min == pytest.approx(1.0, abs=1e-12)
+    l_max, l_min = eigen_extremes(np.diag([4.0, 1.0]))
+    assert l_max == pytest.approx(4.0, abs=1e-12)
+    assert l_min == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigen_extremes_identity():
     for k in (1, 3, 6):
-        ext = eigen_extremes(np.eye(k))
-        assert ext.lambda_max == pytest.approx(1.0, abs=1e-12)
-        assert ext.lambda_min == pytest.approx(1.0, abs=1e-12)
+        l_max, l_min = eigen_extremes(np.eye(k))
+        assert l_max == pytest.approx(1.0, abs=1e-12)
+        assert l_min == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigen_extremes_against_characteristic_polynomial():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(9, 6))
     gram = x.T @ x
-    ext = eigen_extremes(gram)
+    l_max, l_min = eigen_extremes(gram)
     roots = np.sort(np.roots(np.poly(gram)).real)
-    assert ext.lambda_min == pytest.approx(roots[0], rel=1e-8)
-    assert ext.lambda_max == pytest.approx(roots[-1], rel=1e-8)
+    assert l_min == pytest.approx(roots[0], rel=1e-8)
+    assert l_max == pytest.approx(roots[-1], rel=1e-8)
     lam = np.linalg.eigvalsh(gram)
-    assert ext.lambda_min == pytest.approx(lam[0], rel=1e-10)
-    assert ext.lambda_max == pytest.approx(lam[-1], rel=1e-10)
+    assert l_min == pytest.approx(lam[0], rel=1e-10)
+    assert l_max == pytest.approx(lam[-1], rel=1e-10)
 
 
 def test_eigen_extremes_match_scipy_eigvalsh():
@@ -137,12 +132,12 @@ def test_eigen_extremes_match_scipy_eigvalsh():
     for n_rows, n_cols in ((30, 12), (12, 12), (6, 12)):  # full rank, square, rank deficient
         x = rng.normal(size=(n_rows, n_cols))
         gram = x.T @ x
-        ext = eigen_extremes(gram)
+        l_max, l_min = eigen_extremes(gram)
         lam = scipy.linalg.eigvalsh(gram)
         atol = 1e-11 * np.linalg.norm(gram)
-        assert ext.lambda_max == pytest.approx(lam[-1], rel=0, abs=atol)
-        assert ext.lambda_min == pytest.approx(max(lam[0], 0.0), rel=0, abs=atol)
-        assert ext.lambda_min >= 0.0
+        assert l_max == pytest.approx(lam[-1], rel=0, abs=atol)
+        assert l_min == pytest.approx(max(lam[0], 0.0), rel=0, abs=atol)
+        assert l_min >= 0.0
 
 
 def test_eigen_extremes_rejects_asymmetric():
@@ -162,7 +157,7 @@ def test_eigen_extremes_rejects_indefinite():
 def _gram_fit(x):
     """ridge_fit on a design whose Gram matrix is x'x; zero rows keep dof > 0."""
     phi = np.vstack([x, np.zeros((x.shape[1] + 1, x.shape[1]))])
-    return ridge_fit(_matrices(phi, np.ones(phi.shape[0]), order=0, input_dim=x.shape[1]))
+    return ridge_fit(_matrices(phi, np.ones(phi.shape[0])))
 
 
 def test_ridge_fit_kappa_before_matches_scipy_eigvalsh():
@@ -185,7 +180,7 @@ def test_ridge_fit_floors_tiny_eigenvalue_to_zero():
     x[:, 2] = x[:, 1] + 3e-7 * rng.normal(size=20)
     lam = np.linalg.eigvalsh(x.T @ x)
     assert 1e-15 < lam[0] / lam[-1] < 1e-12
-    sol = ridge_fit(_matrices(x, np.ones(20), order=0, input_dim=3))
+    sol = ridge_fit(_matrices(x, np.ones(20)))
     assert sol.kappa_before == math.inf
     assert sol.rho == pytest.approx(lam[-1] / (1e6 - 1.0), rel=1e-12)
 
@@ -220,14 +215,14 @@ def test_select_rho_rejects_cap_above_ceiling():
     with pytest.raises(ConfigError, match="c_lim"):
         select_rho(1.0, 0.0, 1e13)
     with pytest.raises(ConfigError, match="c_lim"):
-        ridge_fit(_matrices(np.eye(2), [1.0, 1.0], order=0, input_dim=2), 1e13)
+        ridge_fit(_matrices(np.eye(2), [1.0, 1.0]), 1e13)
 
 
 # --------------------------------------------------------------------- fits
 
 
 def test_mle_identity_design():
-    m = _matrices(np.eye(2), [3.0, 5.0], order=0, input_dim=2)
+    m = _matrices(np.eye(2), [3.0, 5.0])
     np.testing.assert_allclose(ridge_solve(m, 0.0), [3.0, 5.0], atol=1e-14)
 
 
@@ -246,7 +241,7 @@ def test_mle_residual_orthogonal_to_columns():
     rng = np.random.default_rng(32)
     phi = rng.normal(size=(60, 5))
     y = rng.normal(size=60)
-    theta = ridge_solve(_matrices(phi, y, order=0, input_dim=5), 0.0)
+    theta = ridge_solve(_matrices(phi, y), 0.0)
     r = y - phi @ theta
     assert np.max(np.abs(phi.T @ r)) <= 1e-8 * np.linalg.norm(y) * np.linalg.norm(phi)
 
@@ -256,14 +251,14 @@ def test_mle_duplicated_column_fails():
     col = rng.normal(size=(30, 1))
     phi = np.hstack([col, col])
     with pytest.raises(NumericalError, match="not positive definite"):
-        ridge_solve(_matrices(phi, rng.normal(size=30), order=0, input_dim=2), 0.0)
+        ridge_solve(_matrices(phi, rng.normal(size=30)), 0.0)
 
 
 def test_ridge_equals_mle_when_well_conditioned():
     rng = np.random.default_rng(34)
     phi = rng.normal(size=(80, 6))
     y = rng.normal(size=80)
-    m = _matrices(phi, y, order=0, input_dim=6)
+    m = _matrices(phi, y)
     sol = ridge_fit(m, 1e6)
     assert sol.rho == 0.0
     theta_mle = np.linalg.lstsq(phi, y, rcond=None)[0]
@@ -275,7 +270,7 @@ def test_ridge_caps_condition_number():
     rng = np.random.default_rng(35)
     q, _ = np.linalg.qr(rng.normal(size=(40, 6)))
     phi = q @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-3, 1e-6])  # gram kappa = 1e12
-    m = _matrices(phi, rng.normal(size=40), order=0, input_dim=6)
+    m = _matrices(phi, rng.normal(size=40))
     sol = ridge_fit(m, 1e6)
     assert sol.rho > 0.0
     assert sol.kappa_before > 1e6
@@ -287,7 +282,7 @@ def test_ridge_caps_condition_number():
 def test_ridge_zero_target():
     rng = np.random.default_rng(36)
     phi = rng.normal(size=(50, 4))
-    sol = ridge_fit(_matrices(phi, np.zeros(50), order=0, input_dim=4))
+    sol = ridge_fit(_matrices(phi, np.zeros(50)))
     np.testing.assert_array_equal(sol.theta, np.zeros(4))
     assert sol.sigma2 == 0.0
 
@@ -296,7 +291,7 @@ def test_ridge_norm_shrinks_as_rho_grows():
     rng = np.random.default_rng(37)
     phi = rng.normal(size=(60, 5))
     y = rng.normal(size=60)
-    m = _matrices(phi, y, order=0, input_dim=5)
+    m = _matrices(phi, y)
     norms = [np.linalg.norm(ridge_solve(m, rho)) for rho in (0.0, 10.0, 1e3, 1e6)]
     assert norms[0] > norms[1] > norms[2] > norms[3]
 
@@ -305,7 +300,7 @@ def test_ridge_solve_zero_rho_equals_mle():
     rng = np.random.default_rng(38)
     phi = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    m = _matrices(phi, y, order=0, input_dim=3)
+    m = _matrices(phi, y)
     theta_mle = np.linalg.lstsq(phi, y, rcond=None)[0]  # SVD least squares
     np.testing.assert_allclose(ridge_solve(m, 0.0), theta_mle, rtol=0, atol=1e-12)
 
@@ -317,7 +312,7 @@ def test_non_finite_input_is_numerical_error():
         phi = np.random.default_rng(39).normal(size=(20, 3))
         phi[where] = np.nan
         with pytest.raises(NumericalError):
-            ridge_fit(_matrices(phi, np.ones(20), order=0, input_dim=3))
+            ridge_fit(_matrices(phi, np.ones(20)))
     with pytest.raises(NumericalError):
         eigen_extremes(np.full((2, 2), np.nan))
     # finite data whose Gram matrix overflows, without numpy's overflow warning
@@ -325,7 +320,7 @@ def test_non_finite_input_is_numerical_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="the normal equations are not finite"):
-            ridge_fit(_matrices(phi, np.ones(20), order=0, input_dim=3))
+            ridge_fit(_matrices(phi, np.ones(20)))
 
 
 # ------------------------------------------------------------------ variance
@@ -335,7 +330,7 @@ def test_variance_perfect_fit():
     rng = np.random.default_rng(41)
     phi = rng.normal(size=(20, 2))
     theta = np.array([1.5, -0.5])
-    m = _matrices(phi, phi @ theta, order=0, input_dim=2)
+    m = _matrices(phi, phi @ theta)
     assert estimate_variance(m, theta) == pytest.approx(0.0, abs=1e-25)
 
 
@@ -345,7 +340,7 @@ def test_variance_arithmetic():
     phi = rng.normal(size=(20, 2))
     y = np.zeros(20)
     y[0], y[1] = 3.0, 1.0  # squared norm exactly 10
-    m = RegressionMatrices(phi=phi, y=y, order=1, input_dim=1)
+    m = RegressionMatrices(phi=phi, y=y)
     assert estimate_variance(m, np.zeros(2)) == 10.0 / 18.0
 
 
@@ -354,13 +349,26 @@ def test_ridge_fit_rejects_too_few_rows_before_the_gram(monkeypatch):
         raise AssertionError("Gram matrix formed")
 
     monkeypatch.setattr("transched.regression._eigh", no_eigh)
-    m = _matrices(np.ones((3, 4)), [1.0, 2.0, 3.0], order=1, input_dim=2)
+    m = _matrices(np.ones((3, 4)), [1.0, 2.0, 3.0])
     with pytest.raises(DataError, match="insufficient data for variance estimate: 3 rows, 4"):
         ridge_fit(m)
 
 
+@pytest.mark.parametrize(
+    "phi_shape, y_shape",
+    [((6, 3), (5,)), ((6, 3), (6, 1)), ((6,), (6,)), ((1, 6, 3), (6,))],
+    ids=["short-y", "column-y", "1-d-phi", "3-d-phi"],
+)
+def test_regression_matrices_need_2d_phi_and_one_target_per_row(phi_shape, y_shape):
+    # else ridge_fit meets them as a raw numpy "core dimension" or
+    # "non-broadcastable output operand" ValueError
+    with pytest.raises(DataError, match=r"2-D design matrix and a 1-D target.*shapes"):
+        _matrices(np.ones(phi_shape), np.ones(y_shape))
+    assert _matrices(np.ones((6, 3)), np.ones(6)).n_params == 3
+
+
 def test_variance_dof_guard():
-    m = _matrices(np.eye(2), [1.0, 2.0], order=0, input_dim=2)
+    m = _matrices(np.eye(2), [1.0, 2.0])
     with pytest.raises(DataError, match="insufficient data"):
         estimate_variance(m, np.zeros(2))
 
@@ -380,7 +388,7 @@ def test_ridge_cap_holds_for_random_problems(seed):
         phi = phi * np.logspace(0, -float(rng.integers(4, 9)), n_cols)
     elif kind == 2:  # exactly rank deficient
         phi[:, -1] = phi[:, 0]
-    sol = ridge_fit(_matrices(phi, rng.normal(size=n_rows), order=0, input_dim=n_cols), 1e6)
+    sol = ridge_fit(_matrices(phi, rng.normal(size=n_rows)), 1e6)
     lam = np.linalg.eigvalsh(phi.T @ phi + sol.rho * np.eye(n_cols))
     assert lam[-1] / max(lam[0], 0.0) <= 1e6 * (1 + 1e-9)
     assert (sol.rho == 0.0) == (sol.kappa_before <= 1e6)
@@ -398,7 +406,7 @@ def test_ridge_cap_survives_nearly_parallel_columns():
         phi = np.column_stack(
             [base, base + eps * rng.normal(size=n_rows), rng.normal(size=n_rows)]
         )
-        m = _matrices(phi, rng.normal(size=n_rows), order=0, input_dim=3)
+        m = _matrices(phi, rng.normal(size=n_rows))
         sol = ridge_fit(m, 1e6)
         lam = np.linalg.eigvalsh(phi.T @ phi + sol.rho * np.eye(3))
         worst = max(worst, lam[-1] / max(lam[0], 0.0))

@@ -32,10 +32,9 @@ from transched.transmissibility import (
 from conftest import make_switching_record, make_training_record
 
 
-def _aux_model(theta, sigma2, order=0, input_dim=1, dof=100):
-    return FirModel(order=order, input_dim=input_dim, theta=np.asarray(theta, float),
-                    sigma2=sigma2, dof=dof,
-                    input_channel_names=tuple(f"u{i}" for i in range(input_dim)),
+def _aux_model(theta, sigma2, order=0, n_inputs=1, dof=100):
+    return FirModel(order=order, input_channel_names=tuple(f"u{i}" for i in range(n_inputs)),
+                    theta=np.asarray(theta, float), sigma2=sigma2, dof=dof,
                     output_channel_name="v")
 
 
@@ -268,7 +267,7 @@ def test_schedule_stationary_record_beats_wrong_model(quarter_car_systems,
     measured = online.channel("y_O")
     mask = np.isfinite(trace.estimates)
     fit_sched = fit_metric(measured[mask], trace.estimates[mask])
-    fit_wrong = fit_metric(measured[10:], predict_record(g.member("C1"), online))
+    fit_wrong = fit_metric(measured[10:], predict_record(g.models[g.labels.index("C1")], online))
     assert fit_sched >= fit_wrong
 
 
@@ -339,16 +338,15 @@ def _families(thetas, sigma2s, order, n_drivers, labels=None):
     q = len(thetas)
     labels = labels or tuple(f"Q{i + 1}" for i in range(q))
     h = _aux_family(
-        [_aux_model(t, s2, order=order, input_dim=n_drivers)
+        [_aux_model(t, s2, order=order, n_inputs=n_drivers)
          for t, s2 in zip(thetas, sigma2s)],
         labels,
     )
     names = h.input_channel_names + ("v",)
     g = TransmissibilityFamily(labels=tuple(labels), models=tuple(
-        FirModel(order=order, input_dim=n_drivers + 1,
+        FirModel(order=order, input_channel_names=names,
                  theta=np.linspace(-1.0, 1.0, (n_drivers + 1) * (order + 1)) * (k + 1),
-                 sigma2=1.0, dof=100, input_channel_names=names,
-                 output_channel_name="y")
+                 sigma2=1.0, dof=100, output_channel_name="y")
         for k in range(q)
     ))
     return g, h
@@ -541,8 +539,8 @@ def _tiny_case():
     h = _aux_family([_aux_model(t, 1.0, order=1, dof=10)
                      for t in ([0.5, 0.5], [1.0, 0.0], [-1.0, 0.0])], labels)
     g = TransmissibilityFamily(labels=labels, models=tuple(
-        FirModel(order=1, input_dim=2, theta=np.array(t), sigma2=1.0, dof=10,
-                 input_channel_names=("u0", "v"), output_channel_name="y")
+        FirModel(order=1, input_channel_names=("u0", "v"), theta=np.array(t), sigma2=1.0,
+                 dof=10, output_channel_name="y")
         for t in ([1.0, 1.0, 1.0, 1.0], [0.5, -0.25, 0.1, 3.0], [2.0, 0.0, 0.0, 0.0])
     ))
     u = [100.0, 100.5, -99.75, 100.125, 0.3, -7.0, 1e-05, 2.5e3, 42.0]

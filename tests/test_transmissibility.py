@@ -39,6 +39,11 @@ def _random_record(rng, m_len, label=None):
     return _record(scale * rng.normal(size=(3, m_len)), ("a", "b", "f"), label=label)
 
 
+def _inputs(n):
+    """n input channel names: a FirModel's width is their number."""
+    return tuple(f"u{i}" for i in range(n))
+
+
 def _peak_bytes(fn, *args):
     """Peak of the memory traced while ``fn(*args)`` runs; numpy reports its
     array buffers to tracemalloc."""
@@ -95,7 +100,7 @@ def test_predict_passthrough_delays():
 
 
 def test_predict_zero_model():
-    model = FirModel(order=1, input_dim=2, theta=np.zeros(4), sigma2=0.0)
+    model = FirModel(order=1, input_channel_names=_inputs(2), theta=np.zeros(4), sigma2=0.0)
     out = predict(model, np.random.default_rng(2).normal(size=(2, 30)))
     np.testing.assert_array_equal(out, np.zeros(29))
 
@@ -104,7 +109,7 @@ def test_predict_round_trip_on_training_data():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(2, 300))
     theta = rng.normal(size=6)
-    model_true = FirModel(order=2, input_dim=2, theta=theta, sigma2=0.0)
+    model_true = FirModel(order=2, input_channel_names=_inputs(2), theta=theta, sigma2=0.0)
     y = np.zeros(300)
     y[2:] = predict(model_true, u)
     ts = _record(np.vstack([u, y]), ("a", "b", "f"))
@@ -113,7 +118,7 @@ def test_predict_round_trip_on_training_data():
 
 
 def test_predict_channel_count_mismatch():
-    model = FirModel(order=1, input_dim=2, theta=np.zeros(4), sigma2=0.0)
+    model = FirModel(order=1, input_channel_names=_inputs(2), theta=np.zeros(4), sigma2=0.0)
     with pytest.raises(DataError, match="input channels"):
         predict(model, np.zeros((3, 10)))
 
@@ -122,7 +127,7 @@ def test_predict_linear_in_theta():
     rng = np.random.default_rng(4)
     u = rng.normal(size=(2, 40))
     t1, t2 = rng.normal(size=4), rng.normal(size=4)
-    m = lambda th: FirModel(order=1, input_dim=2, theta=th, sigma2=0.0)
+    m = lambda th: FirModel(order=1, input_channel_names=_inputs(2), theta=th, sigma2=0.0)
     combo = predict(m(2.0 * t1 + 3.0 * t2), u)
     np.testing.assert_allclose(combo, 2.0 * predict(m(t1), u) + 3.0 * predict(m(t2), u),
                                rtol=1e-12, atol=1e-12)
@@ -153,8 +158,8 @@ def _scaled_channels(rng, n_i, m):
 def test_predict_is_the_theta_order_sum(n_i, order):
     rng = np.random.default_rng(10 * n_i + order)
     y_i = _scaled_channels(rng, n_i, order + 25)
-    model = FirModel(order=order, input_dim=n_i, theta=rng.normal(size=n_i * (order + 1)),
-                     sigma2=1.0)
+    model = FirModel(order=order, input_channel_names=_inputs(n_i),
+                     theta=rng.normal(size=n_i * (order + 1)), sigma2=1.0)
     np.testing.assert_array_equal(predict(model, y_i),
                                   _predict_reference(model.theta, y_i, order))
 
@@ -165,7 +170,8 @@ def test_predict_agrees_with_the_lag_matrix_product(n_i, order):
     rng = np.random.default_rng(100 + 10 * n_i + order)
     y_i = _scaled_channels(rng, n_i, order + 500)
     p = n_i * (order + 1)
-    model = FirModel(order=order, input_dim=n_i, theta=rng.normal(size=p), sigma2=1.0)
+    model = FirModel(order=order, input_channel_names=_inputs(n_i), theta=rng.normal(size=p),
+                     sigma2=1.0)
     phi = lag_matrix(y_i, order)
     # forward error bound of a p-term dot product, per sample
     bound = 2 * p * np.finfo(float).eps * (np.abs(phi) @ np.abs(model.theta))
@@ -176,8 +182,8 @@ def test_predict_memory_is_two_output_arrays():
     rng = np.random.default_rng(5)
     n_i, order = 3, 30
     y_i = rng.normal(size=(n_i, 40_000))
-    model = FirModel(order=order, input_dim=n_i, theta=rng.normal(size=n_i * (order + 1)),
-                     sigma2=1.0)
+    model = FirModel(order=order, input_channel_names=_inputs(n_i),
+                     theta=rng.normal(size=n_i * (order + 1)), sigma2=1.0)
     output = (y_i.shape[1] - order) * 8
     assert _peak_bytes(predict, model, y_i) < 2.5 * output
 
@@ -259,8 +265,9 @@ def test_train_families_order_independent(clean_training_pair):
     g12, _ = train_families(list(clean_training_pair), "y_O", "y_I2", order=6)
     g21, _ = train_families(list(clean_training_pair)[::-1], "y_O", "y_I2", order=6)
     assert g21.labels == tuple(reversed(g12.labels))
-    np.testing.assert_array_equal(g12.member("C1").theta, g21.member("C1").theta)
-    np.testing.assert_array_equal(g12.member("C2").theta, g21.member("C2").theta)
+    for label in ("C1", "C2"):
+        np.testing.assert_array_equal(g12.models[g12.labels.index(label)].theta,
+                                      g21.models[g21.labels.index(label)].theta)
 
 
 def test_auxiliary_family_never_uses_its_own_output(clean_training_pair):
@@ -314,10 +321,7 @@ def test_fit_average_equals_fit_of_vstacked_regressions(inputs, c_lim):
                for i, m_len in enumerate((300, 451, 1000))]
     parts = [build_regressor(ts.channels(inputs), ts.channel("f"), order) for ts in records]
     stacked = RegressionMatrices(
-        phi=np.vstack([m.phi for m in parts]),
-        y=np.concatenate([m.y for m in parts]),
-        order=order,
-        input_dim=len(inputs),
+        phi=np.vstack([m.phi for m in parts]), y=np.concatenate([m.y for m in parts])
     )
     sol = ridge_fit(stacked, c_lim)
     avg = fit_average(records, inputs, "f", order, c_lim)
@@ -404,8 +408,8 @@ def test_store_rejects_an_auxiliary_family_it_cannot_name(tmp_path, clean_traini
 
     def aux_family(inputs, output):
         return TransmissibilityFamily(h.labels, [
-            FirModel(order=2, input_dim=1, theta=m.theta, sigma2=m.sigma2,
-                     input_channel_names=inputs, output_channel_name=output)
+            FirModel(order=2, input_channel_names=inputs, theta=m.theta, sigma2=m.sigma2,
+                     output_channel_name=output)
             for m in h.models
         ])
 
@@ -467,20 +471,18 @@ def test_store_missing_file(tmp_path):
 # ------------------------------------------------------------------- types
 
 
-def test_family_label_lookup(clean_training_pair):
-    g, _ = train_families(clean_training_pair, "y_O", "y_I2", order=3)
-    assert g.member("C2") is g.models[1]
-    with pytest.raises(DataError, match="no family member"):
-        g.member("C9")
-
-
 def test_family_rejects_mixed_layout():
-    m1 = FirModel(order=1, input_dim=1, theta=np.zeros(2), sigma2=0.0)
-    m2 = FirModel(order=2, input_dim=1, theta=np.zeros(3), sigma2=0.0)
+    m1 = FirModel(order=1, input_channel_names=_inputs(1), theta=np.zeros(2), sigma2=0.0)
+    m2 = FirModel(order=2, input_channel_names=_inputs(1), theta=np.zeros(3), sigma2=0.0)
     with pytest.raises(DataError, match="share order"):
         TransmissibilityFamily(labels=("a", "b"), models=(m1, m2))
 
 
 def test_fir_model_theta_length_checked():
+    # the length is len(input_channel_names) * (order + 1): the names are the width
     with pytest.raises(DataError, match="theta length"):
-        FirModel(order=2, input_dim=2, theta=np.zeros(5), sigma2=0.0)
+        FirModel(order=2, input_channel_names=("a", "b"), theta=np.zeros(5), sigma2=0.0)
+    with pytest.raises(DataError, match=r"theta length 2 .* = 1$"):
+        FirModel(order=0, input_channel_names=("a",), theta=np.ones(2), sigma2=1.0)
+    assert FirModel(order=2, input_channel_names=("a", "b"), theta=np.zeros(6),
+                    sigma2=0.0).input_dim == 2

@@ -11,16 +11,15 @@ from transched.transmissibility import FirModel, TransmissibilityFamily
 
 
 def _fir():
-    return FirModel(order=0, input_dim=1, theta=np.ones(1), sigma2=1.0)
+    return FirModel(order=0, input_channel_names=("u",), theta=np.ones(1), sigma2=1.0)
 
 
 # each builds a fresh instance of equal content on every call
 MAKERS = {
     "TimeSeriesSet": lambda: TimeSeriesSet(names=("u",), data=[[1.0, 2.0]]),
-    "RegressionMatrices": lambda: RegressionMatrices(phi=np.ones((2, 1)), y=np.ones(2),
-                                                     order=0, input_dim=1),
+    "RegressionMatrices": lambda: RegressionMatrices(phi=np.ones((2, 1)), y=np.ones(2)),
     "RidgeSolution": lambda: RidgeSolution(theta=np.ones(1), sigma2=1.0, dof=1, rho=0.0,
-                                           kappa_before=1.0, kappa_after=1.0, c_lim=1.0e6),
+                                           kappa_before=1.0, kappa_after=1.0),
     "FirModel": _fir,
     "TransmissibilityFamily": lambda: TransmissibilityFamily(labels=("C1",), models=(_fir(),)),
     "Prior": lambda: Prior.uniform(2),
