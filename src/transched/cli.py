@@ -216,8 +216,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    import numpy as np
-
     from .evaluation import (
         compare_report,
         write_accuracy_csv,
@@ -225,7 +223,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         write_summary_csv,
     )
     from .scheduler import schedule_estimate
-    from .transmissibility import load_store, predict_record
+    from .transmissibility import load_store
 
     g, h, avg = load_store(cfg.store)
     prior = _prior_for_store(cfg, g)
@@ -236,18 +234,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         _load_record(cfg, cache, path, label, require_target=True, order=g.order)
         for label, path in cfg.evaluate_data.items()
     ]
-    predictions, traces = {}, {}
-    for ts in records:
-        # each member predicts each record once, into one array filled row by
-        # row: separate per-member arrays would raise the peak RSS
-        preds = np.empty((len(g), ts.n_samples - g.order))
-        for k, model in enumerate(g.models):
-            preds[k] = predict_record(model, ts)
-        predictions[ts.condition_label] = preds
-        traces[ts.condition_label] = schedule_estimate(
-            g, h, ts, prior, cfg.window, predictions=preds
-        )
-    report = compare_report(g, avg, records, traces, predictions)
+    traces = {
+        ts.condition_label: schedule_estimate(g, h, ts, prior, cfg.window) for ts in records
+    }
+    report = compare_report(g, avg, records, traces)
     writers = {
         "report.csv": write_report_csv,
         "report_summary.csv": write_summary_csv,

@@ -17,7 +17,7 @@ from functools import partial
 
 # The simulator and scheduler checks import their module for their command only.
 from . import __version__
-from .dataset import DEFAULT_C_LIM, _check_c_lim
+from .dataset import DEFAULT_C_LIM, _check_c_lim, _check_label
 from .errors import ConfigError
 
 # Stock two-condition scenario: a softly and a stiffly sprung quarter car.
@@ -75,6 +75,7 @@ def _parse_pairs(where: str, raw: str) -> dict[str, str]:
     """Parse 'label=path, label=path' lists."""
     out: dict[str, str] = {}
     for label, value in _items(where, raw, "=", "label=value"):
+        _check_label(where, label, ConfigError)
         if label in out:
             raise ConfigError(f"{where}: duplicate label {label!r}")
         out[label] = _parse_path(f"{where} {label}", value)
@@ -237,6 +238,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         s.split(".", 1)[1]: dict(cp.items(s)) for s in cp.sections() if s.startswith("params.")
     }
     for label, values in (raw_params or STOCK_CONDITIONS).items():
+        _check_label(f"[params.{label}]", label, ConfigError)
         params = {}
         for key in PARAM_KEYS:
             if key not in values:

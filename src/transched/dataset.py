@@ -99,6 +99,17 @@ def _check_c_lim(c_lim: float) -> None:
         raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {c_lim}")
 
 
+def _check_label(where: str, label: str, error: type[Exception] = DataError) -> None:
+    """A condition label is a cell ``write_table`` writes unquoted, and an
+    empty cell means "no label": it must be non-empty and hold no comma,
+    double quote, CR or LF."""
+    if not label or not set(label).isdisjoint(',"\r\n'):
+        raise error(
+            f"{where}: {label!r} is not a condition label: it must be non-empty "
+            "and hold no comma, double quote, CR or LF"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionMatrices:
     """Design matrix and target vector for one regression: ``phi`` is

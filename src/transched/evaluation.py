@@ -45,7 +45,7 @@ def fit_metric(y: np.ndarray, y_hat: np.ndarray) -> float:
     return 100.0 * (1.0 - math.sqrt(float(np.sum(e * e))) / denom)
 
 
-# eq=False: == is identity, as a generated __eq__ cannot compare the ndarray field
+# eq=False: == is identity, as a generated __eq__ cannot compare the ndarray fields
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """FIT of every estimator on every online record."""
@@ -54,7 +54,11 @@ class ComparisonReport:
     member_labels: tuple[str, ...]
     fits: np.ndarray  # (records, members + 3): members, then average, scheduled, ideal
     chosen: tuple[str, ...]  # the trace's majority label per record
-    accuracy: float  # share of records whose majority label has the ideal FIT
+    hits: np.ndarray  # per record: the chosen member has the ideal FIT (a tie counts)
+
+    @property
+    def accuracy(self) -> float:  # share of records whose majority label has the ideal FIT
+        return float(self.hits.mean())
 
     def summary(self) -> list[tuple[str, float, float]]:
         """(estimator, mean FIT, std FIT) rows, members first."""
@@ -71,27 +75,22 @@ def compare_report(
     average: FirModel,
     records: Sequence[TimeSeriesSet],
     traces: Mapping[str, ScheduleTrace],
-    predictions: Mapping[str, np.ndarray],
 ) -> ComparisonReport:
     """Score every estimator on every online record.
 
     ``records`` need ground truth in their target channel and a unique
     ``condition_label``.  ``traces`` maps every condition label to the
-    record's schedule trace, which gives the scheduled-FIT column, the
-    majority label in ``chosen`` and the accuracy.  Every estimator of a
-    record is scored on the samples that trace covers, so a trailing
-    window too short to classify drops out of all FITs alike and the ideal
-    FIT bounds the scheduled one.
-
-    ``predictions`` maps every condition label to the whole-record
-    predictions of ``g``'s members on that record, one row per member, as
-    ``predict_record`` gives them.
+    record's schedule trace, which gives the members' predictions, the
+    scheduled-FIT column, the majority label in ``chosen`` and the
+    accuracy.  Every estimator of a record is scored on the samples that
+    trace covers, so a trailing window too short to classify drops out of
+    all FITs alike and the ideal FIT bounds the scheduled one.
     """
     if not records:
         raise DataError("the comparison report needs at least one record")
     q = len(g)
     fits = np.empty((len(records), q + 3))
-    hits = 0
+    hits = np.empty(len(records), dtype=bool)
     chosen = []
     order = g.order
     for i, ts in enumerate(records):
@@ -108,33 +107,29 @@ def compare_report(
             raise DataError(f"trace for {label!r} contains no estimates")
         measured = ts.channel(g.output_channel_name)[covered]
         row = fits[i]
-        for k, p in enumerate(predictions[label]):
-            row[k] = fit_metric(measured, p[covered[order:]])
+        row[:q] = [fit_metric(measured, p[covered[order:]]) for p in trace.predictions]
         row[q] = fit_metric(measured, predict_record(average, ts)[covered[order:]])
         row[q + 1] = fit_metric(measured, trace.estimates[covered])
         row[q + 2] = row[:q].max()
         chosen.append(trace.majority_label())
-        hits += bool(row[g.labels.index(chosen[-1])] == row[q + 2])  # a tie is a hit
+        hits[i] = row[g.labels.index(chosen[-1])] == row[q + 2]  # a tie is a hit
     return ComparisonReport(
         conditions=tuple(ts.condition_label for ts in records),
         member_labels=g.labels,
         fits=fits,
         chosen=tuple(chosen),
-        accuracy=hits / len(records),
+        hits=hits,
     )
 
 
 def write_report_csv(report: ComparisonReport, path: str | os.PathLike) -> None:
     q = len(report.member_labels)
-    chosen = [report.member_labels.index(lab) for lab in report.chosen]
-    # the indicator: the chosen member has the ideal FIT (a tie counts)
-    hit = report.fits[np.arange(len(chosen)), chosen] == report.fits[:, q + 2]
     header = (
         ["condition"]
         + [f"FIT_G{k + 1}" for k in range(q)]
         + ["FIT_avg", "FIT_scheduled", "FIT_ideal", "chosen_q", "indicator"]
     )
-    columns = [report.conditions, *report.fits.T, report.chosen, hit.astype(int)]
+    columns = [report.conditions, *report.fits.T, report.chosen, report.hits.astype(int)]
     write_table(path, header, columns, REPORT_FORMAT)
 
 

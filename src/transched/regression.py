@@ -166,17 +166,24 @@ def ridge_fit_pooled(
     squared residuals, never as y'y - 2 theta'b + theta'G theta, which
     cancels below zero on an exact fit.  ``n_rows`` (all parts together) and
     ``n_params`` are checked before any part is built, ``c_lim`` first, so a
-    config error is reported before a data error.
+    config error is reported before a data error; the first pass then checks
+    them against the parts.
     """
     _check_c_lim(c_lim)
     dof = _dof(n_rows, n_params)
     gram = np.zeros((n_params, n_params))
     rhs = np.zeros(n_params)
+    rows = 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for m in parts():
+            if m.n_params != n_params:
+                raise DataError(f"a part has {m.n_params} parameters, not the {n_params} claimed")
+            rows += m.n_rows
             gram += m.phi.T @ m.phi
             rhs += m.phi.T @ m.y
             del m  # else it is still held while the next part is built
+    if rows != n_rows:
+        raise DataError(f"the parts have {rows} rows, not the {n_rows} claimed")
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise NumericalError("the normal equations are not finite: the regression data overflow")
     eig = _eigh(gram)

@@ -110,6 +110,7 @@ class ScheduleTrace:
     skipped: tuple[tuple[int, int, int], ...]  # (window_id, start, stop) too short
     member: np.ndarray  # chosen member per sample, -1 where no window covers it
     estimates: np.ndarray  # NaN where no estimate exists
+    predictions: np.ndarray  # (members, samples - order) whole-record predictions
 
     @property
     def posterior(self) -> np.ndarray:
@@ -216,7 +217,6 @@ def schedule_estimate(
     online: TimeSeriesSet,
     prior: Prior,
     window_len: int,
-    predictions: np.ndarray | None = None,
 ) -> ScheduleTrace:
     """Classify every window and estimate the target with the chosen model.
 
@@ -229,15 +229,12 @@ def schedule_estimate(
     and the ambiguity flag are the same unless ``classify``'s deciding gap
     is within that bound.
 
-    Each chosen primary model predicts the whole record once, through
-    ``predict_record``; a classified window copies that prediction over its
+    Every member of ``g`` predicts the whole record once, through
+    ``predict_record``, into the trace's ``predictions``, one row per
+    member; a classified window takes the chosen member's row over its
     samples from ``max(start, order)`` on.  A scheduled estimate is thus
     bit-identical to the chosen model's whole-record prediction at that
     sample, with lags that reach back across window boundaries.
-
-    ``predictions`` may supply those whole-record predictions, one row per
-    member of ``g``, as ``predict_record`` gives them; a caller that also
-    scores the members on the record then predicts it only once.
 
     A trailing window of order samples or fewer cannot be classified; it
     is recorded under ``skipped`` and contributes no estimates.
@@ -256,11 +253,6 @@ def schedule_estimate(
     for name in g.input_channel_names:
         if name not in online.names:
             raise DataError(f"online record is missing channel {name!r}")
-    if predictions is not None and predictions.shape != (len(g), m - order):
-        raise DataError(
-            f"predictions have shape {predictions.shape}; expected {(len(g), m - order)} "
-            f"for {len(g)} members over {m} samples"
-        )
     rss = _window_rss(h, online, starts, stops)
     levidence = _window_log_evidence(h, prior, rss, stops - starts - order)
     if np.any(levidence.max(axis=1) == -math.inf):
@@ -268,11 +260,13 @@ def schedule_estimate(
     chosen = np.argmax(levidence, axis=1)  # first index wins ties
     member = np.full(m, -1)
     member[: stops[-1] if stops.size else 0] = np.repeat(chosen, stops - starts)
+    # one array filled row by row: separate per-member arrays would raise the peak RSS
+    predictions = np.empty((len(g), max(m - order, 0)))
+    for k, model in enumerate(g.models if m > order else ()):  # else no row to predict
+        predictions[k] = predict_record(model, online)
     estimates = np.full(m, math.nan)
-    for k in sorted(set(chosen.tolist())):
-        preds = predict_record(g.models[k], online) if predictions is None else predictions[k]
-        pick = member[order:] == k
-        estimates[order:][pick] = preds[pick]
+    at = np.flatnonzero(member[order:] >= 0)
+    estimates[order:][at] = predictions[member[order:][at], at]
     return ScheduleTrace(
         labels=g.labels,
         log_evidence=levidence,
@@ -283,6 +277,7 @@ def schedule_estimate(
         skipped=skipped,
         member=member,
         estimates=estimates,
+        predictions=predictions,
     )
 
 

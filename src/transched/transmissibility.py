@@ -23,7 +23,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_C_LIM, TimeSeriesSet, _unreadable, build_regressor, lag_rows
+from .dataset import (
+    DEFAULT_C_LIM,
+    TimeSeriesSet,
+    _check_label,
+    _unreadable,
+    build_regressor,
+    lag_rows,
+)
 from .errors import DataError
 
 if TYPE_CHECKING:
@@ -399,6 +406,7 @@ def _families_from_doc(
     h_models = []
     for cond in doc["conditions"]:
         labels.append(str(cond["label"]))
+        _check_label("conditions", labels[-1])
         g_models.append(_model_from_record(cond["G"], order, pseudo, target))
         h_models.append(_model_from_record(cond["H"], order, drivers, aux_output))
     average = None

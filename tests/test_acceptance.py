@@ -22,7 +22,7 @@ from transched.simulator import (
     build_continuous,
     c2d_zoh,
 )
-from transched.transmissibility import fit_average, predict_record, train_families
+from transched.transmissibility import fit_average, train_families
 
 from conftest import (
     CONDITION_PARAMS,
@@ -239,11 +239,7 @@ def test_criterion_6_comparative_study(quarter_car_systems):
     ]
     prior = Prior.uniform(len(offline))
     traces = {ts.condition_label: schedule_estimate(g, h, ts, prior, 50) for ts in online_records}
-    predictions = {
-        ts.condition_label: np.array([predict_record(m, ts) for m in g.models])
-        for ts in online_records
-    }
-    report = compare_report(g, avg, online_records, traces, predictions)
+    report = compare_report(g, avg, online_records, traces)
     elapsed = time.time() - t0
 
     # fits columns: one per member in label order, then average, scheduled, ideal

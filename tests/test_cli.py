@@ -128,9 +128,14 @@ def test_evaluate_scores_what_estimate_wrote(pipeline_dir):
     assert float(scheduled) == fit_metric(measured[covered], estimates)
 
 
-def test_evaluate_predicts_each_member_once_per_record(pipeline_dir, tmp_path, monkeypatch):
-    # per record, Q primaries, Q auxiliaries and the average model predict
-    # once, and the record is scheduled once
+@pytest.mark.parametrize(
+    "command, extra, label", [("estimate", 0, None), ("evaluate", 1, "VAL")],
+    ids=["estimate", "evaluate"],
+)
+def test_each_member_predicts_once_per_record(pipeline_dir, tmp_path, monkeypatch,
+                                              command, extra, label):
+    # per record, Q primaries and Q auxiliaries predict once, and so does the
+    # average model under evaluate; the record is scheduled once
     import transched.scheduler
     import transched.transmissibility
 
@@ -151,12 +156,12 @@ def test_evaluate_predicts_each_member_once_per_record(pipeline_dir, tmp_path, m
     monkeypatch.setattr(transched.scheduler, "schedule_estimate", counting_schedule)
     for name in ("store.json", "validation.csv"):
         shutil.copy(pipeline_dir / name, tmp_path / name)
-    assert _run(["evaluate", "--out", str(tmp_path)]) == 0
+    assert _run([command, "--out", str(tmp_path)]) == 0
     store = json.loads((tmp_path / "store.json").read_text())
     q = len(store["conditions"])
-    assert len(calls) == 2 * q + 1
+    assert len(calls) == 2 * q + extra
     assert len({id(m) for m in calls}) == len(calls)
-    assert scheduled == ["VAL"]
+    assert scheduled == [label]
 
 
 def test_pipeline_deterministic(tmp_path):
@@ -475,6 +480,12 @@ def test_stock_chain_leaves_no_file_for_the_collector(tmp_path, monkeypatch):
 # ------------------------------------------------------------- failure modes
 
 
+PARAMS = "m_s = 300\nm_u = 40\nk_s = 2e4\nk_r = 1.8e5\nc_s = 1.5e3\n"
+NOT_A_LABEL = (
+    "is not a condition label: it must be non-empty and hold no comma, double quote, CR or LF"
+)
+
+
 @pytest.mark.parametrize(
     "ini, message",
     [
@@ -489,9 +500,16 @@ def test_stock_chain_leaves_no_file_for_the_collector(tmp_path, monkeypatch):
          "excitation_variance must be positive and finite, got nan"),
         ("[simulate]\nexcitation_variance = inf\n",
          "excitation_variance must be positive and finite, got inf"),
+        # a label is an unquoted CSV cell, and an empty cell means no label
+        ("[params.C1]\n" + PARAMS + '[params.x,"y]\n' + PARAMS
+         + "[simulate]\nschedule = C1:80, C1:80\n", f"[params.x,\"y]: 'x,\"y' {NOT_A_LABEL}"),
+        ("[params.]\n" + PARAMS, f"[params.]: '' {NOT_A_LABEL}"),
+        ("[train]\ndata = a\n  b=x.csv\n", f"[train] data: 'a\\nb' {NOT_A_LABEL}"),
+        ('[evaluate]\ndata = "q"=x.csv\n', f"[evaluate] data: '\"q\"' {NOT_A_LABEL}"),
     ],
     ids=["order-banana", "sample_time-nan", "sample_time-inf", "sample_time-1e308",
-         "excitation_variance-nan", "excitation_variance-inf"],
+         "excitation_variance-nan", "excitation_variance-inf", "label-comma-quote",
+         "label-empty", "label-newline", "label-quotes"],
 )
 def test_exit_code_config_error(tmp_path, capsys, ini, message):
     cfg = tmp_path / "bad.ini"
@@ -677,6 +695,7 @@ def test_exit_code_non_finite_validation_csv(pipeline_dir, tmp_path, capsys):
         (lambda doc: doc.pop("order"), "missing key 'order'"),
         (lambda doc: doc["conditions"][0]["G"].pop("theta"), "missing key 'theta'"),
         (lambda doc: doc.update(order=10.9), "order: expected an integer, got 10.9"),
+        (lambda doc: doc["conditions"][0].update(label="a,b"), f"conditions: 'a,b' {NOT_A_LABEL}"),
     ],
 )
 def test_exit_code_malformed_store(pipeline_dir, tmp_path, capsys, corrupt, fragment):

@@ -17,7 +17,6 @@ from transched.transmissibility import (
     FirModel,
     TransmissibilityFamily,
     fit_average,
-    predict_record,
     train_families,
 )
 
@@ -68,11 +67,7 @@ def test_fit_needs_two_samples():
 
 def _study(systems, n_online):
     g, avg, online, traces = _scheduled_study(systems, n_online)
-    preds = {
-        ts.condition_label: np.array([predict_record(m, ts) for m in g.models])
-        for ts in online
-    }
-    report = compare_report(g, avg, online, traces, preds)
+    report = compare_report(g, avg, online, traces)
     return g, avg, online, report
 
 
@@ -120,11 +115,7 @@ def test_report_row_per_condition(study):
 def test_reports_compare_by_identity(quarter_car_systems):
     # ndarray field: a generated __eq__ would raise "truth value ... is ambiguous"
     g, avg, online, traces = _scheduled_study(quarter_car_systems, 200)
-    preds = {
-        ts.condition_label: np.array([predict_record(m, ts) for m in g.models])
-        for ts in online
-    }
-    a, b = (compare_report(g, avg, online, traces, preds) for _ in range(2))
+    a, b = (compare_report(g, avg, online, traces) for _ in range(2))
     assert a == a and a != b
     np.testing.assert_array_equal(a.fits, b.fits)
 
@@ -164,7 +155,7 @@ def test_report_requires_ground_truth(study, quarter_car_systems):
     g, avg, online, _ = study
     no_target = dataclasses.replace(online[0], names=("y_I1_a", "y_I2", "other"))
     with pytest.raises(DataError, match="ground truth"):
-        compare_report(g, avg, [no_target], {}, {})
+        compare_report(g, avg, [no_target], {})
 
 
 def test_report_csv_consistency(tmp_path, study):
@@ -201,8 +192,8 @@ OTHER_PICKS = {"O1": [0, 0, 2], "O2": [0, 0, 0]}
 
 
 def _pinned_case(picks=PINNED_PICKS):
-    """Inputs of ``compare_report`` for two hand-made records, with given
-    predictions, and traces whose windows pick the members ``picks`` gives.
+    """Inputs of ``compare_report`` for two hand-made records, and traces
+    with given predictions whose windows pick the members ``picks`` gives.
 
     Order 1 and windows of 2 over 7 samples: sample 0 has no estimate and the
     1-sample tail is skipped, so every FIT is taken over samples 1..5.  On O1,
@@ -231,7 +222,7 @@ def _pinned_case(picks=PINNED_PICKS):
         "O1": ([0.0, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.5, 0.0, 0.0]),
         "O2": ([0.0, 0.0, 0.1, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
     }
-    records, predictions, traces = [], {}, {}
+    records, traces = [], {}
     for label, y in ys.items():
         records.append(TimeSeriesSet(
             names=("u0", "v", "y"), data=np.array([y, v, y]), condition_label=label,
@@ -239,7 +230,6 @@ def _pinned_case(picks=PINNED_PICKS):
         tail = np.array(y[1:])
         e1, e2 = (np.array(e) for e in errors[label])
         preds = np.array([tail + e1, tail + e2, -tail])
-        predictions[label] = preds
         member = np.array(np.repeat(picks[label], 2).tolist() + [-1])
         estimates = np.full(7, np.nan)
         estimates[1:6] = preds[member[1:6], np.arange(5)]
@@ -247,14 +237,13 @@ def _pinned_case(picks=PINNED_PICKS):
             labels=labels, log_evidence=np.zeros((3, 3)), chosen=np.array(picks[label]),
             ambiguous=np.zeros(3, dtype=bool), starts=np.array([0, 2, 4]),
             stops=np.array([2, 4, 6]), skipped=((4, 6, 7),), member=member,
-            estimates=estimates,
+            estimates=estimates, predictions=preds,
         )
-    return g, average, records, traces, predictions
+    return g, average, records, traces
 
 
 def _pinned_report(picks=PINNED_PICKS):
-    g, average, records, traces, predictions = _pinned_case(picks)
-    return compare_report(g, average, records, traces, predictions=predictions)
+    return compare_report(*_pinned_case(picks))
 
 
 PINNED_REPORT = """\
@@ -299,14 +288,14 @@ def test_ideal_fit_is_max():
 
 
 def test_ideal_fit_single():
-    g, average, records, traces, predictions = _pinned_case()
+    g, average, records, traces = _pinned_case()
     one = TransmissibilityFamily(labels=("C1",), models=g.models[:1])
     traces = {
-        label: dataclasses.replace(t, labels=one.labels, chosen=np.zeros(3, dtype=int))
+        label: dataclasses.replace(t, labels=one.labels, chosen=np.zeros(3, dtype=int),
+                                   predictions=t.predictions[:1])
         for label, t in traces.items()
     }
-    report = compare_report(one, average, records, traces,
-                            {label: p[:1] for label, p in predictions.items()})
+    report = compare_report(one, average, records, traces)
     np.testing.assert_array_equal(report.fits[:, IDEAL], report.fits[:, 0])
     assert report.accuracy == 1.0
 
@@ -319,6 +308,7 @@ def test_ideal_fit_tie():
 
 def test_indicator_hits_and_misses(tmp_path):
     report = _pinned_report()
+    assert report.hits.tolist() == [True, False]
     write_report_csv(report, tmp_path / "report.csv")
     rows = (tmp_path / "report.csv").read_text().splitlines()[2:]
     assert [r.split(",")[-2:] for r in rows] == [["C2", "1"], ["C2", "0"]]
@@ -327,8 +317,8 @@ def test_indicator_hits_and_misses(tmp_path):
 def test_indicator_tie_counts_as_correct():
     # on O1, the pinned picks choose C2 and the other picks C1, the two tied best members
     for picks in (PINNED_PICKS, OTHER_PICKS):
-        g, average, records, traces, predictions = _pinned_case(picks)
-        report = compare_report(g, average, records[:1], traces, predictions)
+        g, average, records, traces = _pinned_case(picks)
+        report = compare_report(g, average, records[:1], traces)
         assert report.accuracy == 1.0
 
 
@@ -336,7 +326,7 @@ def test_accuracy_values():
     assert _pinned_report().accuracy == 0.5
     other = _pinned_report(OTHER_PICKS)
     assert (other.chosen, other.accuracy) == (("C1", "C1"), 1.0)
-    g, average, records, traces, predictions = _pinned_case()
+    g, average, records, traces = _pinned_case()
     worst = {label: dataclasses.replace(t, chosen=np.full(3, 2)) for label, t in traces.items()}
-    report = compare_report(g, average, records, worst, predictions)
+    report = compare_report(g, average, records, worst)
     assert report.accuracy == 0.0

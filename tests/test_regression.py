@@ -13,6 +13,7 @@ from transched.regression import (
     eigen_extremes,
     estimate_variance,
     ridge_fit,
+    ridge_fit_pooled,
     ridge_solve,
     select_rho,
 )
@@ -352,6 +353,22 @@ def test_ridge_fit_rejects_too_few_rows_before_the_gram(monkeypatch):
     m = _matrices(np.ones((3, 4)), [1.0, 2.0, 3.0])
     with pytest.raises(DataError, match="insufficient data for variance estimate: 3 rows, 4"):
         ridge_fit(m)
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_params, message",
+    [(6, 2, "a part has 3 parameters, not the 2 claimed"),
+     (100, 3, "the parts have 6 rows, not the 100 claimed")],
+    ids=["columns", "rows"],
+)
+def test_ridge_fit_pooled_checks_the_claimed_shape(n_rows, n_params, message):
+    # else a column mismatch is a raw numpy broadcast error, and a row
+    # mismatch a silently wrong variance from the wrong degrees of freedom
+    rng = np.random.default_rng(4)
+    m = _matrices(rng.normal(size=(6, 3)), rng.normal(size=6))
+    with pytest.raises(DataError, match=message):
+        ridge_fit_pooled(lambda: (m,), n_rows, n_params)
+    assert ridge_fit_pooled(lambda: (m,), 6, 3).sigma2 == ridge_fit(m).sigma2
 
 
 @pytest.mark.parametrize(

@@ -283,20 +283,17 @@ def test_schedule_skips_short_remainder(quarter_car_systems, trained_families):
     assert np.all(np.isfinite(trace.estimates[10:160]))
 
 
-def test_schedule_with_given_predictions_is_identical(quarter_car_systems,
-                                                     trained_families):
+def test_schedule_predictions_are_each_members_whole_record_prediction(
+        quarter_car_systems, trained_families):
+    # every window picks C2, and the trace still holds C1's prediction
     g, h = trained_families
-    online = make_switching_record(
-        quarter_car_systems, (("C1", 80), ("C2", 85)), seed=78, snr=50.0
-    )
-    preds = np.array([predict_record(m, online) for m in g.models])
-    own = schedule_estimate(g, h, online, Prior.uniform(2), 20)
-    given_ = schedule_estimate(g, h, online, Prior.uniform(2), 20, predictions=preds)
-    assert given_.estimates.tobytes() == own.estimates.tobytes()
-    assert given_.log_evidence.tobytes() == own.log_evidence.tobytes()
-    np.testing.assert_array_equal(given_.member, own.member)
-    with pytest.raises(DataError, match=r"predictions have shape \(2, 154\); expected \(2, 155\)"):
-        schedule_estimate(g, h, online, Prior.uniform(2), 20, predictions=preds[:, 1:])
+    online = make_training_record(quarter_car_systems, "C2", 165, seed=78, snr=50.0)
+    trace = schedule_estimate(g, h, online, Prior.uniform(2), 20)
+    assert set(trace.chosen_labels()) == {"C2"}
+    assert trace.predictions.shape == (2, 155)
+    for k, model in enumerate(g.models):
+        assert trace.predictions[k].tobytes() == predict_record(model, online).tobytes()
+    assert trace.estimates[10:160].tobytes() == trace.predictions[1, :150].tobytes()
 
 
 def test_schedule_record_shorter_than_one_window(quarter_car_systems,
@@ -306,6 +303,7 @@ def test_schedule_record_shorter_than_one_window(quarter_car_systems,
     trace = schedule_estimate(g, h, online, Prior.uniform(2), window_len=20)
     assert trace.windows == () and trace.skipped == ((1, 0, 8),)
     assert trace.log_evidence.shape == trace.posterior.shape == (0, 2)
+    assert trace.predictions.shape == (2, 0)
     np.testing.assert_array_equal(trace.member, [-1] * 8)
     assert np.all(np.isnan(trace.estimates))
     with pytest.raises(DataError, match="no classified windows"):
