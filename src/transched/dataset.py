@@ -29,9 +29,17 @@ GUARD_BLOCK_BYTES = 64 * 1024
 # format is a miss.
 PARSE_CACHE_VERSION = 1
 
-# Rows formatted per chunk by ``write_table``: one ``tolist`` per column
-# and chunk keeps its memory flat whatever the table length.
-WRITE_CHUNK_ROWS = 256
+# Floats formatted per chunk by ``write_table``: a chunk takes the rows that
+# hold this many floats (this many rows in a table without floats), one
+# ``float_cells`` call's worth, and its cells, made a chunk at a time, keep
+# the memory flat whatever the table length.
+WRITE_CHUNK_FLOATS = 1536
+
+# A chunk's float cells come from ``floattext.float_cells``, in one call
+# for all its float columns, when they hold KERNEL_CHUNK_FLOATS values or
+# more; below that the call's fixed cost, some 120 numpy calls, outweighs
+# what it saves on each value, and each float is ``repr``'d in Python.
+KERNEL_CHUNK_FLOATS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,7 +391,8 @@ def write_table(
     ``# format: <format_line>`` line when one is given.  Every CSV artifact
     is written here, as UTF-8: a float array's values as their shortest
     round-trip ``repr`` and a NaN as an empty cell, the cells of any other
-    array or sequence with ``str``, WRITE_CHUNK_ROWS rows at a time.
+    array or sequence with ``str``, a chunk of rows (WRITE_CHUNK_FLOATS
+    floats) at a time.
     """
     with open(path, "wb") as f:
         for text in _table_text(header, columns, format_line):
@@ -396,18 +405,36 @@ def _table_text(header: list[str], columns: list, format_line: str | None):
         yield f"# format: {format_line}\n"
     yield ",".join(header) + "\n"
     n_rows = len(columns[0]) if columns else 0
-    for lo in range(0, n_rows, WRITE_CHUNK_ROWS):
-        cells = [_cells(col[lo : lo + WRITE_CHUNK_ROWS]) for col in columns]
+    floats = [i for i, col in enumerate(columns) if isinstance(col, np.ndarray) and col.dtype.kind == "f"]
+    rows = max(WRITE_CHUNK_FLOATS // max(len(floats), 1), 1)
+    for lo in range(0, n_rows, rows):
+        cells = _cells([col[lo : lo + rows] for col in columns], floats)
         yield "\n".join(map(",".join, zip(*cells)))
+        del cells  # before the next chunk's cells are made
         yield "\n"  # apart: appending it would copy the chunk's text
 
 
-def _cells(chunk):
-    """One column chunk's text cells, by ``write_table``'s rules."""
-    if not isinstance(chunk, np.ndarray):
-        return map(str, chunk)
-    if chunk.dtype.kind != "f":
-        return map(str, chunk.tolist())
+def _cells(chunks: list, floats: list[int]) -> list:
+    """The text cells of one chunk of each column, by ``write_table``'s
+    rules; ``floats`` are the float columns' indices."""
+    if len(floats) * len(chunks[0]) < KERNEL_CHUNK_FLOATS:
+        return [_repr_cells(c) if i in floats else _str_cells(c) for i, c in enumerate(chunks)]
+    from .floattext import float_cells
+
+    text = float_cells(np.concatenate([chunks[i] for i in floats]))
+    cells = [None if i in floats else _str_cells(c) for i, c in enumerate(chunks)]
+    size = len(chunks[0])
+    for j, i in enumerate(floats):
+        cells[i] = text[j * size : (j + 1) * size]
+    return cells
+
+
+def _str_cells(chunk):
+    return map(str, chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)
+
+
+def _repr_cells(chunk):
+    """A float column chunk's cells, one ``repr`` at a time."""
     missing = np.isnan(chunk)
     if not missing.any():
         return map(repr, chunk.tolist())

@@ -111,6 +111,7 @@ class ScheduleTrace:
     member: np.ndarray  # chosen member per sample, -1 where no window covers it
     estimates: np.ndarray  # NaN where no estimate exists
     predictions: np.ndarray  # (members, samples - order) whole-record predictions
+    target: str  # the channel the primary family estimates
 
     @property
     def posterior(self) -> np.ndarray:
@@ -278,6 +279,7 @@ def schedule_estimate(
         member=member,
         estimates=estimates,
         predictions=predictions,
+        target=g.output_channel_name,
     )
 
 
@@ -397,10 +399,10 @@ def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
 
 def write_sample_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
     """Per-sample CSV: chosen label and estimate (empty where no window covers
-    the sample).  The measured target is the input's own row, so it is not
-    written again."""
+    the sample), the estimate in a column named ``<target>_estimated``.  The
+    measured target is the input's own row, so it is not written again."""
     # member -1, no window, gets the empty label
     labels = np.array([*trace.labels, ""], dtype=object)[trace.member]
-    header = ["sample_index", "chosen_label", "y_O_estimated"]
+    header = ["sample_index", "chosen_label", f"{trace.target}_estimated"]
     columns = [np.arange(1, trace.member.size + 1), labels, trace.estimates]
     write_table(path, header, columns, SAMPLE_TRACE_FORMAT)

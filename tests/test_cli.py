@@ -424,6 +424,8 @@ def test_user_supplied_channels_detrend_and_priors(tmp_path, channels):
     assert store["decomposition"] == {"aux_output_index": 1, "aux_output": "acc_s"}
     seq = _read_chosen_sequence(work / "trace_windows.csv")
     assert seq == ["C1"] * 4 + ["C2"] * 4  # DC offset removed by detrend
+    # the estimate column is named after the target
+    assert list(_csv_columns(work / "trace_samples.csv")) == ["sample_index", "chosen_label", "deflection_estimated"]
     report_lines = (work / "report.csv").read_text().splitlines()
     assert len(report_lines) == 2 + 1
 

@@ -124,9 +124,9 @@ a,b,f,true_label
 """
 
 
-@pytest.mark.parametrize("chunk_rows", [dataset.WRITE_CHUNK_ROWS, 3])
-def test_write_csv_reproduces_pinned_text(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", chunk_rows)
+@pytest.mark.parametrize("chunk_floats", [dataset.WRITE_CHUNK_FLOATS, 3])
+def test_write_csv_reproduces_pinned_text(tmp_path, monkeypatch, chunk_floats):
+    monkeypatch.setattr(dataset, "WRITE_CHUNK_FLOATS", chunk_floats)
     ts = _ts([[0.1, -2.5, 1e20, -0.0, 42.0], [1.0 / 3.0, 5e-324, -1e-07, 2.0, 1e16],
               [3.0, 123456.789, -7.25, 1.7976931348623157e308, 0.0]],
              names=("a", "b", "f"), sample_labels=("C1", "C1", "C2", "C10", "C2"))
@@ -135,7 +135,7 @@ def test_write_csv_reproduces_pinned_text(tmp_path, monkeypatch, chunk_rows):
 
 
 def test_write_table_writes_utf8_and_nan_as_empty_cells(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", 4)
+    monkeypatch.setattr(dataset, "WRITE_CHUNK_FLOATS", 4)
     rng = np.random.default_rng(3)
     values = rng.normal(size=11)
     values[[0, 5, 10]] = np.nan  # empty cells, in the first, a middle and the last chunk
@@ -151,7 +151,7 @@ def test_write_table_writes_utf8_and_nan_as_empty_cells(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_rows", [2 * dataset.WRITE_CHUNK_ROWS, 2 * dataset.WRITE_CHUNK_ROWS + 1, 0],
+    "n_rows", [2 * dataset.WRITE_CHUNK_FLOATS, 2 * dataset.WRITE_CHUNK_FLOATS + 1, 0],
     ids=["whole-chunks", "one-row-more", "header-only"],
 )
 def test_write_table_in_chunks_equals_one_chunk(tmp_path, monkeypatch, n_rows):
@@ -161,7 +161,7 @@ def test_write_table_in_chunks_equals_one_chunk(tmp_path, monkeypatch, n_rows):
     header = ["sample", "y", "true_label"]
     columns = [np.arange(n_rows), rng.normal(size=n_rows), ["C1"] * n_rows]
     dataset.write_table(tmp_path / "chunked.csv", header, columns, "test-table v1")
-    monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", n_rows + 1)
+    monkeypatch.setattr(dataset, "WRITE_CHUNK_FLOATS", n_rows + 1)
     dataset.write_table(tmp_path / "whole.csv", header, columns, "test-table v1")
     data = (tmp_path / "chunked.csv").read_bytes()
     assert data == (tmp_path / "whole.csv").read_bytes()

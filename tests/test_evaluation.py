@@ -237,7 +237,7 @@ def _pinned_case(picks=PINNED_PICKS):
             labels=labels, log_evidence=np.zeros((3, 3)), chosen=np.array(picks[label]),
             ambiguous=np.zeros(3, dtype=bool), starts=np.array([0, 2, 4]),
             stops=np.array([2, 4, 6]), skipped=((4, 6, 7),), member=member,
-            estimates=estimates, predictions=preds,
+            estimates=estimates, predictions=preds, target="y",
         )
     return g, average, records, traces
 

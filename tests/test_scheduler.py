@@ -296,6 +296,24 @@ def test_schedule_predictions_are_each_members_whole_record_prediction(
     assert trace.estimates[10:160].tobytes() == trace.predictions[1, :150].tobytes()
 
 
+def test_switch_inside_a_window_takes_each_windows_chosen_member(
+        quarter_car_systems, trained_families):
+    # the record switches at sample 90, inside window 5 ([80, 100)), at a time
+    # no window boundary marks: every covered sample's estimate is still the
+    # whole-record prediction of the member its window chose, bit for bit
+    g, h = trained_families
+    online = make_switching_record(quarter_car_systems, (("C1", 90), ("C2", 70)), seed=29, snr=50.0)
+    trace = schedule_estimate(g, h, online, Prior.uniform(2), window_len=20)
+    order = g.order
+    assert trace.skipped == () and trace.stops[-1] == 160
+    assert trace.chosen_labels()[0] == "C1" and trace.chosen_labels()[-1] == "C2"
+    predictions = [predict_record(model, online) for model in g.models]
+    for member, start, stop in zip(trace.chosen.tolist(), trace.starts.tolist(), trace.stops.tolist()):
+        lo = max(start, order)
+        assert trace.estimates[lo:stop].tobytes() == predictions[member][lo - order : stop - order].tobytes()
+    assert np.flatnonzero(np.isnan(trace.estimates)).tolist() == list(range(order))
+
+
 def test_schedule_record_shorter_than_one_window(quarter_car_systems,
                                                  trained_families):
     g, h = trained_families
@@ -519,7 +537,7 @@ window_id,start_sample,end_sample,chosen_label,L_1,L_2,L_3,ambiguous
 
 TINY_SAMPLES = """\
 # format: transched-sample-trace v2
-sample_index,chosen_label,y_O_estimated
+sample_index,chosen_label,y_estimated
 1,Q3,
 2,Q3,201.0
 3,Q3,-199.5
@@ -551,8 +569,8 @@ def _tiny_case():
 def test_trace_writers_reproduce_pinned_text(tmp_path, monkeypatch):
     g, h, online, prior = _tiny_case()
     no_target = TimeSeriesSet(names=("u0", "v"), data=online.data[:2])
-    for chunk_rows in (dataset.WRITE_CHUNK_ROWS, 4):  # one chunk, then three
-        monkeypatch.setattr(dataset, "WRITE_CHUNK_ROWS", chunk_rows)
+    for chunk_floats in (dataset.WRITE_CHUNK_FLOATS, 4):  # one chunk, then several
+        monkeypatch.setattr(dataset, "WRITE_CHUNK_FLOATS", chunk_floats)
         # the traces hold nothing of the target: with and without it, one text
         for record in (online, no_target):
             trace = schedule_estimate(g, h, record, prior, window_len=4)
