@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 # Only what every command needs; each command imports its own layers,
 # so e.g. `simulate` never loads the scheduler.
@@ -21,21 +20,15 @@ from .dataset import ParseCache
 from .errors import ConfigError, DataError, TranschedError
 
 
-def _load_record(
-    cfg: RunConfig,
-    cache: ParseCache,
-    path: str,
-    condition_label: str | None,
-    require_target: bool,
-    order: int,
-    n_params: int = 0,
-):
+def _load_record(cfg: RunConfig, cache: ParseCache, path: str, label: str | None,
+                 require_target: bool, order: int, n_params: int = 0):
     """Load a CSV's configured channels through the command's parse
-    ``cache``; the target column is optional for online data unless the
-    caller needs ground truth.  The record must have more samples than the
-    FIR ``order``, and a training record must give more regression rows than
-    its model's ``n_params``.  A channel whose sum of squares overflows is a
-    DataError: every model fitted to it or scoring it would overflow too."""
+    ``cache``, for the condition ``label`` the errors name; the target
+    column is optional for online data unless the caller needs ground
+    truth.  The record must have more samples than the FIR ``order``, and a
+    training record must give more regression rows than its model's
+    ``n_params``.  A channel whose sum of squares overflows is a DataError:
+    every model fitted to it or scoring it would overflow too."""
     import numpy as np
 
     from .dataset import detrend_mean, load_csv, read_csv_header
@@ -45,7 +38,7 @@ def _load_record(
         if require_target:
             raise DataError(f"{path}: ground-truth channel {cfg.target!r} missing")
         names.remove(cfg.target)
-    ts = load_csv(path, names, condition_label, cache=cache)
+    ts = load_csv(path, names, cache=cache)
     if ts.n_samples <= order:
         raise DataError(
             f"{path}: {ts.n_samples} samples are too few for FIR order {order}; "
@@ -53,7 +46,7 @@ def _load_record(
         )
     if ts.n_samples - order <= n_params:
         raise DataError(
-            f"{path}: condition {condition_label!r}: {ts.n_samples - order} regression rows "
+            f"{path}: condition {label!r}: {ts.n_samples - order} regression rows "
             f"are too few for {n_params} FIR parameters at order {order}; "
             f"need at least {order + n_params + 1} samples"
         )
@@ -85,27 +78,27 @@ def cmd_simulate(cfg: RunConfig) -> int:
         label: c2d_zoh(build_continuous(QuarterCarParams(**p)), cfg.sample_time)
         for label, p in cfg.params.items()
     }
-    # (file, schedule steps, condition label) per record, validation last
+    # (file, schedule steps) per record, validation last
     records = [
-        (f"train_{label}.csv", ((label, cfg.train_samples),), label) for label in cfg.params
-    ] + [("validation.csv", tuple(cfg.schedule), "validation")]
+        (f"train_{label}.csv", ((label, cfg.train_samples),)) for label in cfg.params
+    ] + [("validation.csv", tuple(cfg.schedule))]
     # one independent (excitation, noise) seed pair per record
     state = np.random.SeedSequence(cfg.seed).generate_state(2 * len(records))
-    csv_names = [name for name, _, _ in records]
+    csv_names = [name for name, _ in records]
     manifest_name = "simulate_manifest.json"
     cache = ParseCache(cfg.out)
     with _staged_outputs(cfg.out, [*csv_names, manifest_name], cache) as staged:
-        for k, (name, steps, label) in enumerate(records):
+        for k, (name, steps) in enumerate(records):
             schedule = SwitchSchedule(steps=steps)
             noise = NoiseSpec(snr=cfg.snr, seed=int(state[2 * k + 1]), scale=cfg.snr_scale)
             ts = simulate(  # no name holds the excitation: it is freed on return
                 systems, schedule,
                 gen_excitation(schedule.total_samples, cfg.excitation_variance, int(state[2 * k])),
-                condition_label=label, noise=noise,
+                noise=noise,
             )
-            if name != "validation.csv":
-                ts = replace(ts, sample_labels=None)  # no true_label column
-            write_csv(ts, staged[name])
+            # only the validation record has a true_label column
+            write_csv(ts, staged[name],
+                      schedule.labels_per_sample() if name == "validation.csv" else None)
             cache.add_written(os.path.join(cfg.out, name), staged[name], ts, list(cfg.channels))
             del ts  # simulate the next record without this one
         manifest = {
@@ -172,13 +165,13 @@ def cmd_train(cfg: RunConfig) -> int:
     # the primary models take every pseudo-input, so they have the most parameters
     n_pseudo = len(cfg.channels) - 1
     cache = ParseCache(cfg.out)
-    records = [
-        _load_record(cfg, cache, path, label, require_target=True, order=cfg.order,
-                     n_params=n_pseudo * (cfg.order + 1))
+    records = {
+        label: _load_record(cfg, cache, path, label, require_target=True, order=cfg.order,
+                            n_params=n_pseudo * (cfg.order + 1))
         for label, path in cfg.train_data.items()
-    ]
+    }
     g, h = train_families(records, cfg.target, cfg.aux_output, cfg.order, cfg.c_lim)
-    avg = fit_average(records, g.input_channel_names, g.output_channel_name, cfg.order, cfg.c_lim)
+    avg = fit_average(records.values(), g.input_channel_names, g.output_channel_name, cfg.order, cfg.c_lim)
     store_dir, store_name = os.path.split(cfg.store)
     with _staged_outputs(store_dir or os.curdir, [store_name], cache) as staged:
         save_store(staged[store_name], g, h, average=avg, c_lim=cfg.c_lim)
@@ -190,9 +183,9 @@ def cmd_train(cfg: RunConfig) -> int:
                 f"{label:<10s} {tag:<6s}{m.sigma2:<14.6g}{m.rho:<14.6g}{m.kappa_after:.6g}"
             )
     print("per-channel signal power (aux_output candidates):")
-    for ts in records:
+    for label, ts in records.items():
         powers = ", ".join(f"{n}={v:.6g}" for n, v in signal_power(ts).items())
-        print(f"  {ts.condition_label}: {powers}")
+        print(f"  {label}: {powers}")
     return 0
 
 
@@ -230,14 +223,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if avg is None:
         raise DataError(f"{cfg.store} has no pooled-data average model; re-run train to add it")
     cache = ParseCache(cfg.out)
-    records = [
-        _load_record(cfg, cache, path, label, require_target=True, order=g.order)
+    records = {
+        label: _load_record(cfg, cache, path, label, require_target=True, order=g.order)
         for label, path in cfg.evaluate_data.items()
-    ]
-    traces = {
-        ts.condition_label: schedule_estimate(g, h, ts, prior, cfg.window) for ts in records
     }
-    report = compare_report(g, avg, records, traces)
+    runs = {
+        label: (ts, schedule_estimate(g, h, ts, prior, cfg.window))
+        for label, ts in records.items()
+    }
+    report = compare_report(g, avg, runs)
     writers = {
         "report.csv": write_report_csv,
         "report_summary.csv": write_summary_csv,

@@ -277,6 +277,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if not 0 < cfg.sample_time < math.inf:
         raise ConfigError(f"sample_time must be positive and finite, got {cfg.sample_time}")
+    for name in cfg.channels:  # each is a header cell of a CSV the program writes
+        _check_label("[channels]", name, ConfigError, "channel name")
     roles = set(cfg.channels.values())
     if not roles <= {PSEUDO_INPUT, TARGET_OUTPUT}:
         raise ConfigError(

@@ -44,18 +44,15 @@ KERNEL_CHUNK_FLOATS = 512
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesSet:
-    """Uniformly sampled multichannel record.
+    """Uniformly sampled record: named channels of equal length, no label.
 
     ``data`` has shape (n_channels, n_samples); rows follow ``names``.
-    ``sample_labels`` optionally carries a per-sample condition tag, as
-    emitted by the switching simulator.  Instances are immutable and the
-    payload array is marked read-only, so records can be shared freely.
+    Instances are immutable and the payload array is marked read-only, so
+    records can be shared freely; callers file them under their condition.
     """
 
     names: tuple[str, ...]
     data: np.ndarray
-    condition_label: str | None = None
-    sample_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         data = np.atleast_2d(np.asarray(self.data, dtype=float))
@@ -72,11 +69,6 @@ class TimeSeriesSet:
             )
         if len(set(self.names)) != len(self.names):
             raise DataError("channel names must be unique")
-        if self.sample_labels is not None:
-            labels = tuple(self.sample_labels)
-            object.__setattr__(self, "sample_labels", labels)
-            if len(labels) != data.shape[1]:
-                raise DataError("sample_labels length must match sample count")
         data.flags.writeable = False
 
     @property
@@ -107,13 +99,14 @@ def _check_c_lim(c_lim: float) -> None:
         raise ConfigError(f"c_lim must exceed 1 and be at most {MAX_C_LIM:g}, got {c_lim}")
 
 
-def _check_label(where: str, label: str, error: type[Exception] = DataError) -> None:
-    """A condition label is a cell ``write_table`` writes unquoted, and an
-    empty cell means "no label": it must be non-empty and hold no comma,
-    double quote, CR or LF."""
+def _check_label(where: str, label: str, error: type[Exception] = DataError,
+                 what: str = "condition label") -> None:
+    """A condition label or channel name is a cell ``write_table`` writes
+    unquoted, and an empty cell means "no label": it must be non-empty and
+    hold no comma, double quote, CR or LF."""
     if not label or not set(label).isdisjoint(',"\r\n'):
         raise error(
-            f"{where}: {label!r} is not a condition label: it must be non-empty "
+            f"{where}: {label!r} is not a {what}: it must be non-empty "
             "and hold no comma, double quote, CR or LF"
         )
 
@@ -173,7 +166,6 @@ def _unreadable(path: str | os.PathLike, e: Exception) -> DataError:
 def load_csv(
     path: str | os.PathLike,
     names: Sequence[str],
-    condition_label: str | None = None,
     cache: ParseCache | None = None,
 ) -> TimeSeriesSet:
     """Read a comma-separated file into a record.
@@ -215,7 +207,7 @@ def load_csv(
         data = cache.load(path, cols, parse) if cache is not None else parse()
     except _READ_ERRORS as e:
         raise _unreadable(path, e) from None
-    return TimeSeriesSet(names=names, data=data, condition_label=condition_label)
+    return TimeSeriesSet(names=names, data=data)
 
 
 def _load_rows(
@@ -388,12 +380,15 @@ def write_table(
     path: str | os.PathLike, header: list[str], columns: list, format_line: str | None = None
 ) -> None:
     """Write equal-length columns as CSV rows under a header line, after a
-    ``# format: <format_line>`` line when one is given.  Every CSV artifact
-    is written here, as UTF-8: a float array's values as their shortest
-    round-trip ``repr`` and a NaN as an empty cell, the cells of any other
-    array or sequence with ``str``, a chunk of rows (WRITE_CHUNK_FLOATS
-    floats) at a time.
+    ``# format: <format_line>`` line when one is given; a column of another
+    length is a DataError naming it.  Every CSV artifact is written here, as
+    UTF-8: a float array's values as their shortest round-trip ``repr`` and
+    a NaN as an empty cell, the cells of any other array or sequence with
+    ``str``, a chunk of rows (WRITE_CHUNK_FLOATS floats) at a time.
     """
+    for name, col in zip(header, columns):
+        if len(col) != len(columns[0]):
+            raise DataError(f"{path}: column {name!r} has {len(col)} rows, not {len(columns[0])}")
     with open(path, "wb") as f:
         for text in _table_text(header, columns, format_line):
             f.write(text.encode())
@@ -445,15 +440,17 @@ def _repr_cells(chunk):
     return cells
 
 
-def write_csv(ts: TimeSeriesSet, path: str | os.PathLike) -> None:
+def write_csv(
+    ts: TimeSeriesSet, path: str | os.PathLike, true_labels: Sequence[str] | None = None
+) -> None:
     """Write a record as CSV: one column per channel, in ``names`` order,
-    then a ``true_label`` column when the record has ``sample_labels``.
-    Rewriting the same record is byte-identical.
+    then, when ``true_labels`` are given, a ``true_label`` column of one
+    label per sample.  Rewriting the same record is byte-identical.
     """
     header, columns = list(ts.names), list(ts.data)
-    if ts.sample_labels is not None:
+    if true_labels is not None:
         header.append("true_label")
-        columns.append(ts.sample_labels)
+        columns.append(true_labels)
     write_table(path, header, columns)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -73,35 +73,28 @@ class ComparisonReport:
 def compare_report(
     g: TransmissibilityFamily,
     average: FirModel,
-    records: Sequence[TimeSeriesSet],
-    traces: Mapping[str, ScheduleTrace],
+    runs: Mapping[str, tuple[TimeSeriesSet, ScheduleTrace]],
 ) -> ComparisonReport:
     """Score every estimator on every online record.
 
-    ``records`` need ground truth in their target channel and a unique
-    ``condition_label``.  ``traces`` maps every condition label to the
-    record's schedule trace, which gives the members' predictions, the
-    scheduled-FIT column, the majority label in ``chosen`` and the
-    accuracy.  Every estimator of a record is scored on the samples that
-    trace covers, so a trailing window too short to classify drops out of
-    all FITs alike and the ideal FIT bounds the scheduled one.
+    ``runs`` maps each record's condition label to the record, which needs
+    ground truth in its target channel, and its schedule trace, which gives
+    the members' predictions, the scheduled-FIT column, the majority label
+    in ``chosen`` and the accuracy.  Every estimator of a record is scored
+    on the samples that trace covers, so a trailing window too short to
+    classify drops out of all FITs alike and the ideal FIT bounds the
+    scheduled one.
     """
-    if not records:
+    if not runs:
         raise DataError("the comparison report needs at least one record")
     q = len(g)
-    fits = np.empty((len(records), q + 3))
-    hits = np.empty(len(records), dtype=bool)
+    fits = np.empty((len(runs), q + 3))
+    hits = np.empty(len(runs), dtype=bool)
     chosen = []
     order = g.order
-    for i, ts in enumerate(records):
-        label = ts.condition_label
-        if label is None:
-            raise DataError("every online record needs a condition_label")
+    for i, (label, (ts, trace)) in enumerate(runs.items()):
         if g.output_channel_name not in ts.names:
             raise DataError(f"record {label!r} is missing ground truth for the target")
-        if label not in traces:
-            raise DataError(f"no trace for condition {label!r}")
-        trace = traces[label]
         covered = np.isfinite(trace.estimates)
         if not np.any(covered):
             raise DataError(f"trace for {label!r} contains no estimates")
@@ -114,7 +107,7 @@ def compare_report(
         chosen.append(trace.majority_label())
         hits[i] = row[g.labels.index(chosen[-1])] == row[q + 2]  # a tie is a hit
     return ComparisonReport(
-        conditions=tuple(ts.condition_label for ts in records),
+        conditions=tuple(runs),
         member_labels=g.labels,
         fits=fits,
         chosen=tuple(chosen),

@@ -84,6 +84,7 @@ class SwitchSchedule:
         return sum(n for _, n in self.steps)
 
     def labels_per_sample(self) -> tuple[str, ...]:
+        """The active condition of each sample, in order."""
         return tuple(chain.from_iterable(repeat(label, n) for label, n in self.steps))
 
 
@@ -220,7 +221,6 @@ def simulate(
     schedule: SwitchSchedule,
     z_r: np.ndarray,
     x0: np.ndarray | None = None,
-    condition_label: str | None = None,
     noise: NoiseSpec | None = None,
 ) -> TimeSeriesSet:
     """Run the switching recursion x+ = A_q x + b_q z, y = C_q x + d_q z.
@@ -229,8 +229,8 @@ def simulate(
     ``CHANNEL_NAMES``.  Each state and output component is a Python float
     sum taken left to right, ``a_i0*x0 + ... + a_i3*x3 + b_i*z``, so the
     record is the same on every machine and BLAS kernel.  The state is
-    carried continuously across switches.  The result carries the active
-    condition per sample in ``sample_labels``.
+    carried continuously across switches.  The record holds the outputs
+    alone: ``schedule.labels_per_sample()`` gives each sample's condition.
 
     With ``noise``, measurement noise is added in place to the output
     array before it is wrapped, so the record holds one float array; the
@@ -292,12 +292,7 @@ def simulate(
         t += duration
     if noise is not None:
         _add_noise_in_place(y, CHANNEL_NAMES, noise)
-    return TimeSeriesSet(
-        names=CHANNEL_NAMES,
-        data=y,
-        condition_label=condition_label,
-        sample_labels=schedule.labels_per_sample(),
-    )
+    return TimeSeriesSet(names=CHANNEL_NAMES, data=y)
 
 
 def add_noise(ts: TimeSeriesSet, spec: NoiseSpec) -> TimeSeriesSet:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -200,46 +200,38 @@ def _drivers(pseudo: Sequence[str], aux_output: str) -> tuple[str, ...]:
 
 
 def train_families(
-    records: Sequence[TimeSeriesSet],
+    records: Mapping[str, TimeSeriesSet],
     target: str,
     aux_output: str,
     order: int,
     c_lim: float = DEFAULT_C_LIM,
 ) -> tuple[TransmissibilityFamily, TransmissibilityFamily]:
-    """Fit the primary and auxiliary family from labeled records.
+    """Fit the primary and auxiliary family: one member per condition label
+    of ``records``, in its order, fitted to the record filed under it.
 
-    Each record must carry a unique ``condition_label`` and the same
-    channel names.  The pseudo-inputs are every channel but ``target``, in
-    record order.  Per condition q, the primary member maps all
-    pseudo-inputs to ``target`` and the auxiliary member maps every other
-    pseudo-input to the pseudo-input named ``aux_output``.
+    The records must share their channel names.  The pseudo-inputs are every
+    channel but ``target``, in record order.  Per condition q, the primary
+    member maps all pseudo-inputs to ``target`` and the auxiliary member
+    maps every other pseudo-input to the pseudo-input ``aux_output``.
     """
     if not records:
         raise DataError("need at least one labeled record")
-    labels = []
-    for ts in records:
-        if ts.condition_label is None:
-            raise DataError("every training record needs a condition_label")
-        labels.append(ts.condition_label)
-    if len(set(labels)) != len(labels):
-        raise DataError(f"duplicate condition labels: {labels}")
-    names = records[0].names
-    for ts in records[1:]:
+    names = next(iter(records.values())).names
+    for label, ts in records.items():
         if ts.names != names:
-            raise DataError(
-                f"record {ts.condition_label!r} channel schema {ts.names} does not match {names}"
-            )
+            raise DataError(f"record {label!r} channel schema {ts.names} does not match {names}")
     if target not in names:
         raise DataError(f"target channel {target!r} is not a record channel {list(names)}")
     pseudo = tuple(n for n in names if n != target)
     drivers = _drivers(pseudo, aux_output)
-    g_models = [fit_fir(ts, pseudo, target, order, c_lim) for ts in records]
-    h_models = [fit_fir(ts, drivers, aux_output, order, c_lim) for ts in records]
+    labels = tuple(records)
+    g_models = [fit_fir(ts, pseudo, target, order, c_lim) for ts in records.values()]
+    h_models = [fit_fir(ts, drivers, aux_output, order, c_lim) for ts in records.values()]
     return TransmissibilityFamily(labels, g_models), TransmissibilityFamily(labels, h_models)
 
 
 def fit_average(
-    records: Sequence[TimeSeriesSet],
+    records: Collection[TimeSeriesSet],
     inputs: Sequence[str],
     output: str,
     order: int,
@@ -404,6 +396,8 @@ def _families_from_doc(
     labels = []
     g_models = []
     h_models = []
+    for name in (*pseudo, target):
+        _check_label("channel_names", name, what="channel name")
     for cond in doc["conditions"]:
         labels.append(str(cond["label"]))
         _check_label("conditions", labels[-1])

@@ -36,20 +36,18 @@ def make_training_record(
 ) -> TimeSeriesSet:
     """Single-condition record; by default noise-free."""
     z = gen_excitation(n_samples, EXCITATION_VARIANCE, seed)
-    ts = simulate(systems, SwitchSchedule(steps=((label, n_samples),)), z,
-                  condition_label=label)
+    ts = simulate(systems, SwitchSchedule(steps=((label, n_samples),)), z)
     if snr is not None:
         ts = add_noise(ts, NoiseSpec(snr=snr, seed=seed + 7_000_003, scale=snr_scale))
     return ts
 
 
 def make_switching_record(
-    systems, schedule_steps, seed, snr=None, snr_scale="linear",
-    condition_label="validation",
+    systems, schedule_steps, seed, snr=None, snr_scale="linear"
 ) -> TimeSeriesSet:
     schedule = SwitchSchedule(steps=tuple(schedule_steps))
     z = gen_excitation(schedule.total_samples, EXCITATION_VARIANCE, seed)
-    ts = simulate(systems, schedule, z, condition_label=condition_label)
+    ts = simulate(systems, schedule, z)
     if snr is not None:
         ts = add_noise(ts, NoiseSpec(snr=snr, seed=seed + 7_000_003, scale=snr_scale))
     return ts
@@ -65,8 +63,9 @@ def clean_c1_pair(quarter_car_systems):
 
 @pytest.fixture(scope="session")
 def clean_training_pair(quarter_car_systems):
-    """Noise-free C1 and C2 training records sharing the channel schema."""
-    return (
-        make_training_record(quarter_car_systems, "C1", 1000, seed=303),
-        make_training_record(quarter_car_systems, "C2", 1000, seed=404),
-    )
+    """Noise-free C1 and C2 training records sharing the channel schema,
+    filed under their condition labels."""
+    return {
+        "C1": make_training_record(quarter_car_systems, "C1", 1000, seed=303),
+        "C2": make_training_record(quarter_car_systems, "C2", 1000, seed=404),
+    }

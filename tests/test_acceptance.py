@@ -4,7 +4,6 @@ Every tolerance is pinned here; the tests print their verdict before
 asserting so a red run still shows the per-criterion outcome.
 """
 
-import dataclasses
 import math
 import time
 
@@ -54,13 +53,13 @@ def quartercar_reproduction(quarter_car_systems):
     n_windows = 0
     for seed in SEEDS:
         for snr, scale in SNR_INTERPRETATIONS:
-            records = [
-                make_training_record(
+            records = {
+                label: make_training_record(
                     quarter_car_systems, label, 1000, seed=seed * 31 + i,
                     snr=snr, snr_scale=scale,
                 )
                 for i, label in enumerate(("C1", "C2"))
-            ]
+            }
             online = make_switching_record(
                 quarter_car_systems, (("C1", 80), ("C2", 80)),
                 seed=seed * 31 + 2, snr=snr, snr_scale=scale,
@@ -224,22 +223,18 @@ def test_criterion_6_comparative_study(quarter_car_systems):
         label: c2d_zoh(build_continuous(p), SAMPLE_TIME)
         for label, p in {**offline, **online_params}.items()
     }
-    records = [
-        make_training_record(systems, label, 1000, seed=1000 + i, snr=50.0)
+    records = {
+        label: make_training_record(systems, label, 1000, seed=1000 + i, snr=50.0)
         for i, label in enumerate(offline)
-    ]
+    }
     g, h = train_families(records, "y_O", "y_I2", ORDER, C_LIM)
-    avg = fit_average(records, ("y_I1_a", "y_I2"), "y_O", ORDER, C_LIM)
-    online_records = [
-        dataclasses.replace(
-            make_training_record(systems, label, 1000, seed=2000 + i, snr=50.0),
-            condition_label=label,
-        )
-        for i, label in enumerate(online_params)
-    ]
+    avg = fit_average(records.values(), ("y_I1_a", "y_I2"), "y_O", ORDER, C_LIM)
     prior = Prior.uniform(len(offline))
-    traces = {ts.condition_label: schedule_estimate(g, h, ts, prior, 50) for ts in online_records}
-    report = compare_report(g, avg, online_records, traces)
+    runs = {}
+    for i, label in enumerate(online_params):
+        ts = make_training_record(systems, label, 1000, seed=2000 + i, snr=50.0)
+        runs[label] = ts, schedule_estimate(g, h, ts, prior, 50)
+    report = compare_report(g, avg, runs)
     elapsed = time.time() - t0
 
     # fits columns: one per member in label order, then average, scheduled, ideal

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import gc
 import hashlib
 import io
@@ -60,6 +61,18 @@ def test_simulate_outputs(pipeline_dir):
     manifest = json.loads((pipeline_dir / "simulate_manifest.json").read_text())
     assert manifest["seed"] == 20260808
     assert manifest["schedule"] == [["C1", 80], ["C2", 80]]
+
+
+def test_simulate_true_label_column_is_the_schedule(tmp_path):
+    # the validation record's labels come from its schedule, one per sample
+    ini = tmp_path / "run.ini"
+    ini.write_text("[simulate]\nschedule = C1:3, C2:5, C1:2\n")
+    assert _run(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "validation.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["y_I1_a", "y_I2", "y_O", "true_label"]
+    schedule = SwitchSchedule(steps=(("C1", 3), ("C2", 5), ("C1", 2)))
+    assert tuple(row[3] for row in rows[1:]) == schedule.labels_per_sample()
 
 
 def test_train_writes_store(pipeline_dir):
@@ -129,11 +142,10 @@ def test_evaluate_scores_what_estimate_wrote(pipeline_dir):
 
 
 @pytest.mark.parametrize(
-    "command, extra, label", [("estimate", 0, None), ("evaluate", 1, "VAL")],
-    ids=["estimate", "evaluate"],
+    "command, extra", [("estimate", 0), ("evaluate", 1)], ids=["estimate", "evaluate"],
 )
 def test_each_member_predicts_once_per_record(pipeline_dir, tmp_path, monkeypatch,
-                                              command, extra, label):
+                                              command, extra):
     # per record, Q primaries and Q auxiliaries predict once, and so does the
     # average model under evaluate; the record is scheduled once
     import transched.scheduler
@@ -148,7 +160,7 @@ def test_each_member_predicts_once_per_record(pipeline_dir, tmp_path, monkeypatc
         return real(model, *args, **kwargs)
 
     def counting_schedule(g, h, online, *args, **kwargs):
-        scheduled.append(online.condition_label)
+        scheduled.append(online.n_samples)
         return real_schedule(g, h, online, *args, **kwargs)
 
     for module in (transched.transmissibility, transched.scheduler):
@@ -161,7 +173,7 @@ def test_each_member_predicts_once_per_record(pipeline_dir, tmp_path, monkeypatc
     q = len(store["conditions"])
     assert len(calls) == 2 * q + extra
     assert len({id(m) for m in calls}) == len(calls)
-    assert scheduled == [label]
+    assert scheduled == [160]  # the validation record, once
 
 
 def test_pipeline_deterministic(tmp_path):
@@ -483,9 +495,9 @@ def test_stock_chain_leaves_no_file_for_the_collector(tmp_path, monkeypatch):
 
 
 PARAMS = "m_s = 300\nm_u = 40\nk_s = 2e4\nk_r = 1.8e5\nc_s = 1.5e3\n"
-NOT_A_LABEL = (
-    "is not a condition label: it must be non-empty and hold no comma, double quote, CR or LF"
-)
+CELL_RULE = "it must be non-empty and hold no comma, double quote, CR or LF"
+NOT_A_LABEL = f"is not a condition label: {CELL_RULE}"
+NOT_A_CHANNEL = f"is not a channel name: {CELL_RULE}"
 
 
 @pytest.mark.parametrize(
@@ -508,10 +520,13 @@ NOT_A_LABEL = (
         ("[params.]\n" + PARAMS, f"[params.]: '' {NOT_A_LABEL}"),
         ("[train]\ndata = a\n  b=x.csv\n", f"[train] data: 'a\\nb' {NOT_A_LABEL}"),
         ('[evaluate]\ndata = "q"=x.csv\n', f"[evaluate] data: '\"q\"' {NOT_A_LABEL}"),
+        # so is a channel name: trace_samples.csv's header holds <target>_estimated
+        ("[channels]\ny_I1_a = pseudo_input\ny_I2 = pseudo_input\ny,O = target_output\n",
+         f"[channels]: 'y,O' {NOT_A_CHANNEL}"),
     ],
     ids=["order-banana", "sample_time-nan", "sample_time-inf", "sample_time-1e308",
          "excitation_variance-nan", "excitation_variance-inf", "label-comma-quote",
-         "label-empty", "label-newline", "label-quotes"],
+         "label-empty", "label-newline", "label-quotes", "channel-comma"],
 )
 def test_exit_code_config_error(tmp_path, capsys, ini, message):
     cfg = tmp_path / "bad.ini"
@@ -698,6 +713,10 @@ def test_exit_code_non_finite_validation_csv(pipeline_dir, tmp_path, capsys):
         (lambda doc: doc["conditions"][0]["G"].pop("theta"), "missing key 'theta'"),
         (lambda doc: doc.update(order=10.9), "order: expected an integer, got 10.9"),
         (lambda doc: doc["conditions"][0].update(label="a,b"), f"conditions: 'a,b' {NOT_A_LABEL}"),
+        (lambda doc: doc["channel_names"].update(target_output="y,O"),
+         f"channel_names: 'y,O' {NOT_A_CHANNEL}"),
+        (lambda doc: doc["channel_names"]["pseudo_inputs"].__setitem__(0, 'y"I'),
+         f"channel_names: 'y\"I' {NOT_A_CHANNEL}"),
     ],
 )
 def test_exit_code_malformed_store(pipeline_dir, tmp_path, capsys, corrupt, fragment):
@@ -1107,10 +1126,10 @@ def test_simulate_destination_is_a_directory(tmp_path, capsys):
 def test_simulate_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch, existing):
     import transched.simulator
 
-    def fail_on_validation(systems, schedule, z, condition_label=None, noise=None):
-        if condition_label == "validation":
+    def fail_on_validation(systems, schedule, z, noise=None):
+        if len(schedule.steps) > 1:  # the switching record; each training record has one step
             raise DataError("injected failure")
-        return simulate(systems, schedule, z, condition_label=condition_label, noise=noise)
+        return simulate(systems, schedule, z, noise=noise)
 
     # cmd_simulate imports simulate when it runs, so it picks up the patch
     monkeypatch.setattr(transched.simulator, "simulate", fail_on_validation)

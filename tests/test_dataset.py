@@ -129,8 +129,8 @@ def test_write_csv_reproduces_pinned_text(tmp_path, monkeypatch, chunk_floats):
     monkeypatch.setattr(dataset, "WRITE_CHUNK_FLOATS", chunk_floats)
     ts = _ts([[0.1, -2.5, 1e20, -0.0, 42.0], [1.0 / 3.0, 5e-324, -1e-07, 2.0, 1e16],
               [3.0, 123456.789, -7.25, 1.7976931348623157e308, 0.0]],
-             names=("a", "b", "f"), sample_labels=("C1", "C1", "C2", "C10", "C2"))
-    write_csv(ts, tmp_path / "d.csv")
+             names=("a", "b", "f"))
+    write_csv(ts, tmp_path / "d.csv", ("C1", "C1", "C2", "C10", "C2"))
     assert (tmp_path / "d.csv").read_text() == PINNED_CSV
 
 
@@ -148,6 +148,28 @@ def test_write_table_writes_utf8_and_nan_as_empty_cells(tmp_path, monkeypatch):
     assert lines[1] == "sample,y_Ö,Kraft µN"
     cells = [line.split(",")[1] for line in lines[2:]]
     assert cells == ["" if i in (0, 5, 10) else repr(v) for i, v in enumerate(values.tolist())]
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [((3, 2, 3), "column 'true_label' has 2 rows, not 3"),
+     ((3, 3, 4), "column 'n' has 4 rows, not 3"),
+     ((2, 3, 3), "column 'true_label' has 3 rows, not 2")],
+    ids=["short", "long", "short-first"],
+)
+def test_write_table_rejects_columns_of_unequal_length(tmp_path, lengths, message):
+    # a short column used to cut the table, and a long one lost its tail
+    columns = [np.arange(float(lengths[0])), ["C1"] * lengths[1], np.arange(lengths[2])]
+    p = tmp_path / "t.csv"
+    with pytest.raises(DataError, match=message):
+        dataset.write_table(p, ["x", "true_label", "n"], columns)
+    assert not p.exists()  # checked before the file is opened
+
+
+def test_write_csv_rejects_true_labels_of_another_length(tmp_path):
+    ts = _ts(np.zeros((3, 4)), names=("a", "b", "f"))
+    with pytest.raises(DataError, match="column 'true_label' has 3 rows, not 4"):
+        write_csv(ts, tmp_path / "d.csv", ("C1",) * 3)
 
 
 @pytest.mark.parametrize(
@@ -189,10 +211,9 @@ def test_load_csv_quoted_and_crlf_files_are_read(tmp_path):
 
 def test_load_csv_skips_a_byte_order_mark(tmp_path):
     rng = np.random.default_rng(4)
-    ts = _ts(rng.normal(size=(3, 40)), names=("a", "b", "f"),
-             sample_labels=("C1",) * 40)
+    ts = _ts(rng.normal(size=(3, 40)), names=("a", "b", "f"))
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-    write_csv(ts, plain)
+    write_csv(ts, plain, ("C1",) * 40)
     # as a spreadsheet saves "CSV UTF-8": a byte order mark, then CRLF line ends
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
     assert dataset.read_csv_header(marked) == ["a", "b", "f", "true_label"]
@@ -345,11 +366,10 @@ def _entries(directory):
 def test_parse_cache_hit_equals_parse_bit_for_bit(tmp_path_factory, values, spaced):
     data = np.array(values).reshape(3, -1)
     label = "C 1" if spaced else "C1"
-    ts = _ts(data, names=("a", "b", "f"),
-             sample_labels=(label,) * data.shape[1])
+    ts = _ts(data, names=("a", "b", "f"))
     root = tmp_path_factory.mktemp("cache")
     p = root / "d.csv"
-    write_csv(ts, p)
+    write_csv(ts, p, (label,) * data.shape[1])
     parsed = load_csv(p, SCHEMA3).data
     assert parsed.tobytes() == data.tobytes()
     # one entry staged from the record as simulate writes it, one kept by a parse

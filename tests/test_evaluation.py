@@ -66,28 +66,26 @@ def test_fit_needs_two_samples():
 
 
 def _study(systems, n_online):
-    g, avg, online, traces = _scheduled_study(systems, n_online)
-    report = compare_report(g, avg, online, traces)
-    return g, avg, online, report
+    g, avg, runs = _scheduled_study(systems, n_online)
+    report = compare_report(g, avg, runs)
+    return g, avg, runs, report
 
 
 def _scheduled_study(systems, n_online):
-    records = [
-        make_training_record(systems, label, 1000, seed=60 + i)
+    records = {
+        label: make_training_record(systems, label, 1000, seed=60 + i)
         for i, label in enumerate(("C1", "C2"))
-    ]
-    g, h = train_families(records, "y_O", "y_I2", order=10)
-    avg = fit_average(records, ("y_I1_a", "y_I2"), "y_O", order=10)
-    # one online record per condition, fresh excitation, clean data
-    online = [
-        _with_label(make_training_record(systems, "C1", n_online, seed=71), "O1"),
-        _with_label(make_training_record(systems, "C2", n_online, seed=72), "O2"),
-    ]
-    prior = Prior.uniform(2)
-    traces = {
-        ts.condition_label: schedule_estimate(g, h, ts, prior, 50) for ts in online
     }
-    return g, avg, online, traces
+    g, h = train_families(records, "y_O", "y_I2", order=10)
+    avg = fit_average(records.values(), ("y_I1_a", "y_I2"), "y_O", order=10)
+    # one online record per condition, fresh excitation, clean data
+    online = {
+        "O1": make_training_record(systems, "C1", n_online, seed=71),
+        "O2": make_training_record(systems, "C2", n_online, seed=72),
+    }
+    prior = Prior.uniform(2)
+    runs = {label: (ts, schedule_estimate(g, h, ts, prior, 50)) for label, ts in online.items()}
+    return g, avg, runs
 
 
 @pytest.fixture(scope="module")
@@ -102,20 +100,16 @@ def ragged_study(quarter_car_systems):
     return _study(quarter_car_systems, 605)
 
 
-def _with_label(ts, label):
-    return dataclasses.replace(ts, condition_label=label)
-
-
 def test_report_row_per_condition(study):
-    g, _, online, report = study
+    g, _, runs, report = study
     assert report.conditions == ("O1", "O2")
-    assert report.fits.shape == (len(online), len(g) + 3)
+    assert report.fits.shape == (len(runs), len(g) + 3)
 
 
 def test_reports_compare_by_identity(quarter_car_systems):
     # ndarray field: a generated __eq__ would raise "truth value ... is ambiguous"
-    g, avg, online, traces = _scheduled_study(quarter_car_systems, 200)
-    a, b = (compare_report(g, avg, online, traces) for _ in range(2))
+    g, avg, runs = _scheduled_study(quarter_car_systems, 200)
+    a, b = (compare_report(g, avg, runs) for _ in range(2))
     assert a == a and a != b
     np.testing.assert_array_equal(a.fits, b.fits)
 
@@ -152,10 +146,11 @@ def test_report_accuracy_full_variant(study):
 
 
 def test_report_requires_ground_truth(study, quarter_car_systems):
-    g, avg, online, _ = study
-    no_target = dataclasses.replace(online[0], names=("y_I1_a", "y_I2", "other"))
-    with pytest.raises(DataError, match="ground truth"):
-        compare_report(g, avg, [no_target], {})
+    g, avg, runs, _ = study
+    ts, trace = runs["O1"]
+    no_target = dataclasses.replace(ts, names=("y_I1_a", "y_I2", "other"))
+    with pytest.raises(DataError, match="record 'O1' is missing ground truth"):
+        compare_report(g, avg, {"O1": (no_target, trace)})
 
 
 def test_report_csv_consistency(tmp_path, study):
@@ -192,8 +187,8 @@ OTHER_PICKS = {"O1": [0, 0, 2], "O2": [0, 0, 0]}
 
 
 def _pinned_case(picks=PINNED_PICKS):
-    """Inputs of ``compare_report`` for two hand-made records, and traces
-    with given predictions whose windows pick the members ``picks`` gives.
+    """Inputs of ``compare_report``: two hand-made records, each filed with a
+    trace of given predictions whose windows pick the members ``picks`` gives.
 
     Order 1 and windows of 2 over 7 samples: sample 0 has no estimate and the
     1-sample tail is skipped, so every FIT is taken over samples 1..5.  On O1,
@@ -222,24 +217,22 @@ def _pinned_case(picks=PINNED_PICKS):
         "O1": ([0.0, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.5, 0.0, 0.0]),
         "O2": ([0.0, 0.0, 0.1, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
     }
-    records, traces = [], {}
+    runs = {}
     for label, y in ys.items():
-        records.append(TimeSeriesSet(
-            names=("u0", "v", "y"), data=np.array([y, v, y]), condition_label=label,
-        ))
         tail = np.array(y[1:])
         e1, e2 = (np.array(e) for e in errors[label])
         preds = np.array([tail + e1, tail + e2, -tail])
         member = np.array(np.repeat(picks[label], 2).tolist() + [-1])
         estimates = np.full(7, np.nan)
         estimates[1:6] = preds[member[1:6], np.arange(5)]
-        traces[label] = ScheduleTrace(
+        trace = ScheduleTrace(
             labels=labels, log_evidence=np.zeros((3, 3)), chosen=np.array(picks[label]),
             ambiguous=np.zeros(3, dtype=bool), starts=np.array([0, 2, 4]),
             stops=np.array([2, 4, 6]), skipped=((4, 6, 7),), member=member,
             estimates=estimates, predictions=preds, target="y",
         )
-    return g, average, records, traces
+        runs[label] = TimeSeriesSet(names=("u0", "v", "y"), data=np.array([y, v, y])), trace
+    return g, average, runs
 
 
 def _pinned_report(picks=PINNED_PICKS):
@@ -288,14 +281,14 @@ def test_ideal_fit_is_max():
 
 
 def test_ideal_fit_single():
-    g, average, records, traces = _pinned_case()
+    g, average, runs = _pinned_case()
     one = TransmissibilityFamily(labels=("C1",), models=g.models[:1])
-    traces = {
-        label: dataclasses.replace(t, labels=one.labels, chosen=np.zeros(3, dtype=int),
-                                   predictions=t.predictions[:1])
-        for label, t in traces.items()
+    runs = {
+        label: (ts, dataclasses.replace(t, labels=one.labels, chosen=np.zeros(3, dtype=int),
+                                        predictions=t.predictions[:1]))
+        for label, (ts, t) in runs.items()
     }
-    report = compare_report(one, average, records, traces)
+    report = compare_report(one, average, runs)
     np.testing.assert_array_equal(report.fits[:, IDEAL], report.fits[:, 0])
     assert report.accuracy == 1.0
 
@@ -317,8 +310,8 @@ def test_indicator_hits_and_misses(tmp_path):
 def test_indicator_tie_counts_as_correct():
     # on O1, the pinned picks choose C2 and the other picks C1, the two tied best members
     for picks in (PINNED_PICKS, OTHER_PICKS):
-        g, average, records, traces = _pinned_case(picks)
-        report = compare_report(g, average, records[:1], traces)
+        g, average, runs = _pinned_case(picks)
+        report = compare_report(g, average, {"O1": runs["O1"]})
         assert report.accuracy == 1.0
 
 
@@ -326,7 +319,8 @@ def test_accuracy_values():
     assert _pinned_report().accuracy == 0.5
     other = _pinned_report(OTHER_PICKS)
     assert (other.chosen, other.accuracy) == (("C1", "C1"), 1.0)
-    g, average, records, traces = _pinned_case()
-    worst = {label: dataclasses.replace(t, chosen=np.full(3, 2)) for label, t in traces.items()}
-    report = compare_report(g, average, records, worst)
+    g, average, runs = _pinned_case()
+    worst = {label: (ts, dataclasses.replace(t, chosen=np.full(3, 2)))
+             for label, (ts, t) in runs.items()}
+    report = compare_report(g, average, worst)
     assert report.accuracy == 0.0

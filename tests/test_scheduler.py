@@ -216,11 +216,11 @@ def test_classify_matches_direct_bayes_formula():
 
 @pytest.fixture(scope="module")
 def trained_families(quarter_car_systems):
-    records = [
-        make_training_record(quarter_car_systems, label, 1000, seed=900 + i,
-                             snr=50.0)
+    records = {
+        label: make_training_record(quarter_car_systems, label, 1000, seed=900 + i,
+                                    snr=50.0)
         for i, label in enumerate(("C1", "C2"))
-    ]
+    }
     return train_families(records, "y_O", "y_I2", order=10)
 
 

@@ -16,6 +16,7 @@ import transched
 from transched import simulator
 from transched.errors import ConfigError, DataError
 from transched.simulator import (
+    CHANNEL_NAMES,
     SIMULATE_CHUNK_SAMPLES,
     DiscreteStateSpace,
     NoiseSpec,
@@ -230,11 +231,11 @@ def test_simulate_impulse_matches_direct_recursion(quarter_car_systems):
 
 def test_simulate_switching_carries_state_and_labels(quarter_car_systems):
     z = gen_excitation(160, 0.01, 9)
-    ts = simulate(
-        quarter_car_systems, SwitchSchedule(steps=(("C1", 80), ("C2", 80))), z
-    )
-    assert ts.sample_labels[:80] == ("C1",) * 80
-    assert ts.sample_labels[80:] == ("C2",) * 80
+    schedule = SwitchSchedule(steps=(("C1", 80), ("C2", 80)))
+    ts = simulate(quarter_car_systems, schedule, z)
+    # the record holds no labels: its schedule gives each sample's condition
+    assert ts.names == CHANNEL_NAMES
+    assert schedule.labels_per_sample() == ("C1",) * 80 + ("C2",) * 80
     # first C2 output is produced by the state inherited from the C1 segment
     seg1 = simulate(quarter_car_systems, SwitchSchedule(steps=(("C1", 80),)), z[:80])
     np.testing.assert_array_equal(ts.data[:, :80], seg1.data)
@@ -301,11 +302,10 @@ def test_simulate_noise_equals_add_noise_bit_for_bit(
     monkeypatch.setattr(simulator, "SIMULATE_CHUNK_SAMPLES", chunk)
     schedule = SwitchSchedule(steps=(("C1", 70), ("C2", 55), ("C1", 30), ("C2", 1)))
     z = gen_excitation(schedule.total_samples, 0.01, 21)
-    noisy = simulate(quarter_car_systems, schedule, z, condition_label="v", noise=spec)
-    expected = add_noise(simulate(quarter_car_systems, schedule, z, condition_label="v"), spec)
+    noisy = simulate(quarter_car_systems, schedule, z, noise=spec)
+    expected = add_noise(simulate(quarter_car_systems, schedule, z), spec)
     assert noisy.data.tobytes() == expected.data.tobytes()
-    assert noisy.sample_labels == expected.sample_labels
-    assert noisy.condition_label == expected.condition_label == "v"
+    assert noisy.names == expected.names
 
 
 @pytest.mark.parametrize(

@@ -28,15 +28,14 @@ from transched.transmissibility import (
 from conftest import make_training_record
 
 
-def _record(data, names, label=None):
-    return TimeSeriesSet(names=tuple(names), data=np.asarray(data, dtype=float),
-                         condition_label=label)
+def _record(data, names):
+    return TimeSeriesSet(names=tuple(names), data=np.asarray(data, dtype=float))
 
 
-def _random_record(rng, m_len, label=None):
+def _random_record(rng, m_len):
     # channels of very different scales, so a changed summation order shows
     scale = 10.0 ** rng.uniform(-3, 3, size=(3, 1))
-    return _record(scale * rng.normal(size=(3, m_len)), ("a", "b", "f"), label=label)
+    return _record(scale * rng.normal(size=(3, m_len)), ("a", "b", "f"))
 
 
 def _inputs(n):
@@ -201,69 +200,52 @@ def test_train_families_two_conditions(clean_training_pair):
 
 def test_train_families_aux_output_names_the_split():
     rng = np.random.default_rng(8)
-    r = _record(rng.normal(size=(4, 60)), ("a", "b", "c", "f"), label="Q")
-    g, h = train_families([r], "f", "a", order=2)
+    r = _record(rng.normal(size=(4, 60)), ("a", "b", "c", "f"))
+    g, h = train_families({"Q": r}, "f", "a", order=2)
     assert g.input_channel_names == ("a", "b", "c")
     assert h.input_channel_names == ("b", "c") and h.output_channel_name == "a"
 
 
 @pytest.mark.parametrize("aux_output", ["f", "z"])
 def test_train_families_aux_output_not_a_pseudo_input(aux_output):
-    r = _record(np.random.default_rng(8).normal(size=(3, 60)), ("a", "b", "f"), label="Q")
+    r = _record(np.random.default_rng(8).normal(size=(3, 60)), ("a", "b", "f"))
     with pytest.raises(DataError, match=f"auxiliary output '{aux_output}' is not a pseudo-input"):
-        train_families([r], "f", aux_output, order=2)
+        train_families({"Q": r}, "f", aux_output, order=2)
 
 
 def test_train_families_target_not_a_channel():
-    r = _record(np.random.default_rng(8).normal(size=(3, 60)), ("a", "b", "f"), label="Q")
+    r = _record(np.random.default_rng(8).normal(size=(3, 60)), ("a", "b", "f"))
     with pytest.raises(DataError, match=r"target channel 'z' is not a record channel \['a', 'b'"):
-        train_families([r], "z", "a", order=2)
+        train_families({"Q": r}, "z", "a", order=2)
 
 
 def test_train_families_singleton(clean_c1_pair):
-    g, h = train_families([clean_c1_pair[0]], "y_O", "y_I2", order=5)
+    g, h = train_families({"C1": clean_c1_pair[0]}, "y_O", "y_I2", order=5)
     assert len(g) == len(h) == 1
 
 
 def test_train_families_identical_data_under_two_labels():
     base = _passthrough_record(seed=5, m_len=150)
-    import dataclasses
-
-    r1 = dataclasses.replace(base, condition_label="Q1")
-    r2 = dataclasses.replace(base, condition_label="Q2")
-    _, h = train_families([r1, r2], "f", "b", order=3)
+    g, h = train_families({"Q1": base, "Q2": base}, "f", "b", order=3)
+    assert g.labels == h.labels == ("Q1", "Q2")
     np.testing.assert_allclose(h.models[0].theta, h.models[1].theta, atol=1e-10)
 
 
-def test_train_families_duplicate_labels():
-    r = _passthrough_record()
-    import dataclasses
-
-    recs = [dataclasses.replace(r, condition_label="Q"),
-            dataclasses.replace(r, condition_label="Q")]
-    with pytest.raises(DataError, match="duplicate"):
-        train_families(recs, "f", "a", order=2)
-
-
 def test_train_families_schema_mismatch():
-    import dataclasses
-
-    r1 = dataclasses.replace(_passthrough_record(), condition_label="Q1")
     other = _record(np.zeros((3, 50)) + 1.0, ("x", "b", "f"))
-    r2 = dataclasses.replace(other, condition_label="Q2")
-    with pytest.raises(DataError, match="schema"):
-        train_families([r1, r2], "f", "a", order=2)
+    with pytest.raises(DataError, match="record 'Q2' channel schema"):
+        train_families({"Q1": _passthrough_record(), "Q2": other}, "f", "a", order=2)
 
 
 def test_train_families_single_pseudo_input():
-    r = _record(np.random.default_rng(5).normal(size=(2, 50)), ("a", "f"), label="Q")
+    r = _record(np.random.default_rng(5).normal(size=(2, 50)), ("a", "f"))
     with pytest.raises(DataError, match="at least 2 pseudo-input channels, got 1"):
-        train_families([r], "f", "a", order=2)
+        train_families({"Q": r}, "f", "a", order=2)
 
 
 def test_train_families_order_independent(clean_training_pair):
-    g12, _ = train_families(list(clean_training_pair), "y_O", "y_I2", order=6)
-    g21, _ = train_families(list(clean_training_pair)[::-1], "y_O", "y_I2", order=6)
+    g12, _ = train_families(clean_training_pair, "y_O", "y_I2", order=6)
+    g21, _ = train_families(dict(reversed(clean_training_pair.items())), "y_O", "y_I2", order=6)
     assert g21.labels == tuple(reversed(g12.labels))
     for label in ("C1", "C2"):
         np.testing.assert_array_equal(g12.models[g12.labels.index(label)].theta,
@@ -301,8 +283,8 @@ def test_fit_average_duplicate_records_match_single():
 
 def test_fit_average_loses_to_matched_models(quarter_car_systems, clean_training_pair):
     # pooled-data model cannot beat the condition-matched one on either condition
-    avg = fit_average(clean_training_pair, ("y_I1_a", "y_I2"), "y_O", order=10)
-    for label, ts in zip(("C1", "C2"), clean_training_pair):
+    avg = fit_average(clean_training_pair.values(), ("y_I1_a", "y_I2"), "y_O", order=10)
+    for label, ts in clean_training_pair.items():
         heldout = make_training_record(quarter_car_systems, label, 1000, seed=505)
         matched = fit_fir(ts, ("y_I1_a", "y_I2"), "y_O", order=10)
         fit_matched = fit_metric(heldout.channel("y_O")[10:], predict_record(matched, heldout))
@@ -317,8 +299,7 @@ def test_fit_average_equals_fit_of_vstacked_regressions(inputs, c_lim):
     # round the stacked Gram matrix's sums in another order
     rng = np.random.default_rng(len(inputs))
     order = 6
-    records = [_random_record(rng, m_len, label=f"C{i}")
-               for i, m_len in enumerate((300, 451, 1000))]
+    records = [_random_record(rng, m_len) for m_len in (300, 451, 1000)]
     parts = [build_regressor(ts.channels(inputs), ts.channel("f"), order) for ts in records]
     stacked = RegressionMatrices(
         phi=np.vstack([m.phi for m in parts]), y=np.concatenate([m.y for m in parts])
@@ -347,7 +328,7 @@ def test_fit_average_fails_hopeless_fit_before_building_any_regression(monkeypat
     monkeypatch.setattr("transched.transmissibility.build_regressor", no_build)
     monkeypatch.setattr("transched.regression._eigh", no_build)
     rng = np.random.default_rng(2)
-    records = [_random_record(rng, 6, label=f"C{i}") for i in range(3)]
+    records = [_random_record(rng, 6) for _ in range(3)]
     with pytest.raises(ConfigError, match="c_lim"):  # a config error comes first
         fit_average(records, ("a", "b"), "f", 4, c_lim=1.0)
     with pytest.raises(DataError, match="insufficient data for variance estimate: 6 rows, 10"):
@@ -357,7 +338,7 @@ def test_fit_average_fails_hopeless_fit_before_building_any_regression(monkeypat
 def test_fit_average_memory_stays_flat_as_records_are_added():
     rng = np.random.default_rng(6)
     order, m_len = 30, 5000
-    records = [_random_record(rng, m_len, label=f"C{i}") for i in range(8)]
+    records = [_random_record(rng, m_len) for _ in range(8)]
     rows = m_len - order
     one = rows * 2 * (order + 1) * 8 + rows * 8  # one record's lag matrix and targets
     two = _peak_bytes(fit_average, records[:2], ("a", "b"), "f", order)
@@ -371,7 +352,7 @@ def test_fit_average_memory_stays_flat_as_records_are_added():
 
 def test_store_round_trip_bit_exact(tmp_path, clean_training_pair):
     g, h = train_families(clean_training_pair, "y_O", "y_I2", order=10)
-    avg = fit_average(clean_training_pair, ("y_I1_a", "y_I2"), "y_O", order=10)
+    avg = fit_average(clean_training_pair.values(), ("y_I1_a", "y_I2"), "y_O", order=10)
     path = tmp_path / "store.json"
     save_store(path, g, h, average=avg, c_lim=1e6)
     g2, h2, avg2 = load_store(path)
