@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "dataset": (
+        "LabelColumn",
         "RegressionMatrices",
         "TimeSeriesSet",
         "build_regressor",

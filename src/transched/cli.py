@@ -98,7 +98,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             )
             # only the validation record has a true_label column
             write_csv(ts, staged[name],
-                      schedule.labels_per_sample() if name == "validation.csv" else None)
+                      schedule.label_column() if name == "validation.csv" else None)
             cache.add_written(os.path.join(cfg.out, name), staged[name], ts, list(cfg.channels))
             del ts  # simulate the next record without this one
         manifest = {

@@ -29,17 +29,11 @@ GUARD_BLOCK_BYTES = 64 * 1024
 # format is a miss.
 PARSE_CACHE_VERSION = 1
 
-# Floats formatted per chunk by ``write_table``: a chunk takes the rows that
-# hold this many floats (this many rows in a table without floats), one
-# ``float_cells`` call's worth, and its cells, made a chunk at a time, keep
-# the memory flat whatever the table length.
+# Rows per chunk of ``write_table``: the rows that hold this many floats
+# (this many rows in a table without floats).  A chunk's text is made in
+# one byte buffer and written at once, so memory stays flat whatever the
+# table length.
 WRITE_CHUNK_FLOATS = 1536
-
-# A chunk's float cells come from ``floattext.float_cells``, in one call
-# for all its float columns, when they hold KERNEL_CHUNK_FLOATS values or
-# more; below that the call's fixed cost, some 120 numpy calls, outweighs
-# what it saves on each value, and each float is ``repr``'d in Python.
-KERNEL_CHUNK_FLOATS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,12 +97,29 @@ def _check_label(where: str, label: str, error: type[Exception] = DataError,
                  what: str = "condition label") -> None:
     """A condition label or channel name is a cell ``write_table`` writes
     unquoted, and an empty cell means "no label": it must be non-empty and
-    hold no comma, double quote, CR or LF."""
+    hold no comma, double quote, CR or LF, and no NUL, which ``write_table``
+    refuses in a label."""
     if not label or not set(label).isdisjoint(',"\r\n'):
         raise error(
             f"{where}: {label!r} is not a {what}: it must be non-empty "
             "and hold no comma, double quote, CR or LF"
         )
+    if "\0" in label:
+        raise error(f"{where}: {label!r} is not a {what}: it holds a NUL")
+
+
+class LabelColumn:
+    """A ``write_table`` column of labels as codes: cell i is
+    ``labels[codes[i]]``, and an empty cell where the code is -1; any
+    other code is a DataError.  A plain class: a dataclass would cost every
+    command's import of this module."""
+
+    def __init__(self, codes: np.ndarray, labels: Sequence[str]) -> None:
+        self.codes = codes
+        self.labels = labels
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,72 +391,44 @@ def write_table(
     path: str | os.PathLike, header: list[str], columns: list, format_line: str | None = None
 ) -> None:
     """Write equal-length columns as CSV rows under a header line, after a
-    ``# format: <format_line>`` line when one is given; a column of another
-    length is a DataError naming it.  Every CSV artifact is written here, as
-    UTF-8: a float array's values as their shortest round-trip ``repr`` and
-    a NaN as an empty cell, the cells of any other array or sequence with
-    ``str``, a chunk of rows (WRITE_CHUNK_FLOATS floats) at a time.
+    ``# format: <format_line>`` line when one is given.  Every CSV artifact
+    is written here, as UTF-8: a float array's values as their shortest
+    round-trip ``repr`` and a NaN as an empty cell, an integer array's
+    values in decimal, a ``LabelColumn``'s label per code, and the cells of
+    any other array or sequence with ``str``.  Header cells and columns of
+    different counts, a column of another length and a label holding a NUL
+    are each a DataError, raised before the file is opened.  The rows are
+    made as bytes a chunk (WRITE_CHUNK_FLOATS floats) at a time.
     """
-    for name, col in zip(header, columns):
-        if len(col) != len(columns[0]):
-            raise DataError(f"{path}: column {name!r} has {len(col)} rows, not {len(columns[0])}")
-    with open(path, "wb") as f:
-        for text in _table_text(header, columns, format_line):
-            f.write(text.encode())
+    from .tabletext import chunk_bytes, table_column
 
-
-def _table_text(header: list[str], columns: list, format_line: str | None):
-    """``write_table``'s text: the head lines, then one chunk of rows at a time."""
-    if format_line is not None:
-        yield f"# format: {format_line}\n"
-    yield ",".join(header) + "\n"
+    if len(header) != len(columns):
+        raise DataError(f"{path}: the header names {len(header)} columns, the table has {len(columns)}")
     n_rows = len(columns[0]) if columns else 0
-    floats = [i for i, col in enumerate(columns) if isinstance(col, np.ndarray) and col.dtype.kind == "f"]
-    rows = max(WRITE_CHUNK_FLOATS // max(len(floats), 1), 1)
-    for lo in range(0, n_rows, rows):
-        cells = _cells([col[lo : lo + rows] for col in columns], floats)
-        yield "\n".join(map(",".join, zip(*cells)))
-        del cells  # before the next chunk's cells are made
-        yield "\n"  # apart: appending it would copy the chunk's text
-
-
-def _cells(chunks: list, floats: list[int]) -> list:
-    """The text cells of one chunk of each column, by ``write_table``'s
-    rules; ``floats`` are the float columns' indices."""
-    if len(floats) * len(chunks[0]) < KERNEL_CHUNK_FLOATS:
-        return [_repr_cells(c) if i in floats else _str_cells(c) for i, c in enumerate(chunks)]
-    from .floattext import float_cells
-
-    text = float_cells(np.concatenate([chunks[i] for i in floats]))
-    cells = [None if i in floats else _str_cells(c) for i, c in enumerate(chunks)]
-    size = len(chunks[0])
-    for j, i in enumerate(floats):
-        cells[i] = text[j * size : (j + 1) * size]
-    return cells
-
-
-def _str_cells(chunk):
-    return map(str, chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)
-
-
-def _repr_cells(chunk):
-    """A float column chunk's cells, one ``repr`` at a time."""
-    missing = np.isnan(chunk)
-    if not missing.any():
-        return map(repr, chunk.tolist())
-    values = chunk.tolist()
-    cells = [""] * len(values)  # a list only for a chunk with a missing value
-    for i in np.flatnonzero(~missing).tolist():
-        cells[i] = repr(values[i])
-    return cells
+    for name, col in zip(header, columns):
+        if len(col) != n_rows:
+            raise DataError(f"{path}: column {name!r} has {len(col)} rows, not {n_rows}")
+    columns = [table_column(path, col) for col in columns]
+    floats = sum(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns)
+    rows = max(WRITE_CHUNK_FLOATS // max(floats, 1), 1)
+    head = ",".join(header) + "\n"
+    if format_line is not None:
+        head = f"# format: {format_line}\n{head}"
+    with open(path, "wb") as f:
+        f.write(head.encode())
+        for lo in range(0, n_rows, rows):
+            f.write(chunk_bytes(columns, lo, lo + rows))
 
 
 def write_csv(
-    ts: TimeSeriesSet, path: str | os.PathLike, true_labels: Sequence[str] | None = None
+    ts: TimeSeriesSet,
+    path: str | os.PathLike,
+    true_labels: Sequence[str] | LabelColumn | None = None,
 ) -> None:
     """Write a record as CSV: one column per channel, in ``names`` order,
     then, when ``true_labels`` are given, a ``true_label`` column of one
-    label per sample.  Rewriting the same record is byte-identical.
+    label per sample, as labels or as a ``LabelColumn`` of codes.  Rewriting
+    the same record is byte-identical.
     """
     header, columns = list(ts.names), list(ts.data)
     if true_labels is not None:

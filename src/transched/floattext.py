@@ -1,15 +1,14 @@
 """Float64 arrays as the text ``repr`` gives each value, computed on arrays.
 
-``float_cells(values)`` returns ``[repr(v) for v in values.tolist()]``, with
-``""`` for a NaN, cell for cell.  The digits are ``schubfach``'s: the
-shortest decimal that reads back as the value, the closest of those, ties
-to even, which is what CPython's ``repr`` prints.  The text follows
-CPython's fixed-point layout, with ``.0`` on an integral value.  A cell is
-three little-endian uint64 words, one ASCII character a byte, NUL-padded
-to 24 characters; the cells of one sign, point position and digit count
-share one layout, looked up in a table and applied with word shifts and
-masks, and the words are viewed as numpy ``U24`` strings, whose ``tolist``
-drops the NULs.  The kernel is two modules, this and ``schubfach``: a
+``float_bytes(values)`` returns, row for row, the UTF-8 bytes of
+``repr(v)`` for each value, NUL-padded to 24 bytes, and 24 NULs for a NaN.
+The digits are ``schubfach``'s: the shortest decimal that reads back as the
+value, the closest of those, ties to even, which is what CPython's
+``repr`` prints.  The text follows CPython's fixed-point layout, with
+``.0`` on an integral value.  A cell is three little-endian uint64 words,
+one ASCII character a byte; the cells of one sign, point position and
+digit count share one layout, looked up in a table and applied with word
+shifts and masks.  The kernel is two modules, this and ``schubfach``: a
 process that writes no bytecode compiles them on first use, and two halves
 compiled one after the other peak lower in memory than one module.
 
@@ -17,7 +16,7 @@ compiled one after the other peak lower in memory than one module.
 1e-4 or from 1e16 in magnitude, 0.03-0.12 % of the float cells the
 benchmark's workloads write), zeros, subnormals, powers of two (whose
 lower neighbour is nearer) and non-finite values.  A call costs some 120
-numpy calls whatever its length, so ``dataset`` sends only large chunks
+numpy calls whatever its length, so ``tabletext`` sends only large chunks
 here.
 
 Every operand is a uint64 or int64 array or a numpy scalar of that type,
@@ -30,6 +29,7 @@ import functools
 
 import numpy as np
 
+from .tabletext import padded, repr_bytes, swar_digits
 from .schubfach import shortest_decimal
 
 # Values per pass of the kernel, which holds about 200 bytes a value.
@@ -39,17 +39,11 @@ _U = np.uint64
 _I = np.int64
 _FRACTION = _U((1 << 52) - 1)
 _ONES = 0x0101010101010101
-_STRING_BATCH = 256  # cells per U24 array, which takes 96 bytes a cell
 # repr's fixed-point range, as the bits of |v|: decimal point positions
 # e = -3..16, where v = 0.d1d2... * 10**e
 _LOW = np.float64(1e-4).view(_U)
 _HIGH = np.float64(1e16).view(_U)
 _SIGN = _U(1 << 63)
-
-
-def _cell_words(cells: list[bytes]) -> np.ndarray:
-    """(3, n) uint64: cells of up to 24 bytes as little-endian words."""
-    return np.frombuffer(b"".join(c.ljust(24, b"\0") for c in cells), dtype="<u8").reshape(-1, 3).T
 
 
 @functools.cache
@@ -82,29 +76,8 @@ def _layout_table() -> np.ndarray:
             after += [b"\0" * start + b"\xff" * (end - start) for end in ends]
             fields += [8 * (neg + 1), 8 * shift, 8 * first] * 17  # each below 256
     small = np.frombuffer(bytes(fields), dtype=np.uint8).reshape(-1, 3).T.astype(_U)
-    return np.concatenate([small[:2], _cell_words(before), _cell_words(after), _cell_words(fill), small[2:]])
-
-
-def _swar_digits(x: np.ndarray) -> None:
-    """Turn each x < 10**8, in place, into eight digit bytes (0..9), the
-    most significant in the low byte: split into lanes of four digits, then
-    of two and of one, dividing every lane at once by a multiply and shift."""
-    high = x // _U(10_000)
-    x -= high * _U(10_000)
-    x <<= _U(32)
-    x |= high
-    high = x * _U(10_486)
-    high >>= _U(20)
-    high &= _U(0x0000007F0000007F)  # // 100 in each 32-bit lane
-    x -= high * _U(100)
-    x <<= _U(16)
-    x |= high
-    high = x * _U(103)
-    high >>= _U(10)
-    high &= _U(0x000F000F000F000F)  # // 10 in each 16-bit lane
-    x -= high * _U(10)
-    x <<= _U(8)
-    x |= high
+    words = [padded(cells, 24).view("<u8").T for cells in (before, after, fill)]
+    return np.concatenate([small[:2], *words, small[2:]])
 
 
 def _text_words(bits: np.ndarray) -> np.ndarray:
@@ -123,7 +96,7 @@ def _text_words(bits: np.ndarray) -> np.ndarray:
     np.floor_divide(d, _U(10**8), out=digits[0])
     np.subtract(d, digits[0] * _U(10**8), out=digits[1])
     del d
-    _swar_digits(digits)
+    swar_digits(digits)
     # significant digits: a byte's top bit flags a nonzero digit, and the
     # float64 exponent of the flags gives the last one's byte
     flags = ((digits + _U(0x7F * _ONES)) & _U(0x80 * _ONES)).astype(np.float64).view(_I)
@@ -155,30 +128,19 @@ def _text_words(bits: np.ndarray) -> np.ndarray:
     return text
 
 
-def float_cells(values: np.ndarray) -> list[str]:
-    """``[repr(v) for v in values.tolist()]`` with ``""`` for a NaN."""
-    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+def float_bytes(values: np.ndarray) -> np.ndarray:
+    """(n, 24) uint8: the ``repr`` of each float64 of ``values``, NUL-padded;
+    a NaN is 24 NULs."""
     bits = values.view(_U)
     size = bits & ~_SIGN
-    kernel = (size >= _LOW) & (size < _HIGH) & ((bits & _FRACTION) != _U(0))
+    others = np.flatnonzero((size < _LOW) | (size >= _HIGH) | ((bits & _FRACTION) == _U(0)))
     del size
-    every = bool(kernel.all())
-    if not every:
-        bits = bits[kernel]
-    cells = []
+    if others.size:  # the kernel formats 1.5 in their place
+        bits = bits.copy()
+        bits[others] = np.float64(1.5).view(_U)
+    words = np.empty((bits.size, 3), dtype="<u8")
     for lo in range(0, bits.size, KERNEL_BATCH):
-        words = _text_words(bits[lo : lo + KERNEL_BATCH])
-        chars = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
-        del words
-        for at in range(0, len(chars), _STRING_BATCH):
-            cells += chars[at : at + _STRING_BATCH].astype(np.uint32).view("U24").ravel().tolist()
-    if every:
-        return cells
-    out = [""] * values.size
-    for i, cell in zip(np.flatnonzero(kernel).tolist(), cells):
-        out[i] = cell
-    for i in np.flatnonzero(~kernel).tolist():
-        v = values[i]
-        if v == v:
-            out[i] = repr(float(v))
-    return out
+        words[lo : lo + KERNEL_BATCH] = _text_words(bits[lo : lo + KERNEL_BATCH]).T
+    text = words.view(np.uint8)
+    text[others] = repr_bytes(values[others])
+    return text

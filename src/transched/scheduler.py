@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TimeSeriesSet, build_regressor, write_table
+from .dataset import LabelColumn, TimeSeriesSet, build_regressor, write_table
 from .errors import ConfigError, DataError, NumericalError
 from .transmissibility import FirModel, TransmissibilityFamily, predict, predict_record
 
@@ -390,7 +390,7 @@ def write_window_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
         np.arange(1, trace.chosen.size + 1),
         trace.starts + 1,
         trace.stops,
-        np.array(trace.labels, dtype=object)[trace.chosen],
+        LabelColumn(trace.chosen, trace.labels),
         *trace.log_evidence.T,
         trace.ambiguous.astype(int),
     ]
@@ -401,8 +401,10 @@ def write_sample_trace(trace: ScheduleTrace, path: str | os.PathLike) -> None:
     """Per-sample CSV: chosen label and estimate (empty where no window covers
     the sample), the estimate in a column named ``<target>_estimated``.  The
     measured target is the input's own row, so it is not written again."""
-    # member -1, no window, gets the empty label
-    labels = np.array([*trace.labels, ""], dtype=object)[trace.member]
     header = ["sample_index", "chosen_label", f"{trace.target}_estimated"]
-    columns = [np.arange(1, trace.member.size + 1), labels, trace.estimates]
+    columns = [
+        np.arange(1, trace.member.size + 1),
+        LabelColumn(trace.member, trace.labels),  # member -1, no window: an empty cell
+        trace.estimates,
+    ]
     write_table(path, header, columns, SAMPLE_TRACE_FORMAT)

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import TimeSeriesSet
+from .dataset import LabelColumn, TimeSeriesSet
 from .errors import ConfigError, DataError
 
 # Channel order matches the output matrix rows.
@@ -86,6 +86,13 @@ class SwitchSchedule:
     def labels_per_sample(self) -> tuple[str, ...]:
         """The active condition of each sample, in order."""
         return tuple(chain.from_iterable(repeat(label, n) for label, n in self.steps))
+
+    def label_column(self) -> LabelColumn:
+        """The active condition of each sample, as codes into the schedule's
+        labels in their order of first appearance."""
+        labels = list(dict.fromkeys(label for label, _ in self.steps))
+        codes = [labels.index(label) for label, _ in self.steps]
+        return LabelColumn(np.repeat(codes, [n for _, n in self.steps]), labels)
 
 
 @dataclass(frozen=True)
@@ -230,7 +237,7 @@ def simulate(
     sum taken left to right, ``a_i0*x0 + ... + a_i3*x3 + b_i*z``, so the
     record is the same on every machine and BLAS kernel.  The state is
     carried continuously across switches.  The record holds the outputs
-    alone: ``schedule.labels_per_sample()`` gives each sample's condition.
+    alone: ``schedule.label_column()`` gives each sample's condition.
 
     With ``noise``, measurement noise is added in place to the output
     array before it is wrapped, so the record holds one float array; the

@@ -523,10 +523,14 @@ NOT_A_CHANNEL = f"is not a channel name: {CELL_RULE}"
         # so is a channel name: trace_samples.csv's header holds <target>_estimated
         ("[channels]\ny_I1_a = pseudo_input\ny_I2 = pseudo_input\ny,O = target_output\n",
          f"[channels]: 'y,O' {NOT_A_CHANNEL}"),
+        # the table writer pads cells with NULs: a label must hold none
+        ("[params.C1]\n" + PARAMS + "[params.x\0y]\n" + PARAMS
+         + "[simulate]\nschedule = C1:80, C1:80\n",
+         "[params.x\0y]: 'x\\x00y' is not a condition label: it holds a NUL"),
     ],
     ids=["order-banana", "sample_time-nan", "sample_time-inf", "sample_time-1e308",
          "excitation_variance-nan", "excitation_variance-inf", "label-comma-quote",
-         "label-empty", "label-newline", "label-quotes", "channel-comma"],
+         "label-empty", "label-newline", "label-quotes", "channel-comma", "label-nul"],
 )
 def test_exit_code_config_error(tmp_path, capsys, ini, message):
     cfg = tmp_path / "bad.ini"
@@ -717,6 +721,8 @@ def test_exit_code_non_finite_validation_csv(pipeline_dir, tmp_path, capsys):
          f"channel_names: 'y,O' {NOT_A_CHANNEL}"),
         (lambda doc: doc["channel_names"]["pseudo_inputs"].__setitem__(0, 'y"I'),
          f"channel_names: 'y\"I' {NOT_A_CHANNEL}"),
+        (lambda doc: doc["conditions"][1].update(label="Zustand\0"),
+         "conditions: 'Zustand\\x00' is not a condition label: it holds a NUL"),
     ],
 )
 def test_exit_code_malformed_store(pipeline_dir, tmp_path, capsys, corrupt, fragment):

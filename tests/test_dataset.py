@@ -190,6 +190,116 @@ def test_write_table_in_chunks_equals_one_chunk(tmp_path, monkeypatch, n_rows):
     assert data.count(b"\n") == 2 + n_rows
 
 
+@pytest.mark.parametrize("n_header", [1, 3], ids=["header-short", "header-long"])
+def test_write_table_rejects_header_and_columns_of_unequal_count(tmp_path, n_header):
+    # an unnamed column or a header cell over no column made a malformed CSV
+    p = tmp_path / "t.csv"
+    header = ["a", "b", "c"][:n_header]
+    with pytest.raises(DataError, match=rf"t\.csv: the header names {n_header} columns, the table has 2"):
+        dataset.write_table(p, header, [np.arange(3.0), np.arange(3.0)])
+    assert not p.exists()
+
+
+@pytest.mark.parametrize(
+    "column",
+    [["C1", "x\0y"], dataset.LabelColumn(np.array([0, -1]), ["x\0y"])],
+    ids=["labels", "codes"],
+)
+def test_write_table_refuses_a_nul_in_a_label(tmp_path, column):
+    # cells are NUL-padded, so the writer would drop the byte; multi-byte
+    # labels and header cells are written byte for byte
+    p = tmp_path / "t.csv"
+    with pytest.raises(DataError, match=r"t\.csv: label 'x\\x00y' holds a NUL"):
+        dataset.write_table(p, ["Kraft µN", "state"], [np.array([1.5, 2.0]), column])
+    assert not p.exists()
+    labels = dataset.LabelColumn(np.array([1, -1, 0]), ["µ-Zustand", "Straße 🚗"])
+    dataset.write_table(p, ["Kraft µN", "state"], [np.array([1.5, np.nan, -0.25]), labels])
+    assert p.read_bytes() == "Kraft µN,state\n1.5,Straße 🚗\n,\n-0.25,µ-Zustand\n".encode()
+
+
+@pytest.mark.parametrize("code", [2, -2])
+def test_write_table_rejects_a_code_outside_the_labels(tmp_path, code):
+    # code 2 would have picked the empty cell of code -1, and -2 the last label
+    p = tmp_path / "t.csv"
+    with pytest.raises(DataError, match=r"t\.csv: a label code lies outside -1\.\.1"):
+        dataset.write_table(p, ["state"], [dataset.LabelColumn(np.array([0, code, -1]), ["C1", "C2"])])
+    assert not p.exists()
+
+
+def _reference_table(header, columns, format_line):
+    """The table writer's rules, cell by cell, as the reference: ``repr`` per
+    float and an empty cell for NaN, ``str`` per integer and per cell of a
+    sequence, and a code's label with an empty cell for code -1."""
+    def cells(col):
+        if isinstance(col, dataset.LabelColumn):
+            return [col.labels[c] if c >= 0 else "" for c in col.codes.tolist()]
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            return ["" if v != v else repr(v) for v in col.astype(np.float64).tolist()]
+        return [str(v) for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+
+    lines = [f"# format: {format_line}", ",".join(header), *map(",".join, zip(*map(cells, columns)))]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                1e16, 9999999999999998.0, 1e-4, 1e-5, 1e22, 1e23, 0.1, float("inf"),
+                float("-inf"), float("nan")]
+_TABLE_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-1e16, 1e16),  # the kernel's range, with exponent forms at its ends
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-1074, 1023).map(lambda k: 2.0**k),
+)
+_TABLE_INTS = st.one_of(
+    st.integers(-10, 10),
+    st.integers(8, 18).flatmap(lambda d: st.integers(10**d, min(10 ** (d + 1) - 1, 2**63 - 1))),
+    st.integers(-(2**63), 2**63 - 1),
+)
+_TABLE_LABELS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\0'), max_size=6
+)
+
+
+@st.composite
+def _tables(draw):
+    """Columns of every kind ``write_table`` takes, their values cycled from a
+    drawn pool to a row count that crosses chunk boundaries."""
+    n_rows = draw(st.sampled_from([0, 1, 2, 7, 300, 700]))
+
+    def pool(values, dtype):
+        return np.resize(np.array(draw(st.lists(values, min_size=1, max_size=20)), dtype=dtype), n_rows)
+
+    kinds = st.sampled_from(["f64", "f32", "i64", "u64", "codes", "labels"])
+    columns = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind == "f64":
+            columns.append(pool(_TABLE_FLOATS, np.float64))
+        elif kind == "f32":
+            columns.append(pool(st.floats(width=32), np.float32))
+        elif kind == "i64":
+            columns.append(pool(_TABLE_INTS, np.int64))
+        elif kind == "u64":
+            columns.append(pool(st.integers(0, 2**64 - 1), np.uint64))
+        else:
+            labels = draw(st.lists(_TABLE_LABELS, min_size=1, max_size=4))
+            codes = pool(st.integers(-1, len(labels) - 1), np.intp)
+            columns.append(dataset.LabelColumn(codes, labels) if kind == "codes"
+                           else [labels[c] if c >= 0 else "" for c in codes.tolist()])
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables(), st.sampled_from([1, 5, 600, dataset.WRITE_CHUNK_FLOATS]))
+def test_write_table_writes_the_reference_text(tmp_path_factory, columns, chunk_floats):
+    # 600 floats a chunk of two float columns is 300 rows: 700 rows then hold
+    # chunks above and below KERNEL_CHUNK_FLOATS
+    header = [f"c{i}" for i in range(len(columns) - 1)] + ["Kraft µN"]
+    p = tmp_path_factory.mktemp("table") / "t.csv"
+    with mock.patch.object(dataset, "WRITE_CHUNK_FLOATS", chunk_floats):
+        dataset.write_table(p, header, columns, "test-table v1")
+    assert p.read_bytes() == _reference_table(header, columns, "test-table v1")
+
+
 def test_load_csv_duplicate_schema_channel(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,a,f\n1,2,3,4\n")

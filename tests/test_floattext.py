@@ -1,11 +1,11 @@
-"""``floattext.float_cells`` writes what ``repr`` writes, cell for cell."""
+"""``floattext.float_bytes`` writes what ``repr`` writes, cell for cell."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transched import schubfach
-from transched.floattext import KERNEL_BATCH, float_cells
+from transched.floattext import KERNEL_BATCH, float_bytes
 
 
 def _repr_cells(values):
@@ -13,11 +13,12 @@ def _repr_cells(values):
 
 
 def _assert_cells_are_repr(values):
+    # each row is the cell's bytes, padded with NULs to 24
     values = np.asarray(values, dtype=np.float64)
-    got = float_cells(values)
-    want = _repr_cells(values)
-    assert len(got) == len(want)
-    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    got = float_bytes(values)
+    want = [cell.encode().ljust(24, b"\0") for cell in _repr_cells(values)]
+    assert got.shape == (len(want), 24) and got.dtype == np.uint8
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(map(bytes, got), want)) if g != w]
     assert not bad, bad[:10]
 
 

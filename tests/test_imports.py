@@ -14,7 +14,7 @@ LAYERS = {"simulator", "dataset", "regression", "transmissibility", "scheduler",
 
 NOT_LOADED = {
     "simulate": {"regression", "transmissibility", "scheduler", "evaluation"},
-    "train": {"simulator", "scheduler", "evaluation"},
+    "train": {"simulator", "scheduler", "evaluation", "tabletext", "floattext"},
     "estimate": {"simulator", "regression", "evaluation"},
     "evaluate": {"simulator", "regression"},
 }
