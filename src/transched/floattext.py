@@ -32,9 +32,6 @@ import numpy as np
 from .tabletext import padded, repr_bytes, swar_digits
 from .schubfach import shortest_decimal
 
-# Values per pass of the kernel, which holds about 200 bytes a value.
-KERNEL_BATCH = 2048
-
 _U = np.uint64
 _I = np.int64
 _FRACTION = _U((1 << 52) - 1)
@@ -130,7 +127,8 @@ def _text_words(bits: np.ndarray) -> np.ndarray:
 
 def float_bytes(values: np.ndarray) -> np.ndarray:
     """(n, 24) uint8: the ``repr`` of each float64 of ``values``, NUL-padded;
-    a NaN is 24 NULs."""
+    a NaN is 24 NULs.  The kernel holds about 200 bytes a value at once, so
+    the caller bounds the size of a call."""
     bits = values.view(_U)
     size = bits & ~_SIGN
     others = np.flatnonzero((size < _LOW) | (size >= _HIGH) | ((bits & _FRACTION) == _U(0)))
@@ -138,9 +136,6 @@ def float_bytes(values: np.ndarray) -> np.ndarray:
     if others.size:  # the kernel formats 1.5 in their place
         bits = bits.copy()
         bits[others] = np.float64(1.5).view(_U)
-    words = np.empty((bits.size, 3), dtype="<u8")
-    for lo in range(0, bits.size, KERNEL_BATCH):
-        words[lo : lo + KERNEL_BATCH] = _text_words(bits[lo : lo + KERNEL_BATCH]).T
-    text = words.view(np.uint8)
+    text = np.ascontiguousarray(_text_words(bits).T, dtype="<u8").view(np.uint8)
     text[others] = repr_bytes(values[others])
     return text

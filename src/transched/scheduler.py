@@ -9,11 +9,13 @@ with N the number of regression rows the window yields and sigma_q^2 the
 auxiliary model's own residual variance from training.  The winning
 condition's primary model then estimates the target over that window.
 Classification uses in-window rows only, so windows stay independent.
-``classify`` scores one window; ``schedule_estimate`` scores all windows
-of a record at once from each auxiliary model's whole-record
-``predict``, with no BLAS call, and agrees with ``classify`` to
-|dL| <= 1e-12 * max(1, |L|) and |d posterior| <= 1e-12, with the same
-choice and ambiguity flag unless the deciding gap is within that bound.
+``schedule_estimate`` scores all windows of a record at once from each
+auxiliary model's whole-record ``predict``, with no BLAS call;
+``classify`` is its one-window case and ``log_evidence`` its one-member,
+one-window case, bit for bit.  The evidences agree with the formula above
+evaluated on each window's own lag matrix to |dL| <= 1e-12 * max(1, |L|),
+the posteriors to 1e-12, with the same choice and ambiguity flag unless
+the deciding gap is within that bound.
 A scheduled sample's estimate is the chosen primary model's whole-record
 prediction at that sample, bit-identical to ``predict_record``: its lags
 reach back across window boundaries, so every sample after the record's
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabelColumn, TimeSeriesSet, build_regressor, write_table
+from .dataset import LabelColumn, TimeSeriesSet, write_table
 from .errors import ConfigError, DataError, NumericalError
 from .transmissibility import FirModel, TransmissibilityFamily, predict, predict_record
 
@@ -120,7 +122,8 @@ class ScheduleTrace:
 
     @property
     def windows(self) -> tuple[PosteriorResult, ...]:
-        """Per-window results as ``classify`` gives them, derived on access."""
+        """Per-window results, each what ``classify`` gives for that window
+        bit for bit, derived on access."""
         posterior = self.posterior
         return tuple(
             PosteriorResult(i + 1, self.log_evidence[i], posterior[i], c, a)
@@ -139,43 +142,20 @@ class ScheduleTrace:
 
 def log_evidence(h: FirModel, y_i1: np.ndarray, y_i2: np.ndarray, prior_q: float) -> float:
     """Log evidence of one auxiliary model on one window, with the model's
-    own residual variance.  A zero prior excludes the member outright."""
+    own residual variance: the one-member, one-window case of
+    ``schedule_estimate``'s.  A zero prior excludes the member outright."""
     if prior_q < 0:
         raise ConfigError(f"prior must be non-negative, got {prior_q}")
     if prior_q == 0.0:
         return -math.inf
-    m = build_regressor(y_i1, y_i2, h.order)
-    r = m.y - m.phi @ h.theta
-    rss = float(r @ r)
-    n_rows = m.n_rows
-    s2 = h.sigma2
-    if s2 <= 0.0:
-        if rss == 0.0:
-            return math.inf  # perfect model with zero variance dominates
-        warnings.warn(
-            "auxiliary model has zero residual variance but a nonzero window "
-            "residual; treating its evidence as -inf",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return -math.inf
-    quad = rss / (2.0 * s2)  # overflows to inf for tiny s2, giving L = -inf
-    return math.log(prior_q) - 0.5 * n_rows * math.log(s2) - quad
-
-
-def _posterior_from_log(levidence: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(levidence)
-    post = np.zeros_like(levidence)
-    if np.any(levidence == math.inf):
-        at_top = levidence == math.inf
-        post[at_top] = 1.0 / at_top.sum()
-        return post
-    if not np.any(finite):
-        raise NumericalError("no admissible model: all log evidences are -inf")
-    shifted = levidence[finite] - levidence[finite].max()
-    expv = np.exp(shifted)
-    post[finite] = expv / expv.sum()
-    return post
+    y_i1 = np.atleast_2d(np.asarray(y_i1, dtype=float))
+    y_i2 = np.asarray(y_i2, dtype=float).ravel()
+    m = y_i1.shape[1]
+    if y_i2.size != m:
+        raise DataError(f"target length {y_i2.size} does not match input length {m}")
+    rss = _window_rss((h,), y_i1, y_i2, np.array([0]), np.array([m]), h.order)
+    n_rows = np.array([m - h.order])
+    return float(_window_log_evidence(np.array([h.sigma2]), np.array([prior_q]), rss, n_rows)[0, 0])
 
 
 def classify(
@@ -184,31 +164,20 @@ def classify(
     prior: Prior,
     window_id: int = 1,
 ) -> PosteriorResult:
-    """Pick the active condition for one window of online data."""
-    if prior.weights.size != len(h):
-        raise ConfigError(
-            f"prior has {prior.weights.size} weights for {len(h)} family members"
-        )
+    """Pick the active condition for one window of online data: the
+    one-window case of ``schedule_estimate``'s classification."""
     if window.n_samples <= h.order:
         raise DataError(
             f"window of {window.n_samples} samples is too short for order "
             f"{h.order}; need at least {h.order + 1}"
         )
-    y_i1 = window.channels(h.input_channel_names)
-    y_i2 = window.channel(h.output_channel_name)
-    levidence = np.array(
-        [log_evidence(m, y_i1, y_i2, float(prior.weights[k])) for k, m in enumerate(h.models)]
-    )
-    posterior = _posterior_from_log(levidence)
-    chosen = int(np.argmax(levidence))  # first index wins ties
-    finite = np.sort(levidence[np.isfinite(levidence)])[::-1]
-    ambiguous = finite.size >= 2 and (finite[0] - finite[1]) < AMBIGUITY_NATS
+    levidence = _family_log_evidence(h, window, prior, np.array([0]), np.array([window.n_samples]))
     return PosteriorResult(
         window_id=window_id,
-        log_evidence=levidence,
-        posterior=posterior,
-        chosen=chosen,
-        ambiguous=ambiguous,
+        log_evidence=levidence[0],
+        posterior=_posterior_rows(levidence)[0],
+        chosen=int(np.argmax(levidence[0])),  # first index wins ties
+        ambiguous=bool(_ambiguous_rows(levidence)[0]),
     )
 
 
@@ -225,10 +194,10 @@ def schedule_estimate(
     (one window if it is that long); a trailing remainder is its own window.
     All windows are classified at once from their in-window residual sums
     of squares, each auxiliary member's training residual variance and the
-    prior.  The result agrees with ``classify`` on each window to |dL| <=
-    1e-12 * max(1, |L|) in log evidence and 1e-12 in posterior; the choice
-    and the ambiguity flag are the same unless ``classify``'s deciding gap
-    is within that bound.
+    prior.  The result agrees with the evidence formula evaluated on each
+    window's own lag matrix to |dL| <= 1e-12 * max(1, |L|) in log evidence
+    and 1e-12 in posterior; the choice and the ambiguity flag are the same
+    unless that formula's deciding gap is within that bound.
 
     Every member of ``g`` predicts the whole record once, through
     ``predict_record``, into the trace's ``predictions``, one row per
@@ -244,20 +213,13 @@ def schedule_estimate(
         raise DataError("primary and auxiliary families must share labels")
     if g.order != h.order:
         raise DataError("primary and auxiliary families must share the FIR order")
-    if prior.weights.size != len(h):
-        raise ConfigError(
-            f"prior has {prior.weights.size} weights for {len(h)} family members"
-        )
     order = g.order
     m = online.n_samples
     starts, stops, skipped = _cut_windows(m, window_len, order)
     for name in g.input_channel_names:
         if name not in online.names:
             raise DataError(f"online record is missing channel {name!r}")
-    rss = _window_rss(h, online, starts, stops)
-    levidence = _window_log_evidence(h, prior, rss, stops - starts - order)
-    if np.any(levidence.max(axis=1) == -math.inf):
-        raise NumericalError("no admissible model: all log evidences are -inf")
+    levidence = _family_log_evidence(h, online, prior, starts, stops)
     chosen = np.argmax(levidence, axis=1)  # first index wins ties
     member = np.full(m, -1)
     member[: stops[-1] if stops.size else 0] = np.repeat(chosen, stops - starts)
@@ -298,22 +260,36 @@ def _cut_windows(m: int, window_len: int, order: int):
     return starts, np.minimum(starts + window_len, m), skipped
 
 
-def _window_rss(
-    h: TransmissibilityFamily, online: TimeSeriesSet, starts: np.ndarray, stops: np.ndarray
+def _family_log_evidence(
+    h: TransmissibilityFamily, record: TimeSeriesSet, prior: Prior, starts, stops
 ) -> np.ndarray:
-    """(windows, members) in-window residual sums of squares over the
-    classified windows ``starts``/``stops`` that ``_cut_windows`` gave, from
-    one whole-record ``predict`` per member."""
-    order = h.order
-    rss = np.zeros((starts.size, len(h)))
+    """(windows, members) log evidences of the family ``h`` on the windows
+    ``starts``/``stops`` of ``record``; a window where every member's is
+    -inf is a NumericalError."""
+    if prior.weights.size != len(h):
+        raise ConfigError(f"prior has {prior.weights.size} weights for {len(h)} family members")
+    drivers, aux = record.channels(h.input_channel_names), record.channel(h.output_channel_name)
+    rss = _window_rss(h.models, drivers, aux, starts, stops, h.order)
+    s2 = np.array([mod.sigma2 for mod in h.models])
+    levidence = _window_log_evidence(s2, prior.weights, rss, stops - starts - h.order)
+    if np.any(levidence.max(axis=1) == -math.inf):
+        raise NumericalError("no admissible model: all log evidences are -inf")
+    return levidence
+
+
+def _window_rss(models, drivers, aux, starts, stops, order: int) -> np.ndarray:
+    """(windows, models) in-window residual sums of squares of the FIR
+    ``models`` of order ``order``, from ``drivers`` to ``aux``, over the
+    windows ``starts``/``stops`` that ``_cut_windows`` gave, from one
+    whole-record ``predict`` per model."""
+    rss = np.zeros((starts.size, len(models)))
     if not starts.size:
         return rss
     covered = int(stops[-1])
-    drivers = online.channels(h.input_channel_names)[:, :covered]
-    aux = online.channel(h.output_channel_name)
+    drivers = drivers[:, :covered]
     # a window's first order rows have lags outside it and do not count
     burn_in = (starts[:, None] + np.arange(order)).ravel()
-    for k, mod in enumerate(h.models):
+    for k, mod in enumerate(models):
         sq = np.zeros(covered)
         with np.errstate(over="ignore"):  # an infinite RSS gives L = -inf
             sq[order:] = (aux[order:covered] - predict(mod, drivers)) ** 2
@@ -322,14 +298,12 @@ def _window_rss(
     return rss
 
 
-def _window_log_evidence(
-    h: TransmissibilityFamily, prior: Prior, rss: np.ndarray, n_rows: np.ndarray
-) -> np.ndarray:
-    """(windows, members) log evidences, by the rules of ``log_evidence``,
-    from each window's residual sums ``rss`` over its ``n_rows`` rows."""
-    s2 = np.array([mod.sigma2 for mod in h.models])
-    weights = prior.weights
-    # scalar logs keep each term bit-identical to log_evidence's
+def _window_log_evidence(s2, weights, rss, n_rows) -> np.ndarray:
+    """(windows, members) log evidences from each member's residual
+    variance ``s2`` and prior weight, and each window's residual sums
+    ``rss`` over its ``n_rows`` rows."""
+    # math.log per term: numpy's log may round differently, and the evidences
+    # the traces hold must not move
     log_p = np.array([math.log(w) if w > 0 else -math.inf for w in weights])
     log_s2 = np.array([math.log(v) if v > 0 else 0.0 for v in s2])
     with np.errstate(over="ignore"):  # tiny s2 overflows quad to inf: L = -inf
@@ -343,7 +317,7 @@ def _window_log_evidence(
                 "auxiliary model has zero residual variance but a nonzero window "
                 "residual; treating its evidence as -inf",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,  # the caller of classify or schedule_estimate
             )
         # a perfect model with zero variance dominates; any residual excludes it
         levidence = np.where(
@@ -353,9 +327,9 @@ def _window_log_evidence(
 
 
 def _posterior_rows(levidence: np.ndarray) -> np.ndarray:
-    """Row-wise ``_posterior_from_log``: a max-shifted softmax over the
-    finite evidences, or an even split over the +inf ones.  Every row must
-    hold an evidence above -inf, as ``schedule_estimate`` checks."""
+    """Per row, a max-shifted softmax over the finite evidences, or an even
+    split over the +inf ones.  Every row must hold an evidence above -inf,
+    as ``_family_log_evidence`` checks."""
     top = levidence.max(axis=1, keepdims=True)
     at_top = levidence == math.inf
     with np.errstate(invalid="ignore"):  # inf - inf in rows replaced below

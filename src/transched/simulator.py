@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 from operator import mul
 from typing import Mapping
 
@@ -82,10 +81,6 @@ class SwitchSchedule:
     @property
     def total_samples(self) -> int:
         return sum(n for _, n in self.steps)
-
-    def labels_per_sample(self) -> tuple[str, ...]:
-        """The active condition of each sample, in order."""
-        return tuple(chain.from_iterable(repeat(label, n) for label, n in self.steps))
 
     def label_column(self) -> LabelColumn:
         """The active condition of each sample, as codes into the schedule's

@@ -71,8 +71,7 @@ def test_simulate_true_label_column_is_the_schedule(tmp_path):
     with open(tmp_path / "o" / "validation.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["y_I1_a", "y_I2", "y_O", "true_label"]
-    schedule = SwitchSchedule(steps=(("C1", 3), ("C2", 5), ("C1", 2)))
-    assert tuple(row[3] for row in rows[1:]) == schedule.labels_per_sample()
+    assert tuple(row[3] for row in rows[1:]) == ("C1",) * 3 + ("C2",) * 5 + ("C1",) * 2
 
 
 def test_train_writes_store(pipeline_dir):
@@ -724,6 +723,8 @@ def test_exit_code_non_finite_validation_csv(pipeline_dir, tmp_path, capsys):
         (lambda doc: doc["conditions"][1].update(label="Zustand\0"),
          "conditions: 'Zustand\\x00' is not a condition label: it holds a NUL"),
     ],
+    ids=["missing-order", "missing-theta", "order-not-integer", "label-comma", "target-comma",
+         "pseudo-input-quote", "label-nul"],
 )
 def test_exit_code_malformed_store(pipeline_dir, tmp_path, capsys, corrupt, fragment):
     out = _copy_outputs(pipeline_dir, tmp_path / "o", ("store.json", "validation.csv"))
@@ -1156,6 +1157,10 @@ def test_simulate_traced_peak_per_validation_sample(tmp_path):
     # channel's noise temporary (8), plus one chunk of Python floats; a
     # noisy copy of the record would add 24 more
     assert _run(["simulate", "--out", str(tmp_path / "warm")]) == 0  # imports stay untraced
+    # and so does compiling the table writer's modules, whatever chunks the warm-up wrote
+    import transched.floattext
+    import transched.schubfach
+    import transched.tabletext
     ini = tmp_path / "run.ini"
     ini.write_text("[simulate]\nschedule = C1:20000, C2:20000\n")
     tracemalloc.start()

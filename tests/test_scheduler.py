@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transched import dataset
-from transched.dataset import TimeSeriesSet
+from transched.dataset import TimeSeriesSet, build_regressor
 from transched.errors import ConfigError, DataError, NumericalError
 from transched.evaluation import fit_metric
 from transched.scheduler import (
     AMBIGUITY_NATS,
     _posterior_rows,
+    PosteriorResult,
     Prior,
     classify,
     log_evidence,
@@ -49,14 +50,90 @@ def _window(u, v):
     return TimeSeriesSet(names=names, data=np.vstack([u, np.asarray(v, float)[None, :]]))
 
 
+# ------------------------------------------------------------------- oracle
+
+# The per-window reference classifier: the evidence formula evaluated on
+# each window's own lag matrix, one member at a time, and the posterior,
+# choice and ambiguity rules written out for one window.  The package
+# computes all windows at once from whole-record predictions; BOUND below
+# states how closely the two agree.
+
+
+def oracle_log_evidence(h, y_i1, y_i2, prior_q):
+    if prior_q < 0:
+        raise ConfigError(f"prior must be non-negative, got {prior_q}")
+    if prior_q == 0.0:
+        return -math.inf
+    m = build_regressor(y_i1, y_i2, h.order)
+    r = m.y - m.phi @ h.theta
+    rss = float(r @ r)
+    s2 = h.sigma2
+    if s2 <= 0.0:
+        if rss == 0.0:
+            return math.inf  # perfect model with zero variance dominates
+        warnings.warn(
+            "auxiliary model has zero residual variance but a nonzero window "
+            "residual; treating its evidence as -inf",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return -math.inf
+    quad = rss / (2.0 * s2)  # overflows to inf for tiny s2, giving L = -inf
+    return math.log(prior_q) - 0.5 * m.n_rows * math.log(s2) - quad
+
+
+def _oracle_posterior(levidence):
+    finite = np.isfinite(levidence)
+    post = np.zeros_like(levidence)
+    if np.any(levidence == math.inf):
+        at_top = levidence == math.inf
+        post[at_top] = 1.0 / at_top.sum()
+        return post
+    if not np.any(finite):
+        raise NumericalError("no admissible model: all log evidences are -inf")
+    shifted = levidence[finite] - levidence[finite].max()
+    expv = np.exp(shifted)
+    post[finite] = expv / expv.sum()
+    return post
+
+
+def oracle_classify(h, window, prior, window_id=1):
+    if prior.weights.size != len(h):
+        raise ConfigError(
+            f"prior has {prior.weights.size} weights for {len(h)} family members"
+        )
+    if window.n_samples <= h.order:
+        raise DataError(
+            f"window of {window.n_samples} samples is too short for order "
+            f"{h.order}; need at least {h.order + 1}"
+        )
+    y_i1 = window.channels(h.input_channel_names)
+    y_i2 = window.channel(h.output_channel_name)
+    levidence = np.array(
+        [oracle_log_evidence(m, y_i1, y_i2, float(prior.weights[k]))
+         for k, m in enumerate(h.models)]
+    )
+    posterior = _oracle_posterior(levidence)
+    chosen = int(np.argmax(levidence))  # first index wins ties
+    finite = np.sort(levidence[np.isfinite(levidence)])[::-1]
+    ambiguous = finite.size >= 2 and (finite[0] - finite[1]) < AMBIGUITY_NATS
+    return PosteriorResult(window_id, levidence, posterior, chosen, ambiguous)
+
+
+# Each unit test below holds the package's function and the oracle to one contract.
+LOG_EVIDENCES = (log_evidence, oracle_log_evidence)
+CLASSIFIERS = (classify, oracle_classify)
+
+
 # ------------------------------------------------------------- log_evidence
 
 
 def test_log_evidence_single_row_zero_residual():
     # one regression row, exact model: L = log(p) - log(sigma)
     model = _aux_model([2.0], sigma2=0.25)
-    val = log_evidence(model, np.array([[3.0]]), np.array([6.0]), prior_q=0.4)
-    assert val == pytest.approx(math.log(0.4) - math.log(0.5), rel=1e-14)
+    for evidence in LOG_EVIDENCES:
+        val = evidence(model, np.array([[3.0]]), np.array([6.0]), prior_q=0.4)
+        assert val == pytest.approx(math.log(0.4) - math.log(0.5), rel=1e-14)
 
 
 def test_log_evidence_equal_models_equal_value():
@@ -64,34 +141,42 @@ def test_log_evidence_equal_models_equal_value():
     u, v = rng.normal(size=(1, 30)), rng.normal(size=30)
     m1 = _aux_model([0.7, -0.1], sigma2=0.5, order=1)
     m2 = _aux_model([0.7, -0.1], sigma2=0.5, order=1)
-    assert log_evidence(m1, u, v, 0.5) == log_evidence(m2, u, v, 0.5)
+    for evidence in LOG_EVIDENCES:
+        assert evidence(m1, u, v, 0.5) == evidence(m2, u, v, 0.5)
 
 
 def test_log_evidence_decreases_with_residual():
     model = _aux_model([1.0], sigma2=1.0)
     u = np.ones((1, 10))
-    vals = [log_evidence(model, u, np.ones(10) * (1.0 + eps), 0.5)
-            for eps in (0.0, 0.5, 1.0)]
-    assert vals[0] > vals[1] > vals[2]
+    for evidence in LOG_EVIDENCES:
+        vals = [evidence(model, u, np.ones(10) * (1.0 + eps), 0.5) for eps in (0.0, 0.5, 1.0)]
+        assert vals[0] > vals[1] > vals[2]
 
 
 def test_log_evidence_zero_prior_excludes():
     model = _aux_model([1.0], sigma2=1.0)
-    assert log_evidence(model, np.ones((1, 5)), np.ones(5), 0.0) == -math.inf
+    for evidence in LOG_EVIDENCES:
+        assert evidence(model, np.ones((1, 5)), np.ones(5), 0.0) == -math.inf
+        with pytest.raises(ConfigError, match="prior must be non-negative"):
+            evidence(model, np.ones((1, 5)), np.ones(5), -0.5)
 
 
 def test_log_evidence_zero_variance_paths():
     model = _aux_model([1.0], sigma2=0.0)
     u = np.ones((1, 5))
-    assert log_evidence(model, u, np.ones(5), 0.5) == math.inf
-    with pytest.warns(RuntimeWarning, match="zero residual variance"):
-        assert log_evidence(model, u, 2.0 * np.ones(5), 0.5) == -math.inf
+    for evidence in LOG_EVIDENCES:
+        assert evidence(model, u, np.ones(5), 0.5) == math.inf
+        with pytest.warns(RuntimeWarning, match="zero residual variance"):
+            assert evidence(model, u, 2.0 * np.ones(5), 0.5) == -math.inf
 
 
 def test_log_evidence_window_too_short():
     model = _aux_model([0.1, 0.2, 0.3], sigma2=1.0, order=2)
-    with pytest.raises(DataError, match="insufficient samples"):
-        log_evidence(model, np.ones((1, 2)), np.ones(2), 0.5)
+    for evidence in LOG_EVIDENCES:
+        with pytest.raises(DataError, match="insufficient samples"):
+            evidence(model, np.ones((1, 2)), np.ones(2), 0.5)
+        with pytest.raises(DataError, match="target length 4 does not match input length 5"):
+            evidence(model, np.ones((1, 5)), np.ones(4), 0.5)
 
 
 # ----------------------------------------------------------------- classify
@@ -102,9 +187,10 @@ def test_classify_identical_models_split_posterior():
     m = _aux_model([0.4], sigma2=0.3)
     fam = _aux_family([m, _aux_model([0.4], sigma2=0.3)])
     win = _window(rng.normal(size=(1, 12)), rng.normal(size=12))
-    res = classify(fam, win, Prior.uniform(2))
-    np.testing.assert_array_equal(res.posterior, [0.5, 0.5])
-    assert res.chosen == 0  # tie broken toward the first label
+    for classifier in CLASSIFIERS:
+        res = classifier(fam, win, Prior.uniform(2))
+        np.testing.assert_array_equal(res.posterior, [0.5, 0.5])
+        assert res.chosen == 0  # tie broken toward the first label
 
 
 def test_classify_degenerate_prior_forces_choice():
@@ -114,9 +200,10 @@ def test_classify_degenerate_prior_forces_choice():
     fam = _aux_family([bad, good])
     u = rng.normal(size=(1, 12))
     win = _window(u, 10.0 * u[0])  # data matches the excluded member
-    res = classify(fam, win, Prior(weights=np.array([1.0, 0.0])))
-    np.testing.assert_array_equal(res.posterior, [1.0, 0.0])
-    assert res.chosen == 0
+    for classifier in CLASSIFIERS:
+        res = classifier(fam, win, Prior(weights=np.array([1.0, 0.0])))
+        np.testing.assert_array_equal(res.posterior, [1.0, 0.0])
+        assert res.chosen == 0
 
 
 def test_classify_picks_matching_model():
@@ -124,31 +211,35 @@ def test_classify_picks_matching_model():
     u = rng.normal(size=(1, 40))
     v = 2.0 * u[0] + rng.normal(0.0, 0.1, 40)
     fam = _aux_family([_aux_model([2.0], sigma2=0.01), _aux_model([-1.0], sigma2=0.01)])
-    res = classify(fam, _window(u, v), Prior.uniform(2))
-    assert res.chosen == 0
-    assert res.posterior[0] > 0.999999
+    for classifier in CLASSIFIERS:
+        res = classifier(fam, _window(u, v), Prior.uniform(2))
+        assert res.chosen == 0
+        assert res.posterior[0] > 0.999999
 
 
 def test_classify_all_excluded():
     fam = _aux_family([_aux_model([1.0], 0.0), _aux_model([2.0], 0.0)])
     win = _window(np.ones((1, 6)), 5.0 * np.ones(6))
-    with pytest.warns(RuntimeWarning):
-        with pytest.raises(NumericalError, match="no admissible model"):
-            classify(fam, win, Prior.uniform(2))
+    for classifier in CLASSIFIERS:
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NumericalError, match="no admissible model"):
+                classifier(fam, win, Prior.uniform(2))
 
 
 def test_classify_window_too_short():
     fam = _aux_family([_aux_model([1.0, 0.0], sigma2=1.0, order=1)])
     win = _window(np.ones((1, 1)), np.ones(1))
-    with pytest.raises(DataError, match="too short"):
-        classify(fam, win, Prior.uniform(1))
+    for classifier in CLASSIFIERS:
+        with pytest.raises(DataError, match="window of 1 samples is too short"):
+            classifier(fam, win, Prior.uniform(1))
 
 
 def test_classify_prior_length_checked():
     fam = _aux_family([_aux_model([1.0], 1.0)])
     win = _window(np.ones((1, 6)), np.ones(6))
-    with pytest.raises(ConfigError, match="weights"):
-        classify(fam, win, Prior.uniform(2))
+    for classifier in CLASSIFIERS:
+        with pytest.raises(ConfigError, match="prior has 2 weights for 1 family members"):
+            classifier(fam, win, Prior.uniform(2))
 
 
 def test_classify_ambiguity_flag():
@@ -158,8 +249,9 @@ def test_classify_ambiguity_flag():
     near1 = _aux_model([1.5], sigma2=1.0)
     near2 = _aux_model([1.5000001], sigma2=1.0)
     far = _aux_model([-3.0], sigma2=1.0)
-    assert classify(_aux_family([near1, near2]), _window(u, v), Prior.uniform(2)).ambiguous
-    assert not classify(_aux_family([near1, far]), _window(u, v), Prior.uniform(2)).ambiguous
+    for classifier in CLASSIFIERS:
+        assert classifier(_aux_family([near1, near2]), _window(u, v), Prior.uniform(2)).ambiguous
+        assert not classifier(_aux_family([near1, far]), _window(u, v), Prior.uniform(2)).ambiguous
 
 
 @given(st.integers(0, 10_000))
@@ -172,10 +264,11 @@ def test_classify_posterior_normalized(seed):
          for _ in range(q)]
     )
     win = _window(rng.normal(size=(1, 15)), rng.normal(size=15))
-    res = classify(fam, win, Prior.uniform(q))
-    assert abs(float(res.posterior.sum()) - 1.0) <= 1e-12
-    assert res.chosen == int(np.argmax(res.log_evidence))
-    assert res.chosen == int(np.argmax(res.posterior))
+    for classifier in CLASSIFIERS:
+        res = classifier(fam, win, Prior.uniform(q))
+        assert abs(float(res.posterior.sum()) - 1.0) <= 1e-12
+        assert res.chosen == int(np.argmax(res.log_evidence))
+        assert res.chosen == int(np.argmax(res.posterior))
 
 
 def test_prior_scaling_does_not_change_choice():
@@ -183,10 +276,11 @@ def test_prior_scaling_does_not_change_choice():
     fam = _aux_family([_aux_model([1.1], 0.5), _aux_model([0.3], 0.8)])
     win = _window(rng.normal(size=(1, 10)), rng.normal(size=10))
     w = np.array([0.3, 0.7])
-    res1 = classify(fam, win, Prior.from_weights(w))
-    res2 = classify(fam, win, Prior.from_weights(10.0 * w))
-    assert res1.chosen == res2.chosen
-    np.testing.assert_allclose(res1.posterior, res2.posterior, atol=1e-15)
+    for classifier in CLASSIFIERS:
+        res1 = classifier(fam, win, Prior.from_weights(w))
+        res2 = classifier(fam, win, Prior.from_weights(10.0 * w))
+        assert res1.chosen == res2.chosen
+        np.testing.assert_allclose(res1.posterior, res2.posterior, atol=1e-15)
 
 
 def test_classify_matches_direct_bayes_formula():
@@ -197,7 +291,6 @@ def test_classify_matches_direct_bayes_formula():
     models = [_aux_model([0.5], 0.7), _aux_model([-0.2], 1.3), _aux_model([1.0], 0.4)]
     prior = Prior.from_weights([0.2, 0.5, 0.3])
     fam = _aux_family(models)
-    res = classify(fam, _window(u, v), prior)
     direct = []
     n_rows = 8  # order 0: every sample yields a row
     for k, m in enumerate(models):
@@ -207,8 +300,10 @@ def test_classify_matches_direct_bayes_formula():
         )
         direct.append(lik * prior.weights[k])
     direct = np.array(direct) / sum(direct)
-    np.testing.assert_allclose(res.posterior, direct, rtol=1e-12)
-    assert res.chosen == int(np.argmax(direct))
+    for classifier in CLASSIFIERS:
+        res = classifier(fam, _window(u, v), prior)
+        np.testing.assert_allclose(res.posterior, direct, rtol=1e-12)
+        assert res.chosen == int(np.argmax(direct))
 
 
 # ---------------------------------------------------------- schedule_estimate
@@ -342,9 +437,9 @@ def test_schedule_missing_channel(trained_families):
         schedule_estimate(g, h, bad, Prior.uniform(2), window_len=20)
 
 
-# ------------------------------------------- array path vs per-window classify
+# --------------------------------------------- array path vs per-window oracle
 
-# Agreement bound of schedule_estimate against classify, stated in its
+# Agreement bound of schedule_estimate against the oracle, stated in its
 # docstring: |dL| <= BOUND * max(1, |L|) and |d posterior| <= BOUND.
 BOUND = 1e-12
 
@@ -369,7 +464,7 @@ def _families(thetas, sigma2s, order, n_drivers, labels=None):
 
 
 def _deciding_gaps(levidence):
-    """classify's deciding gaps: top-1 minus top-2 evidence for the choice,
+    """The oracle's deciding gaps: top-1 minus top-2 evidence for the choice,
     and the distance of the two best finite evidences' gap from
     AMBIGUITY_NATS for the ambiguity flag."""
     top = np.sort(levidence)[::-1]
@@ -429,8 +524,17 @@ def test_schedule_matches_per_window_classify(seed, order, n_drivers, q, extra,
     estimates = np.full(m, math.nan)
     member = np.full(m, -1)
     for res, (start, stop) in zip(trace.windows, expected):
-        ref = classify(h, _window(u[:, start:stop], v[start:stop]), prior,
-                       window_id=res.window_id)
+        window = _window(u[:, start:stop], v[start:stop])
+        # the public one-window classify is that window of the trace, bit for bit
+        one = classify(h, window, prior, window_id=res.window_id)
+        assert one.log_evidence.tobytes() == res.log_evidence.tobytes()
+        assert one.posterior.tobytes() == res.posterior.tobytes()
+        assert (one.window_id, one.chosen, one.ambiguous) == (res.window_id, res.chosen, res.ambiguous)
+        # and the public log_evidence is one member's entry of it
+        y_i1, y_i2 = window.channels(h.input_channel_names), window.channel("v")
+        levidence = [log_evidence(mod, y_i1, y_i2, w) for mod, w in zip(h.models, prior.weights)]
+        assert np.array(levidence).tobytes() == res.log_evidence.tobytes()
+        ref = oracle_classify(h, window, prior, window_id=res.window_id)
         inf = ~np.isfinite(ref.log_evidence)
         np.testing.assert_array_equal(res.log_evidence[inf], ref.log_evidence[inf])
         scale = np.maximum(1.0, np.abs(ref.log_evidence[~inf]))

@@ -235,7 +235,8 @@ def test_simulate_switching_carries_state_and_labels(quarter_car_systems):
     ts = simulate(quarter_car_systems, schedule, z)
     # the record holds no labels: its schedule gives each sample's condition
     assert ts.names == CHANNEL_NAMES
-    assert schedule.labels_per_sample() == ("C1",) * 80 + ("C2",) * 80
+    column = schedule.label_column()
+    assert tuple(column.labels[c] for c in column.codes.tolist()) == ("C1",) * 80 + ("C2",) * 80
     # first C2 output is produced by the state inherited from the C1 segment
     seg1 = simulate(quarter_car_systems, SwitchSchedule(steps=(("C1", 80),)), z[:80])
     np.testing.assert_array_equal(ts.data[:, :80], seg1.data)
