@@ -62,6 +62,8 @@ class FirModel:
         theta = np.asarray(self.theta, dtype=float).ravel()
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "input_channel_names", tuple(self.input_channel_names))
+        if self.order < 0:
+            raise DataError(f"order must be non-negative, got {self.order}")
         if theta.shape[0] != self.input_dim * (self.order + 1):
             raise DataError(
                 f"theta length {theta.shape[0]} does not match "
@@ -386,12 +388,18 @@ def _families_from_doc(
     order = _stored_int(doc["order"], "order")
     pseudo = tuple(doc["channel_names"]["pseudo_inputs"])
     target = str(doc["channel_names"]["target_output"])
-    index = _stored_int(doc["decomposition"]["aux_output_index"], "aux_output_index")
+    decomposition = doc["decomposition"]
+    index = _stored_int(decomposition["aux_output_index"], "aux_output_index")
     if not 0 <= index < len(pseudo):
         raise DataError(
             f"auxiliary output index {index} out of range for {len(pseudo)} pseudo-input channels"
         )
     aux_output = pseudo[index]
+    if decomposition["aux_output"] != aux_output:  # the store states it twice
+        raise DataError(
+            f"auxiliary output {decomposition['aux_output']!r} does not match "
+            f"aux_output_index {index}, pseudo-input {aux_output!r}"
+        )
     drivers = _drivers(pseudo, aux_output)
     labels = []
     g_models = []

@@ -709,6 +709,13 @@ def test_exit_code_non_finite_validation_csv(pipeline_dir, tmp_path, capsys):
     _assert_one_line_error(capsys, "validation.csv: line 40", "non-finite value inf", "'y_I2'")
 
 
+def _negative_order(doc):
+    # order -1 with empty thetas: every theta length input_dim * (order + 1) holds
+    doc["order"] = -1
+    for model in (doc["average"], *(c[k] for c in doc["conditions"] for k in "GH")):
+        model["theta"] = []
+
+
 @pytest.mark.parametrize(
     "corrupt, fragment",
     [
@@ -722,9 +729,13 @@ def test_exit_code_non_finite_validation_csv(pipeline_dir, tmp_path, capsys):
          f"channel_names: 'y\"I' {NOT_A_CHANNEL}"),
         (lambda doc: doc["conditions"][1].update(label="Zustand\0"),
          "conditions: 'Zustand\\x00' is not a condition label: it holds a NUL"),
+        (_negative_order, "store.json: order must be non-negative, got -1"),
+        (lambda doc: doc["decomposition"].update(aux_output="y_I1_a"),
+         "store.json: auxiliary output 'y_I1_a' does not match aux_output_index 1, "
+         "pseudo-input 'y_I2'"),
     ],
     ids=["missing-order", "missing-theta", "order-not-integer", "label-comma", "target-comma",
-         "pseudo-input-quote", "label-nul"],
+         "pseudo-input-quote", "label-nul", "negative-order", "aux-output-mismatch"],
 )
 def test_exit_code_malformed_store(pipeline_dir, tmp_path, capsys, corrupt, fragment):
     out = _copy_outputs(pipeline_dir, tmp_path / "o", ("store.json", "validation.csv"))

@@ -1,4 +1,4 @@
-"""Each command imports only the layers it runs; the package loads lazily."""
+"""Each command imports only the layers it runs; ``import transched`` loads none."""
 
 import json
 import os
@@ -69,25 +69,6 @@ def test_bare_import_loads_no_submodule(tmp_path):
 
 def test_config_loads_only_dataset_and_errors(tmp_path):
     assert _loaded("import transched.config", tmp_path) == {"config", "dataset", "errors"}
-
-
-def test_first_use_loads_only_the_owning_module(tmp_path):
-    loaded = _loaded("import transched\ntransched.QuarterCarParams", tmp_path)
-    assert loaded == {"simulator", "dataset", "errors"}
-
-
-def test_every_exported_name_resolves():
-    import importlib
-
-    assert len(transched.__all__) == len(set(transched.__all__))
-    for name in transched.__all__:
-        module = importlib.import_module(f"transched.{transched._MODULE_OF[name]}")
-        assert getattr(transched, name) is getattr(module, name)
-
-
-def test_submodules_resolve_as_attributes():
-    for layer in LAYERS | {"errors"}:
-        assert getattr(transched, layer).__name__ == f"transched.{layer}"
 
 
 def test_unknown_name_is_attribute_error():

@@ -467,3 +467,9 @@ def test_fir_model_theta_length_checked():
         FirModel(order=0, input_channel_names=("a",), theta=np.ones(2), sigma2=1.0)
     assert FirModel(order=2, input_channel_names=("a", "b"), theta=np.zeros(6),
                     sigma2=0.0).input_dim == 2
+
+
+def test_fir_model_rejects_negative_order():
+    # order -1 with no coefficients matches input_dim * (order + 1) == 0
+    with pytest.raises(DataError, match="order must be non-negative, got -1"):
+        FirModel(order=-1, input_channel_names=("a", "b"), theta=np.zeros(0), sigma2=0.0)
